@@ -3,7 +3,9 @@
 Four programs over the cone of (unnormalized) PSD matrices:
 
 * ``estimate_least_squares``  - min 0.5 ||A[X] - f||_2^2  s.t. X >= 0,
-  by accelerated projected gradient with restart on nonmonotonicity.
+  by accelerated projected gradient with restart on nonmonotonicity and
+  step 1/L, where L = ||A||^2 = k exactly for k bases (the closed form in
+  ``PovmMap.operator_norm``).
 * ``estimate_trace_min``      - min Tr X  s.t. ||A[X] - f||_2 <= eps, X >= 0,
   by a primal-dual splitting that alternates an l2-ball projection of the
   residual with a PSD eigenvalue clip plus dual updates.
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, Infeasible
-from .linalg import hermitize
+from .linalg import hermitize, psd_clip
 from .measurement import MeasurementRecord, PovmMap
 from .quantum import QuantumState
 
@@ -64,21 +66,14 @@ class EstimatorSpec:
     noise_bound: float | None = None
     max_iterations: int = 20000
     convergence_tol: float | None = None
-    norm_p: float = 2.0
-    dilution_backtrack: float = 0.5
-    step_scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}")
-        if self.noise_bound is not None and self.noise_bound < 0:
-            raise ValueError("noise_bound must be >= 0")
+        if self.noise_bound is not None and not 0 <= self.noise_bound < np.inf:
+            raise ValueError("noise_bound must be finite and >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.norm_p != 2.0:
-            raise ValueError("only the l2 residual norm is implemented")
-        if not 0 < self.dilution_backtrack < 1:
-            raise ValueError("dilution_backtrack must be in (0, 1)")
 
     @property
     def tol(self) -> float:
@@ -121,12 +116,6 @@ class _Problem:
 
     def residual(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.apply(x) - self.f))
-
-
-def _psd_clip(a: np.ndarray) -> np.ndarray:
-    lam, v = np.linalg.eigh(hermitize(a))
-    np.clip(lam, 0.0, None, out=lam)
-    return hermitize((v * lam) @ v.conj().T)
 
 
 def _normalize(x: np.ndarray, d: int) -> QuantumState:
@@ -175,13 +164,13 @@ def _fista(prob: _Problem, spec: EstimatorSpec, target_residual: float | None = 
     stall_window, stall_ref = 500, fx
     for it in range(1, spec.max_iterations + 1):
         g = prob.adjoint(prob.apply(y) - prob.f)
-        xn = _psd_clip(y - g / lip)
+        xn = psd_clip(y - g / lip)
         fn = 0.5 * prob.residual(xn) ** 2
         if fn > fx:
             # restart: drop momentum, plain gradient step from x
             t = 1.0
             g = prob.adjoint(prob.apply(x) - prob.f)
-            xn = _psd_clip(x - g / lip)
+            xn = psd_clip(x - g / lip)
             fn = 0.5 * prob.residual(xn) ** 2
         tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = xn + ((t - 1.0) / tn) * (xn - x)
@@ -200,7 +189,7 @@ def _fista(prob: _Problem, spec: EstimatorSpec, target_residual: float | None = 
         scale = max(1.0, float(np.linalg.norm(x)))
         if (0 <= chg <= tol * max(fx, 1e-30)) or move <= 100 * tol * scale:
             g = prob.adjoint(prob.apply(x) - prob.f)
-            pg = lip * float(np.linalg.norm(x - _psd_clip(x - g / lip)))
+            pg = lip * float(np.linalg.norm(x - psd_clip(x - g / lip)))
             if pg <= 10 * tol * lip * scale:
                 return x, it, True, trace, "projected_gradient"
     return x, spec.max_iterations, False, trace, "max_iterations"
@@ -210,7 +199,7 @@ def estimate_least_squares(
     povm: PovmMap, record: MeasurementRecord, spec: EstimatorSpec | None = None
 ) -> EstimateResult:
     """Constrained least squares over the PSD cone (accelerated projected
-    gradient, step 1/L with L the squared spectral norm of the data map)."""
+    gradient, step 1/L with L = ||A||^2 = k, the number of bases)."""
     spec = replace(spec, kind="least_squares") if spec else EstimatorSpec(kind="least_squares")
     prob = _Problem(povm, record)
     x, it, conv, trace, reason = _fista(prob, spec)
@@ -271,9 +260,8 @@ def estimate_trace_min(
     tol = spec.tol
     d = prob.d
     f = prob.f
-    norm_a = max(prob.norm_a, 1e-30)
-    tau = spec.step_scale * 0.99 / norm_a
-    sigma = (1.0 / spec.step_scale) * 0.99 / norm_a
+    norm_a = prob.norm_a
+    tau = sigma = 0.99 / norm_a
     eye = np.eye(d)
 
     def ball_project(y):
@@ -292,7 +280,7 @@ def estimate_trace_min(
     for it in range(1, spec.max_iterations + 1):
         v = u + sigma * prob.apply(x_bar)
         u_new = v - sigma * ball_project(v / sigma)
-        xn = _psd_clip(x - tau * (prob.adjoint(u_new) + eye))
+        xn = psd_clip(x - tau * (prob.adjoint(u_new) + eye))
         x_bar = 2.0 * xn - x
         rp = float(np.linalg.norm(xn - x)) / tau
         rd = float(np.linalg.norm(u_new - u)) / sigma
@@ -317,7 +305,7 @@ def estimate_max_likelihood(
 
     Diluted fixed-point iteration rho <- N[(1 + delta R) rho (1 + delta R)]
     with R = sum_mu (f_mu / q_mu) Pi_mu built from unit-sum frequencies.
-    delta backtracks (factor spec.dilution_backtrack) until the step does
+    delta halves until the step does
     not decrease the log-likelihood, and grows again after clean steps.
     Outcomes with f_mu > 0 and vanishing model probability are floored at
     1e-12.  Convergence: ||R - 1||_F restricted to the support of rho
@@ -381,7 +369,7 @@ def estimate_max_likelihood(
             if gain >= 0:
                 accepted = True
                 break
-            step *= spec.dilution_backtrack
+            step *= 0.5
         if not accepted:
             reason = "backtracking_stalled"
             break
@@ -389,17 +377,7 @@ def estimate_max_likelihood(
         ll = ll + gain
         trace.append(ll)
         delta = min(step * 2.0, 1e8)
-    x = hermitize(rho)
-    return EstimateResult(
-        method="max_likelihood",
-        X_hat=x,
-        rho_hat=_normalize(x, d),
-        residual=prob.residual(x),
-        iterations=it,
-        converged=converged,
-        objective_trace=np.asarray(trace),
-        stop_reason=reason,
-    )
+    return _result("max_likelihood", prob, hermitize(rho), it, converged, trace, reason)
 
 
 _DISPATCH = {

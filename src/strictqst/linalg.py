@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: Hermitian eigendecompositions, PSD-cone
-projection, signatures, norms and traces.
+"""Dense Hermitian-matrix kernel: the Hermiticity check, PSD-cone
+projection and eigenvalue signatures.
 
 Everything downstream (state models, measurement maps, cone-constrained
 solvers) stands on these few operations.  All functions are pure; inputs
@@ -8,30 +8,18 @@ are never modified in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotHermitian
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
-    "EigenDecomposition",
-    "eigh",
-    "psd_project",
-    "signature",
-    "norms_and_trace",
-    "is_hermitian",
     "require_hermitian",
     "hermitize",
-    "frobenius_norm",
-    "schatten_norm",
+    "psd_clip",
+    "psd_project",
+    "signature",
 ]
-
-
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT.hermitian) -> bool:
-    """Entrywise check |a - a^dag| <= tol."""
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT.hermitian) -> np.ndarray:
@@ -40,11 +28,13 @@ def require_hermitian(a: np.ndarray, tol: float = DEFAULT.hermitian) -> np.ndarr
     Raises
     ------
     NotHermitian
-        If any entry of a - a^dag exceeds tol in modulus.
+        If any entry of a - a^dag exceeds tol in modulus, or any entry is
+        not finite.
     """
     a = np.asarray(a, dtype=complex)
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > tol:
+    # written so that a NaN deviation (from any NaN or inf entry) fails
+    if not dev <= tol:
         raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
     return 0.5 * (a + a.conj().T)
 
@@ -54,38 +44,14 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition A = V diag(lam) V^dag.
-
-    eigenvalues are real and sorted descending; eigenvectors are the matching
-    columns of a unitary V.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def eigh(a: np.ndarray, tol: Tolerances = DEFAULT) -> EigenDecomposition:
-    """Full spectral decomposition of a Hermitian matrix.
-
-    Parameters
-    ----------
-    a : ndarray
-        Square Hermitian matrix (validated entrywise to tol.hermitian).
-
-    Returns
-    -------
-    EigenDecomposition
-        Eigenvalues sorted descending, eigenvector columns aligned.
-    """
-    h = require_hermitian(a, tol.hermitian)
+def psd_clip(h: np.ndarray) -> np.ndarray:
+    """PSD projection of an exactly Hermitian h, without validation: one
+    eigh, negative eigenvalues clipped to zero, an exactly Hermitian
+    reconstruction.  For solver inner loops whose iterates are Hermitian by
+    construction; everything else goes through psd_project."""
     lam, v = np.linalg.eigh(h)
-    return EigenDecomposition(eigenvalues=lam[::-1].copy(), eigenvectors=v[:, ::-1].copy())
+    np.clip(lam, 0.0, None, out=lam)
+    return hermitize((v * lam) @ v.conj().T)
 
 
 def psd_project(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
@@ -94,10 +60,7 @@ def psd_project(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
     The result is returned exactly Hermitian.  Projection of an already-PSD
     matrix reproduces it up to floating error.
     """
-    h = require_hermitian(a, tol.hermitian)
-    lam, v = np.linalg.eigh(h)
-    np.clip(lam, 0.0, None, out=lam)
-    return hermitize((v * lam) @ v.conj().T)
+    return psd_clip(require_hermitian(a, tol.hermitian))
 
 
 def signature(
@@ -119,21 +82,3 @@ def signature(
     n_plus = int(np.sum(lam > zero_tol))
     n_minus = int(np.sum(lam < -zero_tol))
     return n_plus, n_minus
-
-
-def frobenius_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
-def schatten_norm(a: np.ndarray, p: float = 2.0) -> float:
-    """Schatten p-norm from singular values; p=2 equals the Frobenius norm."""
-    s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
-    if np.isinf(p):
-        return float(s[0]) if s.size else 0.0
-    return float(np.sum(s**p) ** (1.0 / p))
-
-
-def norms_and_trace(a: np.ndarray) -> tuple[float, complex]:
-    """(Frobenius norm, trace) of a matrix; p-norms via schatten_norm on demand."""
-    a = np.asarray(a, dtype=complex)
-    return float(np.linalg.norm(a)), complex(np.trace(a))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import hermitize, require_hermitian
+from .linalg import hermitize, require_hermitian, signature
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -78,7 +78,7 @@ class BasisSet:
         eye = np.eye(self.dim)
         for i, u in enumerate(self.bases):
             dev = np.linalg.norm(u.conj().T @ u - eye)
-            if dev > tol.unitarity:
+            if not dev <= tol.unitarity:  # NaN-safe
                 raise ValueError(f"basis {i} deviates from unitarity by {dev:.3e}")
 
     def prefix(self, k: int) -> "BasisSet":
@@ -126,18 +126,6 @@ class PovmMap:
     def weight(self) -> float:
         return 1.0 / self.n_bases
 
-    @property
-    def effects(self) -> list[np.ndarray]:
-        """Materialized effect matrices in contract order (built on demand)."""
-        w = self.weight
-        out = []
-        for b in range(self.n_bases):
-            u = self._stack[b]
-            for i in range(self.dim):
-                v = u[:, i]
-                out.append(w * np.outer(v, v.conj()))
-        return out
-
     def projector_values(self, x: np.ndarray) -> np.ndarray:
         """Unweighted values <b_i|X|b_i> as a flat length-m real vector."""
         xb = np.matmul(x, self._stack)
@@ -150,19 +138,12 @@ class PovmMap:
         return hermitize(out)
 
     def operator_norm(self) -> float:
-        """Spectral norm of the unweighted projector map (power iteration)."""
-        rng = np.random.default_rng(0)
-        d = self.dim
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        x = hermitize(x)
-        n = 1.0
-        for _ in range(80):
-            y = self.adjoint_projectors(self.projector_values(x))
-            n = np.linalg.norm(y)
-            if n == 0:
-                return 0.0
-            x = y / n
-        return float(np.sqrt(n))
+        """Spectral norm of the unweighted projector map, sqrt(n_bases).
+
+        A^dag A is the sum of one pinching map per basis; each pinching is
+        an orthogonal projection that fixes I, so ||A^dag A|| = n_bases.
+        """
+        return float(np.sqrt(self.n_bases))
 
 
 def povm_from_bases(bases: BasisSet, tol: Tolerances = DEFAULT) -> PovmMap:
@@ -214,13 +195,14 @@ class MeasurementRecord:
             raise ValueError(f"kind must be one of {RECORD_KINDS}")
         blocks = v.reshape(self.n_bases, self.dim)
         tol = DEFAULT.block_sum if self.kind == "noiseless" else 1e-9
-        if np.max(np.abs(blocks.sum(axis=1) - 1.0)) > tol:
+        # NaN-safe: a non-finite entry makes its block sum non-finite
+        if not np.max(np.abs(blocks.sum(axis=1) - 1.0)) <= tol:
             raise ValueError("per-basis blocks must sum to 1")
         # synthetic records may carry slightly negative entries by design
         if self.kind != "synthetic" and v.min() < -1e-15:
             raise ValueError(f"negative record entry {v.min():.3e}")
-        if self.noise_bound is not None and self.noise_bound < 0:
-            raise ValueError("noise_bound must be >= 0")
+        if self.noise_bound is not None and not 0 <= self.noise_bound < np.inf:
+            raise ValueError("noise_bound must be finite and >= 0")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -312,11 +294,11 @@ def map_matrix(povm: PovmMap) -> np.ndarray:
     so its singular values equal those of the abstract operator.
     """
     d = povm.dim
-    g = hermitian_operator_basis(d)
-    rows = np.empty((povm.n_outcomes, d * d))
-    for j in range(d * d):
-        rows[:, j] = povm.projector_values(g[j])
-    return povm.weight * rows
+    g_flat = hermitian_operator_basis(d).reshape(d * d, d * d)
+    u = povm._stack
+    # row (b, i) holds conj(u[a, i]) u[c, i] over (a, c): <b_i|X|b_i> = row . vec(X)
+    q = np.einsum("bai,bci->biac", u.conj(), u).reshape(povm.n_outcomes, d * d)
+    return povm.weight * (q @ g_flat.T).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,33 +345,30 @@ def kernel_analysis(
     if n_probes < 1:
         raise ValueError("n_probes must be >= 1")
     d = povm.dim
-    g = hermitian_operator_basis(d)
-    m = map_matrix(povm)
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
+    _, s, vt = np.linalg.svd(map_matrix(povm), full_matrices=True)
     cut = tol.kernel_svd_rel * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cut))
     kernel_vecs = vt[rank:]
     kdim = kernel_vecs.shape[0]
-    g_flat = g.reshape(d * d, d * d)
-    basis_mats = []
-    for v in kernel_vecs:
-        k_mat = hermitize((v @ g_flat).reshape(d, d))
-        k_mat.setflags(write=False)
-        basis_mats.append(k_mat)
+    g_flat = hermitian_operator_basis(d).reshape(d * d, d * d)
+    # products over blocks of d kernel vectors keep the temporaries small;
+    # one product over all kdim vectors plus its symmetrization would hold
+    # several (kdim, d, d) copies at once
+    basis = np.empty((kdim, d, d), dtype=complex)
+    for lo in range(0, kdim, d):
+        block = (kernel_vecs[lo : lo + d] @ g_flat).reshape(-1, d, d)
+        basis[lo : lo + d] = 0.5 * (block + block.conj().transpose(0, 2, 1))
+    basis.setflags(write=False)
 
     signatures: list[tuple[int, int]] = []
     strict_wit = None
     complete_wit = None
     if kdim > 0:
-        stack = np.stack(basis_mats)
         for _ in range(n_probes):
             c = rng.standard_normal(kdim)
             c /= np.linalg.norm(c)
-            k_mat = hermitize(np.tensordot(c, stack, axes=1))
-            lam = np.linalg.eigvalsh(k_mat)
-            zt = 1e-9 * np.linalg.norm(k_mat)
-            n_plus = int(np.sum(lam > zt))
-            n_minus = int(np.sum(lam < -zt))
+            k_mat = hermitize(np.tensordot(c, basis, axes=1))
+            n_plus, n_minus = signature(k_mat, tol=tol)
             signatures.append((n_plus, n_minus))
             if strict_wit is None and min(n_plus, n_minus) <= r:
                 strict_wit = k_mat
@@ -397,7 +376,7 @@ def kernel_analysis(
                 complete_wit = k_mat
     return KernelReport(
         kernel_dimension=kdim,
-        kernel_basis=tuple(basis_mats),
+        kernel_basis=tuple(basis),
         sampled_signatures=tuple(signatures),
         rank_target=r,
         strict_witness=strict_wit,

@@ -20,8 +20,6 @@ class Tolerances:
         Max entrywise |A - A^dag| for a matrix to count as Hermitian.
     unitarity : float
         Frobenius bound on ||U^dag U - I|| for unitary checks.
-    eig_reconstruction : float
-        Relative Frobenius bound on ||V diag(lam) V^dag - A||.
     psd : float
         Most-negative eigenvalue allowed in a "PSD" matrix.
     trace : float
@@ -30,20 +28,16 @@ class Tolerances:
         Eigenvalues above this count toward the rank of a state.
     kernel_svd_rel : float
         Singular values below this fraction of the largest are kernel.
-    kernel_residual : float
-        Max ||map(K)||_2 and |Tr K| for reported kernel elements.
     block_sum : float
         Allowed deviation of a per-basis probability block sum from 1.
     """
 
     hermitian: float = 1e-12
     unitarity: float = 1e-10
-    eig_reconstruction: float = 1e-9
     psd: float = 1e-10
     trace: float = 1e-10
     rank_cut: float = 1e-9
     kernel_svd_rel: float = 1e-9
-    kernel_residual: float = 1e-8
     block_sum: float = 1e-12
 
 

@@ -3,13 +3,16 @@
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from characteristic-polynomial companion roots, optima from scipy
 descent on a Cholesky parameterization, Kronecker products from explicit
-index loops.
+index loops, the map matrix and kernel basis from per-column and
+per-vector loops.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.optimize
+
+from strictqst.measurement import hermitian_operator_basis
 
 
 def char_poly_coefficients(a: np.ndarray) -> np.ndarray:
@@ -42,6 +45,28 @@ def kron_explicit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             for k in range(rb):
                 for l in range(cb):
                     out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
+    return out
+
+
+def map_matrix_loop(povm) -> np.ndarray:
+    """Weighted map matrix built one column at a time: column j holds
+    projector_values of the j-th hermitian_operator_basis element."""
+    d = povm.dim
+    g = hermitian_operator_basis(d)
+    cols = np.empty((povm.n_outcomes, d * d))
+    for j in range(d * d):
+        cols[:, j] = povm.projector_values(g[j])
+    return povm.weight * cols
+
+
+def kernel_basis_loop(kernel_vecs: np.ndarray, d: int) -> list[np.ndarray]:
+    """Kernel-basis matrices one coefficient vector at a time: the
+    symmetrized combination sum_j v_j G_j of hermitian_operator_basis."""
+    g_flat = hermitian_operator_basis(d).reshape(d * d, d * d)
+    out = []
+    for v in kernel_vecs:
+        k_mat = (v @ g_flat).reshape(d, d)
+        out.append(0.5 * (k_mat + k_mat.conj().T))
     return out
 
 

@@ -10,29 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from strictqst.estimators import estimate_max_likelihood
-from strictqst.linalg import eigh, psd_project
+from strictqst.linalg import psd_project
 from strictqst.measurement import apply_map, noiseless_record, povm_from_bases, sample_record
 from strictqst.quantum import global_random_bases, random_rank_r_state
 
 from oracles import random_hermitian
-
-
-def eigh_reconstruction_violations(n_instances: int = 1000, seed: int = 0) -> int:
-    rng = np.random.default_rng(seed)
-    bad = 0
-    for _ in range(n_instances):
-        d = int(rng.integers(2, 17))
-        a = random_hermitian(d, rng)
-        dec = eigh(a)
-        norm = max(1.0, np.linalg.norm(a))
-        if np.linalg.norm(dec.reconstruct() - a) > 1e-9 * norm:
-            bad += 1
-        v = dec.eigenvectors
-        if np.max(np.abs(v.conj().T @ v - np.eye(d))) > 1e-10:
-            bad += 1
-        if np.any(np.diff(dec.eigenvalues) > 0):
-            bad += 1
-    return bad
 
 
 def projection_idempotence_violations(n_instances: int = 1000, seed: int = 1) -> int:

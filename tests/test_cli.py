@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import strictqst.cli as cli
+from strictqst.errors import NotHermitian
 from strictqst.cli import serialization as ser
 from strictqst.cli.plots import line_plot
 from strictqst.measurement import povm_from_bases
@@ -278,3 +279,8 @@ class TestSerializationRoundTrips:
     def test_malformed_matrix_rejected(self):
         with pytest.raises(ser.ConfigError):
             ser.matrix_from_json([[1.0, 2.0]])
+        # Python's json parses the non-standard NaN literal
+        doc = json.loads(json.dumps(ser.state_to_json(QuantumState(np.eye(2, dtype=complex) / 2))))
+        doc["rho"][0][0][0] = float("nan")
+        with pytest.raises(NotHermitian):
+            ser.state_from_json(json.loads(json.dumps(doc)))

@@ -35,8 +35,9 @@ class TestEstimatorSpec:
             EstimatorSpec(kind="ridge")
         with pytest.raises(ValueError):
             EstimatorSpec(noise_bound=-0.1)
-        with pytest.raises(ValueError):
-            EstimatorSpec(norm_p=1.0)
+        for bound in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                EstimatorSpec(noise_bound=bound)
 
     def test_dispatcher(self):
         state, povm, rec = make_noiseless_problem(3, 4, seed=0)

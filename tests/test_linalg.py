@@ -2,46 +2,38 @@ import numpy as np
 import pytest
 
 from strictqst.errors import NotHermitian
-from strictqst.linalg import (
-    eigh,
-    frobenius_norm,
-    hermitize,
-    is_hermitian,
-    norms_and_trace,
-    psd_project,
-    schatten_norm,
-    signature,
-)
+from strictqst.linalg import hermitize, psd_project, require_hermitian, signature
+from strictqst.quantum import QuantumState
 
 from oracles import char_poly_eigenvalues, psd_projection_oracle, random_hermitian
 import properties
 
 
 class TestEigh:
+    """The Hermitian eigendecomposition behind QuantumState.eigenvalues and
+    psd_project."""
+
     def test_identity(self):
-        dec = eigh(np.eye(3, dtype=complex))
-        assert np.allclose(dec.eigenvalues, [1, 1, 1])
-        v = dec.eigenvectors
-        assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-12)
+        assert np.allclose(QuantumState(np.eye(3, dtype=complex) / 3).eigenvalues, [1 / 3] * 3)
+        assert np.allclose(psd_project(np.eye(3, dtype=complex)), np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        dec = eigh(np.diag([2.0, -1.0]).astype(complex))
-        assert np.allclose(dec.eigenvalues, [2.0, -1.0])
+        # eigenvalues come back sorted descending
+        state = QuantumState(np.diag([0.25, 0.75]).astype(complex))
+        assert np.allclose(state.eigenvalues, [0.75, 0.25])
 
     def test_matches_characteristic_polynomial_roots(self, rng):
         a = random_hermitian(5, rng)
-        dec = eigh(a)
-        oracle = char_poly_eigenvalues(a)
+        rho = a @ a
+        rho = hermitize(rho / np.trace(rho).real)
+        oracle = char_poly_eigenvalues(rho)
         assert np.max(np.abs(oracle.imag)) < 1e-8
-        assert np.allclose(dec.eigenvalues, np.sort(oracle.real)[::-1], atol=1e-8)
+        assert np.allclose(QuantumState(rho).eigenvalues, np.sort(oracle.real)[::-1], atol=1e-8)
 
     def test_rejects_non_hermitian(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         with pytest.raises(NotHermitian):
-            eigh(a)
-
-    def test_reconstruction_and_unitarity_properties(self):
-        assert properties.eigh_reconstruction_violations(1000) == 0
+            QuantumState(a)
 
 
 class TestPsdProject:
@@ -67,6 +59,13 @@ class TestPsdProject:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
             psd_project(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # a non-finite entry makes the deviation NaN, which must not pass
+        for bad in (np.nan, np.inf):
+            a = np.eye(2, dtype=complex)
+            a[0, 0] = bad
+            for check in (require_hermitian, psd_project, signature):
+                with pytest.raises(NotHermitian):
+                    check(a)
 
 
 class TestSignature:
@@ -80,7 +79,7 @@ class TestSignature:
         for _ in range(50):
             a = random_hermitian(6, rng, traceless=True)
             n_plus, n_minus = signature(a)
-            lam = eigh(a).eigenvalues
+            lam = np.linalg.eigvalsh(a)
             rank = int(np.sum(np.abs(lam) > 1e-9 * np.linalg.norm(a)))
             assert n_plus + n_minus == rank
 
@@ -88,42 +87,11 @@ class TestSignature:
         for d in (2, 5, 9):
             a = random_hermitian(d, rng)
             # embed a forced null direction
-            dec = eigh(a)
-            lam = dec.eigenvalues.copy()
-            lam[-1] = 0.0
-            a0 = hermitize((dec.eigenvectors * lam) @ dec.eigenvectors.conj().T)
+            lam, v = np.linalg.eigh(a)
+            lam[0] = 0.0
+            a0 = hermitize((v * lam) @ v.conj().T)
             zero_tol = 1e-9 * np.linalg.norm(a0)
             n_plus, n_minus = signature(a0, zero_tol)
-            n_zero = int(np.sum(np.abs(eigh(a0).eigenvalues) <= zero_tol))
+            n_zero = int(np.sum(np.abs(np.linalg.eigvalsh(a0)) <= zero_tol))
             assert n_plus + n_minus + n_zero == d
             assert n_zero >= 1
-
-
-class TestNorms:
-    def test_identity(self):
-        fro, tr = norms_and_trace(np.eye(4, dtype=complex))
-        assert fro == pytest.approx(2.0)
-        assert tr == pytest.approx(4.0)
-
-    def test_zero(self):
-        fro, tr = norms_and_trace(np.zeros((3, 3), dtype=complex))
-        assert fro == 0.0 and tr == 0.0
-
-    def test_frobenius_against_eigenvalue_oracle(self, rng):
-        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        lam = np.linalg.eigvalsh(a.conj().T @ a)
-        assert frobenius_norm(a) ** 2 == pytest.approx(np.sum(np.abs(a) ** 2))
-        assert frobenius_norm(a) ** 2 == pytest.approx(float(np.sum(lam)), rel=1e-10)
-
-    def test_hermitian_trace_is_real(self, rng):
-        a = random_hermitian(7, rng)
-        _, tr = norms_and_trace(a)
-        assert abs(tr.imag) <= 1e-12
-
-    def test_schatten_two_equals_frobenius(self, rng):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert schatten_norm(a, 2) == pytest.approx(frobenius_norm(a), rel=1e-12)
-
-    def test_is_hermitian(self, rng):
-        assert is_hermitian(random_hermitian(3, rng))
-        assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

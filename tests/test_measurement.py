@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strictqst.errors import DimensionMismatch
+from strictqst.errors import DimensionMismatch, NotHermitian
 from strictqst.measurement import (
     BasisSet,
     MeasurementRecord,
@@ -13,8 +13,9 @@ from strictqst.measurement import (
     povm_from_bases,
     sample_record,
 )
-from strictqst.quantum import QuantumState, global_random_bases, random_pure_state
+from strictqst.quantum import QuantumState, global_random_bases, local_random_bases, random_pure_state
 
+from oracles import kernel_basis_loop, map_matrix_loop
 import properties
 
 
@@ -22,21 +23,32 @@ def computational_povm(d=2, k=1):
     return povm_from_bases(BasisSet(dim=d, bases=tuple(np.eye(d, dtype=complex) for _ in range(k))))
 
 
+def effects(povm):
+    """Effect matrices E_mu = weight * A^dag(e_mu), in contract order."""
+    return [povm.weight * povm.adjoint_projectors(e) for e in np.eye(povm.n_outcomes)]
+
+
+def reference_povms():
+    rng = np.random.default_rng(8)
+    povms = [povm_from_bases(global_random_bases(d, k, rng)) for d, k in ((3, 2), (8, 5), (16, 3))]
+    povms.append(povm_from_bases(local_random_bases(3, 3, rng)))
+    return povms
+
+
 class TestPovmFromBases:
     def test_computational_basis_effects(self):
-        povm = computational_povm()
-        effects = povm.effects
-        assert np.allclose(effects[0], np.diag([1.0, 0.0]))
-        assert np.allclose(effects[1], np.diag([0.0, 1.0]))
+        e = effects(computational_povm())
+        assert np.allclose(e[0], np.diag([1.0, 0.0]))
+        assert np.allclose(e[1], np.diag([0.0, 1.0]))
 
     def test_effects_sum_to_identity(self, rng):
         povm = povm_from_bases(global_random_bases(5, 3, rng))
-        total = sum(povm.effects)
+        total = sum(effects(povm))
         assert np.max(np.abs(total - np.eye(5))) <= 1e-9
 
     def test_effects_are_psd(self, rng):
         povm = povm_from_bases(global_random_bases(3, 2, rng))
-        for e in povm.effects:
+        for e in effects(povm):
             assert np.linalg.eigvalsh(e).min() >= -1e-10
 
     def test_generic_map_rank(self, rng):
@@ -44,6 +56,31 @@ class TestPovmFromBases:
         povm = povm_from_bases(global_random_bases(4, 3, rng))
         s = np.linalg.svd(map_matrix(povm), compute_uv=False)
         assert int(np.sum(s > 1e-9 * s[0])) == 3 * (4 - 1) + 1
+
+    def test_rejects_non_finite_bases(self):
+        for bad in (np.nan, np.inf):
+            u = np.eye(2, dtype=complex)
+            u[0, 0] = bad
+            with pytest.raises(ValueError):
+                povm_from_bases(BasisSet(dim=2, bases=(u,)))
+
+
+class TestOperatorNorm:
+    def test_closed_form_matches_map_matrix(self, rng):
+        # A^dag A is a sum of k pinchings, each an orthogonal projection
+        # fixing I, so ||A|| = sqrt(k); map_matrix carries the 1/k weight
+        one = global_random_bases(4, 1, rng).bases[0]
+        for bases in (
+            global_random_bases(5, 3, rng),
+            local_random_bases(3, 4, rng),
+            global_random_bases(6, 1, rng),
+            BasisSet(dim=4, bases=(one, one, one)),
+        ):
+            povm = povm_from_bases(bases)
+            k = povm.n_bases
+            assert povm.operator_norm() == np.sqrt(k)
+            sigma_max = np.linalg.svd(map_matrix(povm), compute_uv=False)[0]
+            assert abs(k * sigma_max - np.sqrt(k)) <= 1e-12
 
 
 class TestApplyMap:
@@ -67,6 +104,14 @@ class TestApplyMap:
         povm = povm_from_bases(global_random_bases(3, 1, rng))
         with pytest.raises(DimensionMismatch):
             apply_map(povm, np.eye(4, dtype=complex))
+
+    def test_rejects_non_finite_matrix(self, rng):
+        povm = povm_from_bases(global_random_bases(2, 1, rng))
+        for bad in (np.nan, np.inf):
+            x = np.eye(2, dtype=complex)
+            x[1, 1] = bad
+            with pytest.raises(NotHermitian):
+                apply_map(povm, x)
 
     def test_linearity_property(self):
         assert properties.map_linearity_violations(1000) == 0
@@ -125,6 +170,13 @@ class TestRecords:
             MeasurementRecord(dim=2, n_bases=1, values=np.array([0.7, 0.7]))
         with pytest.raises(DimensionMismatch):
             MeasurementRecord(dim=2, n_bases=2, values=np.array([0.5, 0.5]))
+        for kind in ("noiseless", "sampled", "synthetic"):
+            for values in ([np.nan, 0.5], [np.inf, 0.5], [np.inf, -np.inf]):
+                with pytest.raises(ValueError):
+                    MeasurementRecord(dim=2, n_bases=1, values=np.array(values), kind=kind)
+        for bound in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                MeasurementRecord(dim=2, n_bases=1, values=np.array([0.5, 0.5]), noise_bound=bound)
 
 
 class TestOperatorBasis:
@@ -142,6 +194,24 @@ class TestOperatorBasis:
         traces = np.einsum("aii->a", g)
         assert abs(traces[0] - np.sqrt(4)) < 1e-14
         assert np.max(np.abs(traces[1:])) < 1e-14
+
+
+class TestMapMatrix:
+    def test_matches_column_loop_reference(self):
+        for povm in reference_povms():
+            assert np.max(np.abs(map_matrix(povm) - map_matrix_loop(povm))) <= 1e-14
+
+    def test_kernel_basis_matches_vector_loop_reference(self, rng):
+        for povm in reference_povms():
+            report = kernel_analysis(povm, r=1, n_probes=1, rng=rng)
+            # same input bits, so the same SVD as inside kernel_analysis
+            _, s, vt = np.linalg.svd(map_matrix(povm))
+            rank = int(np.sum(s > 1e-9 * s[0]))
+            reference = kernel_basis_loop(vt[rank:], povm.dim)
+            assert len(report.kernel_basis) == len(reference) == report.kernel_dimension
+            for k_mat, k_ref in zip(report.kernel_basis, reference):
+                assert np.max(np.abs(k_mat - k_ref)) <= 1e-14
+                assert np.array_equal(k_mat, k_mat.conj().T)
 
 
 class TestKernelAnalysis:

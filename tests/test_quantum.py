@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strictqst.errors import BadRank, NotPure
+from strictqst.errors import BadRank, NotHermitian, NotPure
 from strictqst.quantum import (
     QuantumState,
     StateModel,
@@ -84,6 +84,9 @@ class TestRandomStates:
             QuantumState(np.diag([0.7, 0.7]).astype(complex))
         with pytest.raises(ValueError):
             QuantumState(np.diag([0.5, 0.5]).astype(complex), declared_rank=1)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotHermitian):
+                QuantumState(np.diag([bad, 0.5]).astype(complex))
 
 
 class TestBases:
