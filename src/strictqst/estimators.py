@@ -10,8 +10,8 @@ Four programs over the cone of (unnormalized) PSD matrices:
   by a primal-dual splitting that alternates an l2-ball projection of the
   residual with a PSD eigenvalue clip plus dual updates.
 * ``estimate_max_likelihood`` - max sum_mu f_mu log q_mu(rho) over unit-trace
-  PSD rho, by the diluted fixed-point iteration
-  rho <- N[(1 + delta R) rho (1 + delta R)].
+  PSD rho, by the same accelerated projected gradient with a backtracking
+  step, stopped when a certified log-likelihood gap is below tol.
 * ``feasibility``             - find X >= 0 with ||A[X] - f|| <= eps,
   as least squares with an early exit at the target residual.
 
@@ -58,7 +58,8 @@ class EstimatorSpec:
     """Solver configuration shared by all estimation programs.
 
     convergence_tol of None selects the per-kind default (LS/feasibility
-    1e-10, trace_min 1e-8, max_likelihood 1e-7).  noise_bound is required
+    1e-10, trace_min 1e-8, max_likelihood 1e-7); for max_likelihood it
+    bounds the log-likelihood gap to the optimum.  noise_bound is required
     by trace_min and feasibility when the record carries none.
     """
 
@@ -72,8 +73,10 @@ class EstimatorSpec:
             raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}")
         if self.noise_bound is not None and not 0 <= self.noise_bound < np.inf:
             raise ValueError("noise_bound must be finite and >= 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be an integer >= 1")
+        if self.convergence_tol is not None and not 0 < self.convergence_tol < np.inf:
+            raise ValueError("convergence_tol must be finite and > 0")
 
     @property
     def tol(self) -> float:
@@ -139,60 +142,81 @@ def _result(method, prob, x, iterations, converged, trace, reason="") -> Estimat
     )
 
 
-def _fista(prob: _Problem, spec: EstimatorSpec, target_residual: float | None = None):
-    """Accelerated projected gradient with function-value restart.
+def _fista(d, max_iterations, objective, gradient, project, lip, stop, backtrack=False):
+    """Accelerated projected gradient with function-value restart, from I/d.
 
-    Returns (X, iterations, converged, objective_trace, stop_reason).  The
-    recorded objective is non-increasing: a momentum step that raises it is
-    discarded and replaced by a plain gradient step from the last iterate.
-
-    With a target_residual the solver chases the target instead of
-    stationarity: it exits as soon as the residual reaches the target, and
-    reports "residual_stalled" when a long window brings no relative
-    improvement while the target is still out of reach (a residual floor).
+    Steps are x+ = project(p - gradient(p) / lip).  lip is fixed unless
+    backtrack: then it is halved before each step and doubled until the
+    sufficient-decrease test holds.  The recorded objective is
+    non-increasing: a momentum step that raises it is replaced by a plain
+    step from the last iterate.  stop(it, x, fx, chg, move) returns
+    (converged, stop_reason) to end the run, or None; it is first asked
+    before any step, with chg = move = inf.
+    Returns (X, iterations, objective_trace, converged, stop_reason).
     """
-    tol = spec.tol
-    lip = prob.norm_a**2
-    d = prob.d
+
+    def step(p, fp):
+        nonlocal lip
+        g = gradient(p)
+        if backtrack:
+            lip *= 0.5
+        while True:
+            xn = project(p - g / lip)
+            fn = objective(xn)
+            if not backtrack:
+                return xn, fn
+            dx = xn - p
+            if fn - fp <= np.vdot(g, dx).real + 0.5 * lip * np.vdot(dx, dx).real:
+                return xn, fn
+            lip *= 2.0
+
     x = np.eye(d, dtype=complex) / d
     y = x.copy()
     t = 1.0
-    fx = 0.5 * prob.residual(x) ** 2
+    fx = objective(x)
     trace = [fx]
-    if target_residual is not None and np.sqrt(2 * fx) <= target_residual:
-        return x, 0, True, trace, "target_residual"
-    stall_window, stall_ref = 500, fx
-    for it in range(1, spec.max_iterations + 1):
-        g = prob.adjoint(prob.apply(y) - prob.f)
-        xn = psd_clip(y - g / lip)
-        fn = 0.5 * prob.residual(xn) ** 2
+    done = stop(0, x, fx, np.inf, np.inf)
+    it = 0
+    while not done and it < max_iterations:
+        it += 1
+        xn, fn = step(y, objective(y) if backtrack else None)
         if fn > fx:
             # restart: drop momentum, plain gradient step from x
             t = 1.0
-            g = prob.adjoint(prob.apply(x) - prob.f)
-            xn = psd_clip(x - g / lip)
-            fn = 0.5 * prob.residual(xn) ** 2
+            xn, fn = step(x, fx)
+            if backtrack and fn > fx:  # a rounding-level step: keep x
+                xn, fn = x, fx
         tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = xn + ((t - 1.0) / tn) * (xn - x)
         move = float(np.linalg.norm(xn - x))
         chg = fx - fn
         x, fx, t = xn, fn, tn
         trace.append(fx)
-        if target_residual is not None:
-            if np.sqrt(2 * fx) <= target_residual:
-                return x, it, True, trace, "target_residual"
-            if it % stall_window == 0:
-                if fx > (1.0 - 1e-3) * stall_ref:
-                    return x, it, False, trace, "residual_stalled"
-                stall_ref = fx
-            continue
+        done = stop(it, x, fx, chg, move)
+    return (x, it, trace) + (done or (False, "max_iterations"))
+
+
+def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
+    """_fista on 0.5 ||A[X] - f||^2 over the PSD cone, step 1/L with
+    L = ||A||^2; the default stop is the projected-gradient certificate."""
+    tol = spec.tol
+    lip = prob.norm_a**2
+
+    def objective(x):
+        return 0.5 * prob.residual(x) ** 2
+
+    def gradient(x):
+        return prob.adjoint(prob.apply(x) - prob.f)
+
+    def pg_stop(it, x, fx, chg, move):
         scale = max(1.0, float(np.linalg.norm(x)))
         if (0 <= chg <= tol * max(fx, 1e-30)) or move <= 100 * tol * scale:
-            g = prob.adjoint(prob.apply(x) - prob.f)
-            pg = lip * float(np.linalg.norm(x - psd_clip(x - g / lip)))
+            pg = lip * float(np.linalg.norm(x - psd_clip(x - gradient(x) / lip)))
             if pg <= 10 * tol * lip * scale:
-                return x, it, True, trace, "projected_gradient"
-    return x, spec.max_iterations, False, trace, "max_iterations"
+                return True, "projected_gradient"
+        return None
+
+    return _fista(prob.d, spec.max_iterations, objective, gradient, psd_clip, lip, stop or pg_stop)
 
 
 def estimate_least_squares(
@@ -202,7 +226,7 @@ def estimate_least_squares(
     gradient, step 1/L with L = ||A||^2 = k, the number of bases)."""
     spec = replace(spec, kind="least_squares") if spec else EstimatorSpec(kind="least_squares")
     prob = _Problem(povm, record)
-    x, it, conv, trace, reason = _fista(prob, spec)
+    x, it, trace, conv, reason = _least_squares(prob, spec)
     return _result("least_squares", prob, x, it, conv, trace, reason)
 
 
@@ -210,7 +234,9 @@ def feasibility(
     povm: PovmMap, record: MeasurementRecord, spec: EstimatorSpec | None = None
 ) -> EstimateResult:
     """Return any PSD X with ||A[X] - f|| <= eps (eps = 0 means equality
-    within 1e-10).  Implemented as least squares with an early exit.
+    within 1e-10).  Implemented as least squares that exits as soon as the
+    residual reaches the target, and reports "residual_stalled" when 500
+    iterations bring no relative improvement of 1e-3 (a residual floor).
 
     Raises
     ------
@@ -223,7 +249,19 @@ def feasibility(
         eps = record.noise_bound if record.noise_bound is not None else 0.0
     target = max(eps, 1e-10)
     prob = _Problem(povm, record)
-    x, it, conv, trace, reason = _fista(prob, spec, target_residual=target)
+    stall_ref = None
+
+    def target_stop(it, x, fx, chg, move):
+        nonlocal stall_ref
+        if np.sqrt(2 * fx) <= target:
+            return True, "target_residual"
+        if it % 500 == 0:
+            if it and fx > (1.0 - 1e-3) * stall_ref:
+                return False, "residual_stalled"
+            stall_ref = fx
+        return None
+
+    x, it, trace, _, reason = _least_squares(prob, spec, target_stop)
     resid = prob.residual(x)
     if resid > target:
         raise Infeasible(
@@ -303,81 +341,42 @@ def estimate_max_likelihood(
 ) -> EstimateResult:
     """Maximum likelihood over unit-trace PSD matrices.
 
-    Diluted fixed-point iteration rho <- N[(1 + delta R) rho (1 + delta R)]
-    with R = sum_mu (f_mu / q_mu) Pi_mu built from unit-sum frequencies.
-    delta halves until the step does
-    not decrease the log-likelihood, and grows again after clean steps.
-    Outcomes with f_mu > 0 and vanishing model probability are floored at
-    1e-12.  Convergence: ||R - 1||_F restricted to the support of rho
-    below tolerance.
+    Accelerated projected gradient (Shang, Zhang and Ng, PRA 95, 062336
+    (2017)) with a backtracking step on -ll(rho) = -sum_mu f_mu log q_mu
+    for unit-sum frequencies f; q_mu of observed outcomes is floored at
+    1e-12.  ll has gradient R = sum_mu (f_mu / q_mu) Pi_mu, and concavity
+    gives ll* - ll(rho) <= lambda_max(R) - 1: the solver stops when that
+    gap is at most tol.  objective_trace holds ll, non-decreasing.
     """
     spec = replace(spec, kind="max_likelihood") if spec else EstimatorSpec(kind="max_likelihood")
     if np.min(record.values) < 0:
         raise ValueError("max_likelihood requires nonnegative record entries")
     prob = _Problem(povm, record)
-    tol = spec.tol
-    d = prob.d
     ft = prob.f / prob.f.sum()
     mask = ft > 0
     fm = ft[mask]
-    floor = 1e-12
 
-    def loglik(q):
-        return float(fm @ np.log(np.maximum(q[mask], floor)))
+    def q_observed(x):
+        return np.maximum(prob.apply(x)[mask], 1e-12)
 
-    def loglik_gain(q_old, q_new):
-        # difference evaluated through log1p of the probability ratios;
-        # subtracting two O(1) log-likelihood sums would drown the tiny
-        # late-iteration gains in rounding noise
-        a = np.maximum(q_old[mask], floor)
-        b = np.maximum(q_new[mask], floor)
-        return float(fm @ np.log1p((b - a) / a))
-
-    def r_operator(q):
+    def r_operator(x):
         w = np.zeros_like(ft)
-        w[mask] = fm / np.maximum(q[mask], floor)
+        w[mask] = fm / q_observed(x)
         return prob.adjoint(w)
 
-    rho = np.eye(d, dtype=complex) / d
-    q = prob.apply(rho)
-    ll = loglik(q)
-    trace = [ll]
-    delta = 1.0
-    eye = np.eye(d)
-    converged = False
-    reason = "max_iterations"
-    it = 0
-    for it in range(1, spec.max_iterations + 1):
-        r_op = r_operator(q)
-        lam, v = np.linalg.eigh(rho)
-        support = lam > 1e-10 * max(lam[-1], floor)
-        vs = v[:, support]
-        crit = float(np.linalg.norm(vs.conj().T @ r_op @ vs - np.eye(int(support.sum()))))
-        if crit < tol:
-            converged = True
-            reason = "support_stationarity"
-            break
-        step = delta
-        accepted = False
-        for _ in range(80):
-            m = eye + step * r_op
-            cand = m @ rho @ m.conj().T
-            tr = float(np.trace(cand).real)
-            cand = hermitize(cand / tr)
-            q_cand = prob.apply(cand)
-            gain = loglik_gain(q, q_cand)
-            if gain >= 0:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            reason = "backtracking_stalled"
-            break
-        rho, q = cand, q_cand
-        ll = ll + gain
-        trace.append(ll)
-        delta = min(step * 2.0, 1e8)
-    return _result("max_likelihood", prob, hermitize(rho), it, converged, trace, reason)
+    def gap_stop(it, x, fx, chg, move):
+        if np.linalg.eigvalsh(r_operator(x))[-1] - 1.0 <= spec.tol:
+            return True, "duality_gap"
+        return None
+
+    x, it, trace, conv, reason = _fista(
+        prob.d, spec.max_iterations,
+        lambda x: -float(fm @ np.log(q_observed(x))),
+        lambda x: -r_operator(x),
+        lambda h: psd_clip(h, unit_trace=True),
+        1.0, gap_stop, backtrack=True,
+    )
+    return _result("max_likelihood", prob, x, it, conv, -np.asarray(trace), reason)
 
 
 _DISPATCH = {

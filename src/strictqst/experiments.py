@@ -76,6 +76,19 @@ def _draw_basis(dim: int, basis_type: str, rng: np.random.Generator) -> np.ndarr
     return global_random_bases(dim, 1, rng).bases[0]
 
 
+def _fan_out(fn, tasks: list, jobs: int) -> list:
+    """fn over tasks in order, on a pool of jobs processes when jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
+def _pass_cut(rank: int, threshold: float) -> float:
+    """Pass cut: infidelity threshold at rank 1, Frobenius sqrt(2 * threshold) above."""
+    return threshold if rank == 1 else float(np.sqrt(2.0 * threshold))
+
+
 # ---------------------------------------------------------------------------
 # completeness sweep
 
@@ -138,12 +151,12 @@ class SweepCell:
 
     @property
     def pass_cut(self) -> float:
-        return self.threshold if self.rank == 1 else float(np.sqrt(2.0 * self.threshold))
+        return _pass_cut(self.rank, self.threshold)
 
     def onset_at(self, threshold: float) -> int | None:
         """Minimal basis count where every state passes at the given
         rank-1-equivalent threshold; None if never within the sweep."""
-        cut = threshold if self.rank == 1 else float(np.sqrt(2.0 * threshold))
+        cut = _pass_cut(self.rank, threshold)
         for k in range(self.errors.shape[0]):
             if np.all(self.errors[k] <= cut):
                 return k + 1
@@ -202,7 +215,7 @@ def _run_sweep_cell(args) -> SweepCell:
         states.append(
             random_pure_state(dim, srng) if rank == 1 else random_rank_r_state(dim, rank, srng)
         )
-    cut = config.infidelity_threshold if rank == 1 else float(np.sqrt(2.0 * config.infidelity_threshold))
+    cut = _pass_cut(rank, config.infidelity_threshold)
     basis_mats: list[np.ndarray] = []
     rows: list[np.ndarray] = []
     spec = EstimatorSpec(kind="least_squares")
@@ -242,12 +255,7 @@ def run_completeness_sweep(config: SweepConfig) -> SweepResult:
     cells = [(d, r) for d in config.dims for r in config.ranks]
     seeds = master.spawn(len(cells))
     tasks = [(config, d, r, s) for (d, r), s in zip(cells, seeds)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_run_sweep_cell, tasks))
-    else:
-        results = [_run_sweep_cell(t) for t in tasks]
-    return SweepResult(config=config, cells=tuple(results))
+    return SweepResult(config=config, cells=tuple(_fan_out(_run_sweep_cell, tasks, config.jobs)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +388,7 @@ def run_noisy_protocol(config: NoisyProtocolConfig) -> NoisyProtocolResult:
     """
     master = np.random.SeedSequence(config.seed)
     seeds = master.spawn(config.n_targets)
-    tasks = [(config, s) for s in seeds]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            per_target = list(pool.map(_run_protocol_target, tasks))
-    else:
-        per_target = [_run_protocol_target(t) for t in tasks]
+    per_target = _fan_out(_run_protocol_target, [(config, s) for s in seeds], config.jobs)
     ks = tuple(range(config.min_bases, config.max_bases + 1))
     stacked = {
         est: np.stack([pt[est] for pt in per_target], axis=1) for est in config.estimators

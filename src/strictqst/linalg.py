@@ -32,9 +32,10 @@ def require_hermitian(a: np.ndarray, tol: float = DEFAULT.hermitian) -> np.ndarr
         not finite.
     """
     a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise NotHermitian("matrix has non-finite entries")
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    # written so that a NaN deviation (from any NaN or inf entry) fails
-    if not dev <= tol:
+    if dev > tol:
         raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
     return 0.5 * (a + a.conj().T)
 
@@ -44,12 +45,17 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def psd_clip(h: np.ndarray) -> np.ndarray:
-    """PSD projection of an exactly Hermitian h, without validation: one
-    eigh, negative eigenvalues clipped to zero, an exactly Hermitian
-    reconstruction.  For solver inner loops whose iterates are Hermitian by
-    construction; everything else goes through psd_project."""
+def psd_clip(h: np.ndarray, unit_trace: bool = False) -> np.ndarray:
+    """Nearest PSD matrix (with unit_trace, nearest density matrix) to an
+    exactly Hermitian h, without validation: one eigh, eigenvalues clipped
+    at zero (or projected onto the probability simplex), an exactly
+    Hermitian reconstruction.  For solver inner loops whose iterates are
+    Hermitian by construction; everything else goes through psd_project."""
     lam, v = np.linalg.eigh(h)
+    if unit_trace:  # shift by the simplex threshold, then clip
+        css = np.cumsum(lam[::-1]) - 1.0
+        r = np.nonzero(lam[::-1] * np.arange(1, lam.size + 1) > css)[0][-1]
+        lam -= css[r] / (r + 1)
     np.clip(lam, 0.0, None, out=lam)
     return hermitize((v * lam) @ v.conj().T)
 

@@ -77,8 +77,10 @@ class BasisSet:
         basis sum to the identity automatically (B B^dag = I)."""
         eye = np.eye(self.dim)
         for i, u in enumerate(self.bases):
+            if not np.isfinite(u).all():
+                raise ValueError(f"basis {i} has non-finite entries")
             dev = np.linalg.norm(u.conj().T @ u - eye)
-            if not dev <= tol.unitarity:  # NaN-safe
+            if dev > tol.unitarity:
                 raise ValueError(f"basis {i} deviates from unitarity by {dev:.3e}")
 
     def prefix(self, k: int) -> "BasisSet":
@@ -193,10 +195,10 @@ class MeasurementRecord:
             )
         if self.kind not in RECORD_KINDS:
             raise ValueError(f"kind must be one of {RECORD_KINDS}")
-        blocks = v.reshape(self.n_bases, self.dim)
+        if not np.isfinite(v).all():
+            raise ValueError("record entries must be finite")
         tol = DEFAULT.block_sum if self.kind == "noiseless" else 1e-9
-        # NaN-safe: a non-finite entry makes its block sum non-finite
-        if not np.max(np.abs(blocks.sum(axis=1) - 1.0)) <= tol:
+        if np.max(np.abs(v.reshape(self.n_bases, self.dim).sum(axis=1) - 1.0)) > tol:
             raise ValueError("per-basis blocks must sum to 1")
         # synthetic records may carry slightly negative entries by design
         if self.kind != "synthetic" and v.min() < -1e-15:
@@ -338,7 +340,9 @@ def kernel_analysis(
     below ``tol.kernel_svd_rel`` of the largest count as zero).  n_probes
     unit-Frobenius random combinations of kernel basis elements are drawn;
     a probe with min(n-, n+) <= r falsifies rank-r strict-completeness and
-    one with max(n-, n+) <= r falsifies rank-r completeness.
+    one with max(n-, n+) <= r falsifies rank-r completeness.  Only
+    kernel_dimension is reproducible across BLAS builds: the kernel basis is
+    not unique, so the seeded signatures and witnesses are not.
     """
     if r < 1:
         raise ValueError("rank must be >= 1")

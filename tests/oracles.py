@@ -151,6 +151,25 @@ def ls_oracle(povm, f: np.ndarray, seed: int = 0, n_starts: int = 6):
     return opt.minimize(objective, n_starts=n_starts, seed=seed)
 
 
+def mle_oracle(povm, f: np.ndarray, seed: int = 0, n_starts: int = 4) -> float:
+    """Maximum log-likelihood sum_mu f_mu log q_mu(rho) of the unit-sum
+    frequencies f over rho = L L^dag / Tr(L L^dag), via Cholesky descent."""
+    opt = CholeskyDescent(povm.dim)
+    ft = f / f.sum()
+    mask = ft > 0
+    eye = np.eye(povm.dim, dtype=complex)
+
+    def objective(x, _l):
+        q = povm.projector_values(x)[mask]
+        tr = float(np.trace(x).real)
+        w = np.zeros_like(ft)
+        w[mask] = ft[mask] / q
+        return -float(ft[mask] @ np.log(q / tr)), eye / tr - povm.adjoint_projectors(w)
+
+    _, best_val, _ = opt.minimize(objective, n_starts=n_starts, seed=seed)
+    return -best_val
+
+
 def trace_min_oracle(povm, f: np.ndarray, eps: float, seed: int = 0) -> np.ndarray:
     """Trace minimizer on the data ball via increasing quadratic penalties."""
     opt = CholeskyDescent(povm.dim)

@@ -17,10 +17,16 @@ from strictqst.measurement import (
     povm_from_bases,
     sample_record,
 )
-from strictqst.quantum import global_random_bases, infidelity, random_pure_state
+from strictqst.quantum import (
+    StateModel,
+    global_random_bases,
+    infidelity,
+    random_full_rank_state,
+    random_pure_state,
+)
 
 from conftest import make_noiseless_problem
-from oracles import ls_oracle, trace_min_oracle
+from oracles import ls_oracle, mle_oracle, trace_min_oracle
 import properties
 
 
@@ -38,6 +44,12 @@ class TestEstimatorSpec:
         for bound in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 EstimatorSpec(noise_bound=bound)
+        for tol in (np.nan, 0.0, -1.0, np.inf):
+            with pytest.raises(ValueError):
+                EstimatorSpec(convergence_tol=tol)
+        for budget in (np.nan, 2.5):
+            with pytest.raises(ValueError):
+                EstimatorSpec(max_iterations=budget)
 
     def test_dispatcher(self):
         state, povm, rec = make_noiseless_problem(3, 4, seed=0)
@@ -170,9 +182,9 @@ class TestMaxLikelihood:
         assert np.allclose(res.rho_hat.rho, np.eye(d) / d, atol=1e-9)
 
     def test_noiseless_strictly_complete(self):
-        # the fixed point converges sublinearly toward rank-deficient optima
-        # (error ~ C/iterations) and grinds to a float64 halt near 1e-5
-        # infidelity; 3e-5 is what a 150k budget reliably delivers
+        # the stop certifies a log-likelihood gap below 1e-7, not a distance
+        # to the state; this rank-deficient optimum is reached to about 1e-6
+        # infidelity in ~100 iterations, and 3e-5 stays the gate
         state, povm, rec = make_noiseless_problem(6, 5, seed=5)
         res = estimate_max_likelihood(
             povm, rec, EstimatorSpec(kind="max_likelihood", max_iterations=150000)
@@ -193,6 +205,47 @@ class TestMaxLikelihood:
             return float(ft[mask] @ np.log(np.maximum(q[mask], 1e-12)))
 
         assert loglik(mle.rho_hat.rho) >= loglik(ls.rho_hat.rho) - 1e-9
+
+    def test_matches_likelihood_oracle(self):
+        for seed, (d, k) in enumerate(((2, 2), (3, 2), (4, 3), (5, 2))):
+            gen = np.random.default_rng(seed)
+            povm = povm_from_bases(global_random_bases(d, k, gen))
+            rec = sample_record(povm, random_pure_state(d, gen), 200, gen)
+            res = estimate_max_likelihood(povm, rec)
+            assert res.converged and res.stop_reason == "duality_gap"
+            assert abs(res.objective_trace[-1] - mle_oracle(povm, rec.values, seed=seed)) <= 1e-8
+
+    def test_duality_gap_certificate(self):
+        # ll* - ll(rho) <= lambda_max(R(rho)) - 1 at every converged result
+        spec = EstimatorSpec(kind="max_likelihood", max_iterations=2000)
+        checked = 0
+        for seed in range(6):
+            gen = np.random.default_rng(seed)
+            d, k = int(gen.integers(2, 7)), int(gen.integers(1, 5))
+            state = random_pure_state(d, gen)
+            povm = povm_from_bases(global_random_bases(d, k, gen))
+            for rec in (sample_record(povm, state, 300, gen), noiseless_record(povm, state)):
+                res = estimate_max_likelihood(povm, rec, spec)
+                if not res.converged:
+                    continue
+                checked += 1
+                ft = rec.values / rec.values.sum()
+                q = povm.projector_values(res.X_hat)
+                w = np.where(ft > 0, ft / np.maximum(q, 1e-12), 0.0)
+                assert np.linalg.eigvalsh(povm.adjoint_projectors(w))[-1] - 1.0 <= spec.tol
+        assert checked >= 10
+
+    def test_single_basis_protocol_target_converges(self):
+        # the first target of the bundled d=11 protocol config (seed 11),
+        # measured in one basis with 300 * d shots
+        rng = np.random.default_rng(np.random.SeedSequence(11).spawn(1)[0])
+        target = random_pure_state(11, rng)
+        tau = random_full_rank_state(11, rng)
+        sigma = StateModel(target, 1e-3, tau).realize()
+        povm = povm_from_bases(global_random_bases(11, 1, rng))
+        rec = sample_record(povm, sigma, 3300, rng)
+        res = estimate_max_likelihood(povm, rec)
+        assert res.converged and res.stop_reason == "duality_gap"
 
     def test_monotone_objective(self, rng):
         d = 3

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,14 @@ class TestPsdProject:
             for check in (require_hermitian, psd_project, signature):
                 with pytest.raises(NotHermitian):
                     check(a)
+
+    def test_rejects_inf_without_warning(self):
+        a = np.eye(3, dtype=complex)
+        a[1, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian):
+                require_hermitian(a)
 
 
 class TestSignature:

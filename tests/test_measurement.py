@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,14 @@ class TestPovmFromBases:
             u[0, 0] = bad
             with pytest.raises(ValueError):
                 povm_from_bases(BasisSet(dim=2, bases=(u,)))
+
+    def test_rejects_inf_basis_without_warning(self):
+        u = np.eye(3, dtype=complex)
+        u[0, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                BasisSet(dim=3, bases=(u,)).validate()
 
 
 class TestOperatorNorm:
@@ -177,6 +187,12 @@ class TestRecords:
         for bound in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError):
                 MeasurementRecord(dim=2, n_bases=1, values=np.array([0.5, 0.5]), noise_bound=bound)
+
+    def test_rejects_inf_record_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                MeasurementRecord(dim=2, n_bases=1, values=np.array([np.inf, -np.inf]), kind="sampled")
 
 
 class TestOperatorBasis:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,12 @@ class TestRandomStates:
         for bad in (np.nan, np.inf):
             with pytest.raises(NotHermitian):
                 QuantumState(np.diag([bad, 0.5]).astype(complex))
+
+    def test_rejects_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian):
+                QuantumState(np.diag([np.inf, 0.5]).astype(complex))
 
 
 class TestBases:
