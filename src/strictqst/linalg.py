@@ -49,15 +49,16 @@ def psd_clip(h: np.ndarray, unit_trace: bool = False) -> np.ndarray:
     """Nearest PSD matrix (with unit_trace, nearest density matrix) to an
     exactly Hermitian h, without validation: one eigh, eigenvalues clipped
     at zero (or projected onto the probability simplex), an exactly
-    Hermitian reconstruction.  For solver inner loops whose iterates are
-    Hermitian by construction; everything else goes through psd_project."""
+    Hermitian reconstruction from the eigenvectors whose clipped eigenvalue
+    is positive.  For solver inner loops whose iterates are Hermitian by
+    construction; everything else goes through psd_project."""
     lam, v = np.linalg.eigh(h)
     if unit_trace:  # shift by the simplex threshold, then clip
         css = np.cumsum(lam[::-1]) - 1.0
         r = np.nonzero(lam[::-1] * np.arange(1, lam.size + 1) > css)[0][-1]
         lam -= css[r] / (r + 1)
-    np.clip(lam, 0.0, None, out=lam)
-    return hermitize((v * lam) @ v.conj().T)
+    p = np.searchsorted(lam, 0.0, side="right")  # lam ascends: keep lam[p:] > 0
+    return hermitize((v[:, p:] * lam[p:]) @ v[:, p:].conj().T)
 
 
 def psd_project(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:

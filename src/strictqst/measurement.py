@@ -97,20 +97,14 @@ class PovmMap:
     """
 
     basis_set: BasisSet
-    _stack: np.ndarray = field(init=False, repr=False)
-    _stack_conj: np.ndarray = field(init=False, repr=False)
-    _stack_ct: np.ndarray = field(init=False, repr=False)
+    _u: np.ndarray = field(init=False, repr=False)
+    _uh: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        stack = np.stack(self.basis_set.bases)
-        stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        sc = stack.conj()
-        sc.setflags(write=False)
-        object.__setattr__(self, "_stack_conj", sc)
-        ct = stack.conj().transpose(0, 2, 1).copy()
-        ct.setflags(write=False)
-        object.__setattr__(self, "_stack_ct", ct)
+        u = np.concatenate(self.basis_set.bases, axis=1)  # column b*d + i is |b_i>
+        for name, a in (("_u", u), ("_uh", u.conj().T.copy())):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def dim(self) -> int:
@@ -129,15 +123,14 @@ class PovmMap:
         return 1.0 / self.n_bases
 
     def projector_values(self, x: np.ndarray) -> np.ndarray:
-        """Unweighted values <b_i|X|b_i> as a flat length-m real vector."""
-        xb = np.matmul(x, self._stack)
-        return np.einsum("kij,kij->kj", self._stack_conj, xb).real.ravel()
+        """Unweighted values <b_i|X|b_i> as a flat length-m real vector:
+        the column sums of Re(conj(U) * XU), one matrix product."""
+        return (self._uh.T * (x @ self._u)).real.sum(axis=0)
 
     def adjoint_projectors(self, r: np.ndarray) -> np.ndarray:
-        """Adjoint of projector_values: sum_mu r_mu |b_i><b_i| (Hermitian)."""
-        rb = r.reshape(self.n_bases, 1, self.dim)
-        out = np.matmul(self._stack * rb, self._stack_ct).sum(axis=0)
-        return hermitize(out)
+        """Adjoint of projector_values: sum_mu r_mu |b_i><b_i| = U diag(r) U^dag
+        (Hermitian), one matrix product."""
+        return hermitize((self._u * r) @ self._uh)
 
     def operator_norm(self) -> float:
         """Spectral norm of the unweighted projector map, sqrt(n_bases).
@@ -205,11 +198,19 @@ class MeasurementRecord:
             raise ValueError(f"negative record entry {v.min():.3e}")
         if self.noise_bound is not None and not 0 <= self.noise_bound < np.inf:
             raise ValueError("noise_bound must be finite and >= 0")
+        if self.shots_per_basis is not None:
+            _require_shots(self.shots_per_basis)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     def blocks(self) -> np.ndarray:
         return self.values.reshape(self.n_bases, self.dim)
+
+
+def _require_shots(shots) -> None:
+    # bool is an int subclass; a fractional count would be truncated by the draw
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValueError(f"shots_per_basis must be an integer >= 1, got {shots!r}")
 
 
 def noiseless_record(povm: PovmMap, state, tol: Tolerances = DEFAULT) -> MeasurementRecord:
@@ -237,8 +238,7 @@ def sample_record(
     is the l2 concentration surrogate
     ``noise_scale * sqrt(n_bases * dim / shots_per_basis)``.
     """
-    if shots_per_basis < 1:
-        raise ValueError("shots_per_basis must be >= 1")
+    _require_shots(shots_per_basis)
     exact = noiseless_record(povm, state).blocks()
     freqs = np.empty_like(exact)
     for b in range(povm.n_bases):
@@ -297,9 +297,9 @@ def map_matrix(povm: PovmMap) -> np.ndarray:
     """
     d = povm.dim
     g_flat = hermitian_operator_basis(d).reshape(d * d, d * d)
-    u = povm._stack
-    # row (b, i) holds conj(u[a, i]) u[c, i] over (a, c): <b_i|X|b_i> = row . vec(X)
-    q = np.einsum("bai,bci->biac", u.conj(), u).reshape(povm.n_outcomes, d * d)
+    u = povm._u
+    # row mu holds conj(u[a, mu]) u[c, mu] over (a, c): <b_i|X|b_i> = row . vec(X)
+    q = np.einsum("am,cm->mac", u.conj(), u).reshape(povm.n_outcomes, d * d)
     return povm.weight * (q @ g_flat.T).real
 
 

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from characteristic-polynomial companion roots, optima from scipy
 descent on a Cholesky parameterization, Kronecker products from explicit
-index loops, the map matrix and kernel basis from per-column and
-per-vector loops.
+index loops, the map and its adjoint from per-basis loops, the map
+matrix and kernel basis from per-column and per-vector loops, the simplex
+shift by bisection.
 """
 
 from __future__ import annotations
@@ -46,6 +47,35 @@ def kron_explicit(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 for l in range(cb):
                     out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
     return out
+
+
+def projector_values_loop(povm, x: np.ndarray) -> np.ndarray:
+    """<b_i|X|b_i> one basis at a time: the diagonal of B^dag X B for each
+    basis B, concatenated in basis-major order."""
+    return np.concatenate([np.diag(u.conj().T @ x @ u).real for u in povm.basis_set.bases])
+
+
+def adjoint_projectors_loop(povm, r: np.ndarray) -> np.ndarray:
+    """sum_mu r_mu |b_i><b_i| accumulated one basis at a time as
+    B diag(r_b) B^dag."""
+    d = povm.dim
+    out = np.zeros((d, d), dtype=complex)
+    for b, u in enumerate(povm.basis_set.bases):
+        out += u @ np.diag(r[b * d : (b + 1) * d]) @ u.conj().T
+    return out
+
+
+def simplex_shift(lam: np.ndarray) -> float:
+    """theta with sum(max(lam - theta, 0)) = 1, by bisection (no sorting):
+    clip(lam - theta, 0) is the Euclidean projection onto the simplex."""
+    lo, hi = float(lam.min()) - 1.0, float(lam.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.clip(lam - mid, 0.0, None).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def map_matrix_loop(povm) -> np.ndarray:

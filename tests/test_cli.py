@@ -271,6 +271,13 @@ class TestSerializationRoundTrips:
         assert np.array_equal(back.values, rec.values)
         assert back.noise_bound == rec.noise_bound
 
+    def test_record_loader_rejects_bad_shots(self):
+        doc = {"dim": 2, "n_bases": 1, "kind": "sampled", "values": [0.5, 0.5]}
+        for shots in (-3, 0, 2.5, True):
+            with pytest.raises(ValueError, match="shots_per_basis"):
+                ser.record_from_json({**doc, "shots_per_basis": shots})
+        assert ser.record_from_json({**doc, "shots_per_basis": 4}).shots_per_basis == 4
+
     def test_state_roundtrip(self, rng):
         state = random_pure_state(4, rng)
         back = ser.state_from_json(ser.state_to_json(state))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from strictqst import estimators
 from strictqst.errors import Infeasible
 from strictqst.estimators import (
     EstimatorSpec,
@@ -13,6 +14,7 @@ from strictqst.estimators import (
 from strictqst.measurement import (
     BasisSet,
     MeasurementRecord,
+    PovmMap,
     noiseless_record,
     povm_from_bases,
     sample_record,
@@ -50,6 +52,11 @@ class TestEstimatorSpec:
         for budget in (np.nan, 2.5):
             with pytest.raises(ValueError):
                 EstimatorSpec(max_iterations=budget)
+        # bool is an int subclass: True must not read as 1
+        for field in ("max_iterations", "convergence_tol", "noise_bound"):
+            for flag in (True, False):
+                with pytest.raises(ValueError, match=field):
+                    EstimatorSpec(**{field: flag})
 
     def test_dispatcher(self):
         state, povm, rec = make_noiseless_problem(3, 4, seed=0)
@@ -279,6 +286,40 @@ class TestMaxLikelihood:
         res = estimate_max_likelihood(povm, rec)
         assert np.isfinite(res.objective_trace).all()
         assert infidelity(state, res.rho_hat) <= 1e-5
+
+
+class TestProjectedGradientCore:
+    def test_one_map_per_projection_step(self, monkeypatch):
+        # every iterate carries its image and the momentum image follows by
+        # linearity, so projector_values runs once right after each
+        # projection, plus at most twice per solve (the image of I/d and the
+        # result's residual); a second map per step, or one in a stop rule,
+        # would show as calls not preceded by a clip
+        events = []
+        pv, clip = PovmMap.projector_values, estimators.psd_clip
+
+        def counted_pv(self, x):
+            events.append("P")
+            return pv(self, x)
+
+        def counted_clip(h, unit_trace=False):
+            events.append("C")
+            return clip(h, unit_trace)
+
+        monkeypatch.setattr(PovmMap, "projector_values", counted_pv)
+        monkeypatch.setattr(estimators, "psd_clip", counted_clip)
+        state, povm, rec = make_noiseless_problem(6, 4, seed=3)
+        sampled = sample_record(povm, state, 500, np.random.default_rng(4))
+        for solve in (estimate_least_squares, estimate_max_likelihood):
+            for record in (rec, sampled):
+                events.clear()
+                res = solve(povm, record)
+                trail = "".join(events)
+                assert res.converged and trail.count("CP") >= res.iterations
+                assert trail.count("P") - trail.count("CP") <= 2
+                if solve is estimate_max_likelihood:
+                    # every clip is a projection step: the gap stop has none
+                    assert trail.count("P") == trail.count("C") + 2
 
 
 class TestFeasibility:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from strictqst.errors import NotHermitian
-from strictqst.linalg import hermitize, psd_project, require_hermitian, signature
+from strictqst.linalg import hermitize, psd_clip, psd_project, require_hermitian, signature
 from strictqst.quantum import QuantumState
 
-from oracles import char_poly_eigenvalues, psd_projection_oracle, random_hermitian
+from oracles import char_poly_eigenvalues, psd_projection_oracle, random_hermitian, simplex_shift
 import properties
 
 
@@ -76,6 +76,30 @@ class TestPsdProject:
             warnings.simplefilter("error")
             with pytest.raises(NotHermitian):
                 require_hermitian(a)
+
+
+class TestPsdClip:
+    def test_all_negative_spectrum_gives_exact_zero(self, rng):
+        for d in (1, 4, 9):
+            w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = -(w @ w.conj().T) - 1e-3 * np.eye(d)
+            out = psd_clip(h)
+            assert out.dtype == complex and out.shape == (d, d)
+            assert np.array_equal(out, np.zeros((d, d), dtype=complex))
+
+    def test_positive_part_matches_full_reconstruction(self, rng):
+        # dropping the columns of clipped-away eigenvalues changes nothing
+        # but rounding: compare with (v * clip(lam)) v^dag over all columns
+        for d in (2, 5, 12):
+            for _ in range(5):
+                h = random_hermitian(d, rng)
+                h /= np.linalg.norm(h, 2)
+                lam, v = np.linalg.eigh(h)
+                for unit_trace, shift in ((False, 0.0), (True, simplex_shift(lam))):
+                    full = (v * np.clip(lam - shift, 0.0, None)) @ v.conj().T
+                    out = psd_clip(h, unit_trace=unit_trace)
+                    assert np.max(np.abs(out - full)) <= 1e-14
+                    assert np.array_equal(out, out.conj().T)
 
 
 class TestSignature:

@@ -17,7 +17,13 @@ from strictqst.measurement import (
 )
 from strictqst.quantum import QuantumState, global_random_bases, local_random_bases, random_pure_state
 
-from oracles import kernel_basis_loop, map_matrix_loop
+from oracles import (
+    adjoint_projectors_loop,
+    kernel_basis_loop,
+    map_matrix_loop,
+    projector_values_loop,
+    random_hermitian,
+)
 import properties
 
 
@@ -31,9 +37,13 @@ def effects(povm):
 
 
 def reference_povms():
+    """Global, local, single-basis and repeated-basis designs."""
     rng = np.random.default_rng(8)
     povms = [povm_from_bases(global_random_bases(d, k, rng)) for d, k in ((3, 2), (8, 5), (16, 3))]
     povms.append(povm_from_bases(local_random_bases(3, 3, rng)))
+    povms.append(povm_from_bases(global_random_bases(6, 1, rng)))
+    one = global_random_bases(5, 1, rng).bases[0]
+    povms.append(povm_from_bases(BasisSet(dim=5, bases=(one, one, one))))
     return povms
 
 
@@ -188,6 +198,20 @@ class TestRecords:
             with pytest.raises(ValueError):
                 MeasurementRecord(dim=2, n_bases=1, values=np.array([0.5, 0.5]), noise_bound=bound)
 
+    def test_shots_per_basis_validation(self, rng):
+        values = np.array([0.5, 0.5])
+        for shots in (None, 1, np.int64(7)):
+            MeasurementRecord(dim=2, n_bases=1, values=values, kind="sampled", shots_per_basis=shots)
+        povm = computational_povm()
+        for shots in (-3, 0, 2.5, True, 4.0):
+            with pytest.raises(ValueError, match="shots_per_basis"):
+                MeasurementRecord(dim=2, n_bases=1, values=values, kind="sampled", shots_per_basis=shots)
+            # rejected before any draw, so the generator is not advanced
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError, match="shots_per_basis"):
+                sample_record(povm, np.eye(2) / 2, shots, rng)
+            assert rng.bit_generator.state == before
+
     def test_rejects_inf_record_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -210,6 +234,32 @@ class TestOperatorBasis:
         traces = np.einsum("aii->a", g)
         assert abs(traces[0] - np.sqrt(4)) < 1e-14
         assert np.max(np.abs(traces[1:])) < 1e-14
+
+
+class TestMapProducts:
+    def test_projector_values_match_per_basis_loop(self, rng):
+        for povm in reference_povms():
+            x = random_hermitian(povm.dim, rng)
+            ref = projector_values_loop(povm, x)
+            assert np.max(np.abs(povm.projector_values(x) - ref)) <= 1e-13
+
+    def test_adjoint_projectors_match_per_basis_loop(self, rng):
+        for povm in reference_povms():
+            r = rng.standard_normal(povm.n_outcomes)
+            out = povm.adjoint_projectors(r)
+            assert np.max(np.abs(out - adjoint_projectors_loop(povm, r))) <= 1e-13
+            assert np.array_equal(out, out.conj().T)
+
+    def test_adjoint_identity(self, rng):
+        # <A[X], r> = Tr(X A^dag[r]) for Hermitian X and real r
+        for povm in reference_povms():
+            for _ in range(5):
+                x = random_hermitian(povm.dim, rng)
+                r = rng.standard_normal(povm.n_outcomes)
+                lhs = povm.projector_values(x) @ r
+                rhs = np.trace(x @ povm.adjoint_projectors(r))
+                assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+                assert abs(rhs.imag) <= 1e-12 * max(1.0, abs(lhs))
 
 
 class TestMapMatrix:
