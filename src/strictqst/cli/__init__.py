@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import inspect
 import json
 import sys
 from dataclasses import asdict
@@ -76,31 +77,28 @@ def bundled_config_names() -> list[str]:
     return sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def _check_keys(data: dict, required: dict, optional: dict, where: str) -> dict:
-    unknown = set(data) - set(required) - set(optional) - {"experiment"}
+def _load_experiment(name: str, kind: str, constructor) -> tuple[dict, dict]:
+    """The raw JSON of an experiment config and the keyword arguments it
+    gives constructor (a config dataclass or run_robustness_scan).
+
+    Only the keys are checked here: the allowed keys are the constructor's
+    parameters less jobs, which comes only from --jobs; those without a
+    default are required, and so is seed.  The constructor checks the
+    values.
+    """
+    path = _resolve_config_path(name)
+    raw = ser.load_json(path)
+    if raw.get("experiment") != kind:
+        raise ConfigError(f"{path}: experiment {raw.get('experiment')!r}, expected {kind!r}")
+    params = inspect.signature(constructor).parameters
+    fields = {key: value for key, value in raw.items() if key != "experiment"}
+    unknown = set(fields) - (set(params) - {"jobs"})
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    out = {}
-    for key, types in required.items():
-        if key not in data:
-            raise ConfigError(f"{where}: missing key {key!r}")
-        if not isinstance(data[key], types):
-            raise ConfigError(f"{where}: key {key!r} has wrong type")
-        out[key] = data[key]
-    for key, types in optional.items():
-        if key in data and data[key] is not None:
-            if not isinstance(data[key], types):
-                raise ConfigError(f"{where}: key {key!r} has wrong type")
-            out[key] = data[key]
-    return out
-
-
-def _load_experiment_config(path: Path, expect: str) -> dict:
-    data = ser.load_json(path)
-    kind = data.get("experiment")
-    if kind != expect:
-        raise ConfigError(f"{path}: experiment {kind!r}, expected {expect!r}")
-    return data
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    missing = {"seed", *(key for key, p in params.items() if p.default is p.empty)} - set(fields)
+    if missing:
+        raise ConfigError(f"{path}: missing keys {sorted(missing)}")
+    return raw, fields
 
 
 def _manifest(command: str, config: dict, seed, out_dir: Path, outputs: list[Path], started: str) -> None:
@@ -208,24 +206,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     started = _utc_now()
-    path = _resolve_config_path(args.config)
-    raw = _load_experiment_config(path, "sweep")
-    fields = _check_keys(
-        raw,
-        required={"dims": list, "seed": int},
-        optional={
-            "ranks": list,
-            "basis_type": str,
-            "states_per_cell": int,
-            "infidelity_threshold": (int, float),
-            "max_bases": int,
-        },
-        where=str(path),
-    )
-    if "dims" in fields:
-        fields["dims"] = tuple(fields["dims"])
-    if "ranks" in fields:
-        fields["ranks"] = tuple(fields["ranks"])
+    raw, fields = _load_experiment(args.config, "sweep", SweepConfig)
     config = SweepConfig(jobs=args.jobs, **fields)
     result = run_completeness_sweep(config)
 
@@ -245,7 +226,7 @@ def _cmd_sweep(args) -> int:
     ser.dump_json(
         {
             "schema": "sweep_result",
-            "config": {**asdict(config), "dims": list(config.dims), "ranks": list(config.ranks)},
+            "config": asdict(config),
             "cells": [
                 {
                     "dim": c.dim,
@@ -265,32 +246,13 @@ def _cmd_sweep(args) -> int:
     )
     svg_path = out_dir / "onsets.svg"
     svg_path.write_text(_onset_svg_from_csv(csv_path) + "\n")
-    _manifest("sweep", raw, raw.get("seed"), out_dir, [csv_path, json_path, svg_path], started)
+    _manifest("sweep", raw, raw["seed"], out_dir, [csv_path, json_path, svg_path], started)
     return 0
 
 
 def _cmd_noisy(args) -> int:
     started = _utc_now()
-    path = _resolve_config_path(args.config)
-    raw = _load_experiment_config(path, "noisy")
-    fields = _check_keys(
-        raw,
-        required={"dim": int, "seed": int},
-        optional={
-            "basis_type": str,
-            "n_targets": int,
-            "mixing": (int, float),
-            "shots_per_basis": int,
-            "noiseless": bool,
-            "estimators": list,
-            "min_bases": int,
-            "max_bases": int,
-            "noise_scale": (int, float),
-        },
-        where=str(path),
-    )
-    if "estimators" in fields:
-        fields["estimators"] = tuple(fields["estimators"])
+    raw, fields = _load_experiment(args.config, "noisy", NoisyProtocolConfig)
     config = NoisyProtocolConfig(jobs=args.jobs, **fields)
     result = run_noisy_protocol(config)
 
@@ -306,7 +268,7 @@ def _cmd_noisy(args) -> int:
     ser.dump_json(
         {
             "schema": "protocol_result",
-            "config": {**asdict(config), "estimators": list(config.estimators)},
+            "config": asdict(config),
             "basis_counts": list(result.basis_counts),
             "infidelities": {
                 est: [[float(v) for v in row] for row in mat]
@@ -317,28 +279,14 @@ def _cmd_noisy(args) -> int:
     )
     svg_path = out_dir / "curves.svg"
     svg_path.write_text(_curves_svg_from_csv(csv_path, "Estimation of near-pure states") + "\n")
-    _manifest("noisy", raw, raw.get("seed"), out_dir, [csv_path, json_path, svg_path], started)
+    _manifest("noisy", raw, raw["seed"], out_dir, [csv_path, json_path, svg_path], started)
     return 0
 
 
 def _cmd_robustness(args) -> int:
     started = _utc_now()
-    path = _resolve_config_path(args.config)
-    raw = _load_experiment_config(path, "robustness")
-    fields = _check_keys(
-        raw,
-        required={"dim": int, "rank": int, "n_bases": int, "epsilons": list, "seed": int},
-        optional={"repeats": int},
-        where=str(path),
-    )
-    scan = run_robustness_scan(
-        fields["dim"],
-        fields["rank"],
-        fields["n_bases"],
-        fields["epsilons"],
-        seed=fields["seed"],
-        repeats=fields.get("repeats", 5),
-    )
+    raw, fields = _load_experiment(args.config, "robustness", run_robustness_scan)
+    scan = run_robustness_scan(**fields)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "robustness.csv"
@@ -367,7 +315,7 @@ def _cmd_robustness(args) -> int:
     )
     svg_path = out_dir / "robustness.svg"
     svg_path.write_text(_robustness_svg_from_csv(csv_path) + "\n")
-    _manifest("robustness", raw, raw.get("seed"), out_dir, [csv_path, json_path, svg_path], started)
+    _manifest("robustness", raw, raw["seed"], out_dir, [csv_path, json_path, svg_path], started)
     return 0
 
 

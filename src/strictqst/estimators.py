@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Infeasible
 from .linalg import hermitize, psd_clip
-from .measurement import MeasurementRecord, PovmMap
+from .measurement import MeasurementRecord, PovmMap, _require_int, _require_real
 from .quantum import QuantumState
 
 __all__ = [
@@ -74,15 +74,11 @@ class EstimatorSpec:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}")
-        for name in ("noise_bound", "max_iterations", "convergence_tol"):
-            if isinstance(getattr(self, name), bool):  # an int subclass
-                raise ValueError(f"{name} must be a number, not a bool")
-        if self.noise_bound is not None and not 0 <= self.noise_bound < np.inf:
-            raise ValueError("noise_bound must be finite and >= 0")
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
-            raise ValueError("max_iterations must be an integer >= 1")
-        if self.convergence_tol is not None and not 0 < self.convergence_tol < np.inf:
-            raise ValueError("convergence_tol must be finite and > 0")
+        if self.noise_bound is not None:
+            _require_real("noise_bound", self.noise_bound, 0.0)
+        _require_int("max_iterations", self.max_iterations, 1)
+        if self.convergence_tol is not None:
+            _require_real("convergence_tol", self.convergence_tol, 0.0, open_lo=True)
 
     @property
     def tol(self) -> float:

@@ -32,6 +32,8 @@ from .measurement import (
     BasisSet,
     MeasurementRecord,
     PovmMap,
+    _require_int,
+    _require_real,
     noiseless_record,
     povm_from_bases,
     sample_record,
@@ -68,6 +70,24 @@ def _require_power_of_two(d: int) -> int:
     if 2**n != d:
         raise ValueError(f"local bases need a power-of-two dimension, got {d}")
     return n
+
+
+def _as_tuple(name: str, values) -> tuple:
+    """A nonempty list, tuple or 1-d array config value as a tuple."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValueError(f"{name} must be a nonempty list, got {values!r}")
+    return tuple(values)
+
+
+def _check_shared_fields(config) -> None:
+    """The checks of the fields that both experiment configs carry."""
+    if config.basis_type not in BASIS_TYPES:
+        raise ValueError(f"basis_type must be one of {BASIS_TYPES}")
+    _require_int("max_bases", config.max_bases, 1)
+    _require_int("seed", config.seed, 0)
+    _require_int("jobs", config.jobs, 1)
 
 
 def _draw_basis(dim: int, basis_type: str, rng: np.random.Generator) -> np.ndarray:
@@ -113,22 +133,17 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not self.dims:
-            raise ValueError("dims must not be empty")
-        if any(d < 2 for d in self.dims):
-            raise ValueError("dims must be >= 2")
-        if any(r < 1 for r in self.ranks):
-            raise ValueError("ranks must be >= 1")
-        if max(self.ranks) > min(self.dims):
+        dims = tuple(_require_int("dims entries", d, 2) for d in _as_tuple("dims", self.dims))
+        ranks = tuple(_require_int("ranks entries", r, 1) for r in _as_tuple("ranks", self.ranks))
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "ranks", ranks)
+        if max(ranks) > min(dims):
             raise ValueError("every rank must be <= every dimension")
-        if self.basis_type not in BASIS_TYPES:
-            raise ValueError(f"basis_type must be one of {BASIS_TYPES}")
-        if self.infidelity_threshold <= 0:
-            raise ValueError("infidelity_threshold must be > 0")
-        if self.states_per_cell < 1 or self.max_bases < 1:
-            raise ValueError("states_per_cell and max_bases must be >= 1")
+        _check_shared_fields(self)
+        _require_int("states_per_cell", self.states_per_cell, 1)
+        _require_real("infidelity_threshold", self.infidelity_threshold, 0.0, open_lo=True)
         if self.basis_type == "local":
-            for d in self.dims:
+            for d in dims:
                 _require_power_of_two(d)
 
 
@@ -287,23 +302,23 @@ class NoisyProtocolConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        if not 0.0 <= self.mixing <= 1.0:
-            raise ValueError("mixing must lie in [0, 1]")
-        if self.basis_type not in BASIS_TYPES:
-            raise ValueError(f"basis_type must be one of {BASIS_TYPES}")
+        _require_int("dim", self.dim, 2)
+        _check_shared_fields(self)
         if self.basis_type == "local":
             _require_power_of_two(self.dim)
-        unknown = set(self.estimators) - set(PROTOCOL_ESTIMATORS)
-        if unknown or not self.estimators:
-            raise ValueError(f"estimators must be a nonempty subset of {PROTOCOL_ESTIMATORS}")
-        if not 1 <= self.min_bases <= self.max_bases:
+        _require_int("n_targets", self.n_targets, 1)
+        _require_real("mixing", self.mixing, 0.0, 1.0)
+        if self.shots_per_basis is not None:
+            _require_int("shots_per_basis", self.shots_per_basis, 1)
+        if not isinstance(self.noiseless, bool):
+            raise ValueError(f"noiseless must be a bool, got {self.noiseless!r}")
+        estimators = _as_tuple("estimators", self.estimators)
+        if len([est for est in PROTOCOL_ESTIMATORS if est in estimators]) < len(estimators):
+            raise ValueError(f"estimators must be distinct names from {PROTOCOL_ESTIMATORS}")
+        object.__setattr__(self, "estimators", estimators)
+        if _require_int("min_bases", self.min_bases, 1) > self.max_bases:
             raise ValueError("need 1 <= min_bases <= max_bases")
-        if self.n_targets < 1:
-            raise ValueError("n_targets must be >= 1")
-        if self.shots_per_basis is not None and self.shots_per_basis < 1:
-            raise ValueError("shots_per_basis must be >= 1")
+        _require_real("noise_scale", self.noise_scale, 0.0, open_lo=True)
 
     @property
     def resolved_shots(self) -> int:
@@ -464,11 +479,20 @@ def run_robustness_scan(
 
     One random rank-r state and one random basis sequence per scan
     (n_bases should sit at or above the empirical onset for the cell);
-    ``repeats`` fresh noise directions per eps.
+    ``repeats`` fresh noise directions per eps.  Every eps must be > 0:
+    the eps = 0 control always runs.  Each argument is checked before
+    anything is drawn.
     """
-    epsilons = np.asarray(sorted(float(e) for e in epsilons))
-    if epsilons.size == 0 or epsilons[0] <= 0:
-        raise ValueError("epsilons must be positive (the eps = 0 control runs automatically)")
+    _require_int("dim", dim, 2)
+    if _require_int("rank", rank, 1) > dim:
+        raise ValueError(f"rank {rank} exceeds dim {dim}")
+    _require_int("n_bases", n_bases, 1)
+    _require_int("seed", seed, 0)
+    _require_int("repeats", repeats, 1)
+    epsilons = np.asarray(sorted(
+        float(_require_real("epsilons entries", e, 0.0, open_lo=True))
+        for e in _as_tuple("epsilons", epsilons)
+    ))
     master = np.random.SeedSequence(seed)
     rng = np.random.default_rng(master)
     state = random_pure_state(dim, rng) if rank == 1 else random_rank_r_state(dim, rank, rng)

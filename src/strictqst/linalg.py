@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotHermitian
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 __all__ = [
     "require_hermitian",
@@ -22,21 +22,23 @@ __all__ = [
 ]
 
 
-def require_hermitian(a: np.ndarray, tol: float = DEFAULT.hermitian) -> np.ndarray:
+def require_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate Hermiticity and return the exactly symmetrized matrix.
 
     Raises
     ------
     NotHermitian
-        If any entry of a - a^dag exceeds tol in modulus, or any entry is
-        not finite.
+        If any entry of a - a^dag exceeds DEFAULT.hermitian in modulus, or
+        any entry is not finite.
     """
     a = np.asarray(a, dtype=complex)
     if not np.isfinite(a).all():
         raise NotHermitian("matrix has non-finite entries")
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    if dev > tol:
-        raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+    if dev > DEFAULT.hermitian:
+        raise NotHermitian(
+            f"matrix deviates from Hermiticity by {dev:.3e} (tol {DEFAULT.hermitian:.1e})"
+        )
     return 0.5 * (a + a.conj().T)
 
 
@@ -61,26 +63,22 @@ def psd_clip(h: np.ndarray, unit_trace: bool = False) -> np.ndarray:
     return hermitize((v[:, p:] * lam[p:]) @ v[:, p:].conj().T)
 
 
-def psd_project(a: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+def psd_project(a: np.ndarray) -> np.ndarray:
     """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero.
 
     The result is returned exactly Hermitian.  Projection of an already-PSD
     matrix reproduces it up to floating error.
     """
-    return psd_clip(require_hermitian(a, tol.hermitian))
+    return psd_clip(require_hermitian(a))
 
 
-def signature(
-    a: np.ndarray,
-    zero_tol: float | None = None,
-    tol: Tolerances = DEFAULT,
-) -> tuple[int, int]:
+def signature(a: np.ndarray, zero_tol: float | None = None) -> tuple[int, int]:
     """Counts (n_plus, n_minus) of strictly positive / negative eigenvalues.
 
     Eigenvalues within [-zero_tol, zero_tol] count as zero.  The default
     zero_tol is 1e-9 * ||a||_F, so the split is scale invariant.
     """
-    h = require_hermitian(a, tol.hermitian)
+    h = require_hermitian(a)
     if zero_tol is None:
         zero_tol = 1e-9 * np.linalg.norm(h)
     if zero_tol <= 0 and np.linalg.norm(h) > 0:

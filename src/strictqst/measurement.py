@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import hermitize, require_hermitian, signature
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 __all__ = [
     "BasisSet",
@@ -72,7 +72,7 @@ class BasisSet:
     def n_bases(self) -> int:
         return len(self.bases)
 
-    def validate(self, tol: Tolerances = DEFAULT) -> None:
+    def validate(self) -> None:
         """Check unitarity of every basis; the induced effects of a unitary
         basis sum to the identity automatically (B B^dag = I)."""
         eye = np.eye(self.dim)
@@ -80,7 +80,7 @@ class BasisSet:
             if not np.isfinite(u).all():
                 raise ValueError(f"basis {i} has non-finite entries")
             dev = np.linalg.norm(u.conj().T @ u - eye)
-            if dev > tol.unitarity:
+            if dev > DEFAULT.unitarity:
                 raise ValueError(f"basis {i} deviates from unitarity by {dev:.3e}")
 
     def prefix(self, k: int) -> "BasisSet":
@@ -141,13 +141,13 @@ class PovmMap:
         return float(np.sqrt(self.n_bases))
 
 
-def povm_from_bases(bases: BasisSet, tol: Tolerances = DEFAULT) -> PovmMap:
+def povm_from_bases(bases: BasisSet) -> PovmMap:
     """Build the POVM map of a basis set (validates unitarity first)."""
-    bases.validate(tol)
+    bases.validate()
     return PovmMap(basis_set=bases)
 
 
-def apply_map(povm: PovmMap, x: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
+def apply_map(povm: PovmMap, x: np.ndarray) -> np.ndarray:
     """Weighted measurement vector y_mu = Tr(X E_mu); sums to Tr X.
 
     X must be Hermitian and match the POVM dimension.
@@ -155,7 +155,7 @@ def apply_map(povm: PovmMap, x: np.ndarray, tol: Tolerances = DEFAULT) -> np.nda
     x = np.asarray(x, dtype=complex)
     if x.shape != (povm.dim, povm.dim):
         raise DimensionMismatch(f"matrix shape {x.shape} vs POVM dim {povm.dim}")
-    x = require_hermitian(x, tol.hermitian)
+    x = require_hermitian(x)
     return povm.weight * povm.projector_values(x)
 
 
@@ -196,10 +196,10 @@ class MeasurementRecord:
         # synthetic records may carry slightly negative entries by design
         if self.kind != "synthetic" and v.min() < -1e-15:
             raise ValueError(f"negative record entry {v.min():.3e}")
-        if self.noise_bound is not None and not 0 <= self.noise_bound < np.inf:
-            raise ValueError("noise_bound must be finite and >= 0")
+        if self.noise_bound is not None:
+            _require_real("noise_bound", self.noise_bound, 0.0)
         if self.shots_per_basis is not None:
-            _require_shots(self.shots_per_basis)
+            _require_int("shots_per_basis", self.shots_per_basis, 1)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -207,18 +207,35 @@ class MeasurementRecord:
         return self.values.reshape(self.n_bases, self.dim)
 
 
-def _require_shots(shots) -> None:
-    # bool is an int subclass; a fractional count would be truncated by the draw
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise ValueError(f"shots_per_basis must be an integer >= 1, got {shots!r}")
+def _require_int(name: str, value, lo: int):
+    """value, checked to be an integer >= lo."""
+    # bool is an int subclass; a fractional count would be truncated downstream
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return value
 
 
-def noiseless_record(povm: PovmMap, state, tol: Tolerances = DEFAULT) -> MeasurementRecord:
+def _require_real(name: str, value, lo: float, hi: float = np.inf, open_lo: bool = False):
+    """value, checked to be a finite real in [lo, hi], or in (lo, hi] with
+    open_lo; a bool is not a real here, NaN fails every comparison, and
+    the float64 cap also keeps out integers too large to convert."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float, np.integer, np.floating))
+        or not lo <= value <= min(hi, float(np.finfo(float).max))
+        or (open_lo and value == lo)
+    ):
+        bound = f"{'>' if open_lo else '>='} {lo:g}" + (f" and <= {hi:g}" if hi < np.inf else "")
+        raise ValueError(f"{name} must be a finite real {bound}, got {value!r}")
+    return value
+
+
+def noiseless_record(povm: PovmMap, state) -> MeasurementRecord:
     """Exact outcome distributions of a unit-trace state under every basis."""
     rho = _state_matrix(state)
     if rho.shape != (povm.dim, povm.dim):
         raise DimensionMismatch(f"state dim {rho.shape[0]} vs POVM dim {povm.dim}")
-    p = povm.projector_values(require_hermitian(rho, tol.hermitian))
+    p = povm.projector_values(require_hermitian(rho))
     p = np.clip(p, 0.0, None).reshape(povm.n_bases, povm.dim)
     p /= p.sum(axis=1, keepdims=True)  # remove float drift; blocks sum to 1 exactly
     return MeasurementRecord(dim=povm.dim, n_bases=povm.n_bases, values=p.ravel(), kind="noiseless")
@@ -238,7 +255,7 @@ def sample_record(
     is the l2 concentration surrogate
     ``noise_scale * sqrt(n_bases * dim / shots_per_basis)``.
     """
-    _require_shots(shots_per_basis)
+    _require_int("shots_per_basis", shots_per_basis, 1)
     exact = noiseless_record(povm, state).blocks()
     freqs = np.empty_like(exact)
     for b in range(povm.n_bases):
@@ -332,25 +349,22 @@ def kernel_analysis(
     r: int,
     n_probes: int,
     rng: np.random.Generator,
-    tol: Tolerances = DEFAULT,
 ) -> KernelReport:
     """Compute the kernel of the POVM map and probe element signatures.
 
     The kernel basis comes from the SVD of the map matrix (singular values
-    below ``tol.kernel_svd_rel`` of the largest count as zero).  n_probes
+    below ``DEFAULT.kernel_svd_rel`` of the largest count as zero).  n_probes
     unit-Frobenius random combinations of kernel basis elements are drawn;
     a probe with min(n-, n+) <= r falsifies rank-r strict-completeness and
     one with max(n-, n+) <= r falsifies rank-r completeness.  Only
     kernel_dimension is reproducible across BLAS builds: the kernel basis is
     not unique, so the seeded signatures and witnesses are not.
     """
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    if n_probes < 1:
-        raise ValueError("n_probes must be >= 1")
+    _require_int("r", r, 1)
+    _require_int("n_probes", n_probes, 1)
     d = povm.dim
     _, s, vt = np.linalg.svd(map_matrix(povm), full_matrices=True)
-    cut = tol.kernel_svd_rel * (s[0] if s.size else 0.0)
+    cut = DEFAULT.kernel_svd_rel * (s[0] if s.size else 0.0)
     rank = int(np.sum(s > cut))
     kernel_vecs = vt[rank:]
     kdim = kernel_vecs.shape[0]
@@ -372,7 +386,7 @@ def kernel_analysis(
             c = rng.standard_normal(kdim)
             c /= np.linalg.norm(c)
             k_mat = hermitize(np.tensordot(c, basis, axes=1))
-            n_plus, n_minus = signature(k_mat, tol=tol)
+            n_plus, n_minus = signature(k_mat)
             signatures.append((n_plus, n_minus))
             if strict_wit is None and min(n_plus, n_minus) <= r:
                 strict_wit = k_mat

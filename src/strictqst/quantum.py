@@ -15,7 +15,7 @@ import numpy as np
 from .errors import BadRank, DimensionMismatch, NotPure
 from .linalg import hermitize, require_hermitian
 from .measurement import BasisSet
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 __all__ = [
     "QuantumState",
@@ -49,16 +49,15 @@ class QuantumState:
     _eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        tol: Tolerances = DEFAULT
-        rho = require_hermitian(np.asarray(self.rho, dtype=complex), tol.hermitian)
+        rho = require_hermitian(np.asarray(self.rho, dtype=complex))
         lam = np.linalg.eigvalsh(rho)[::-1].copy()
-        if lam[-1] < -tol.psd:
+        if lam[-1] < -DEFAULT.psd:
             raise ValueError(f"state is not PSD: min eigenvalue {lam[-1]:.3e}")
         tr = float(np.trace(rho).real)
-        if abs(tr - 1.0) > tol.trace:
-            raise ValueError(f"state trace {tr!r} deviates from 1 beyond {tol.trace:.1e}")
+        if abs(tr - 1.0) > DEFAULT.trace:
+            raise ValueError(f"state trace {tr!r} deviates from 1 beyond {DEFAULT.trace:.1e}")
         if self.declared_rank is not None:
-            got = int(np.sum(lam > tol.rank_cut))
+            got = int(np.sum(lam > DEFAULT.rank_cut))
             if got != self.declared_rank:
                 raise ValueError(
                     f"declared rank {self.declared_rank} but {got} eigenvalues above cutoff"
@@ -77,8 +76,8 @@ class QuantumState:
         """Eigenvalues sorted descending (cached at construction)."""
         return self._eigenvalues
 
-    def rank(self, cut: float = DEFAULT.rank_cut) -> int:
-        return int(np.sum(self._eigenvalues > cut))
+    def rank(self) -> int:
+        return int(np.sum(self._eigenvalues > DEFAULT.rank_cut))
 
     @property
     def is_pure(self) -> bool:
@@ -179,7 +178,7 @@ def local_random_bases(
     return BasisSet(dim=d, bases=tuple(mats), kind="local", labels=labels)
 
 
-def fidelity(psi: QuantumState, rho: QuantumState, tol: Tolerances = DEFAULT) -> float:
+def fidelity(psi: QuantumState, rho: QuantumState) -> float:
     """Overlap <psi| rho |psi> of a pure target with a state, clamped to [0, 1].
 
     Raises
@@ -195,7 +194,7 @@ def fidelity(psi: QuantumState, rho: QuantumState, tol: Tolerances = DEFAULT) ->
         raise NotPure(f"fidelity target has rank {psi.rank()}")
     # for pure psi: <psi|rho|psi> = Tr(|psi><psi| rho)
     val = float(np.trace(psi.rho @ rho.rho).real)
-    if val < -tol.psd or val > 1.0 + tol.psd:
+    if val < -DEFAULT.psd or val > 1.0 + DEFAULT.psd:
         raise ValueError(f"fidelity {val!r} outside [0,1] beyond tolerance")
     return min(max(val, 0.0), 1.0)
 

@@ -2,6 +2,9 @@ import importlib
 import pkgutil
 
 import strictqst
+import strictqst.cli
+import strictqst.estimators
+import strictqst.experiments
 from strictqst.measurement import PovmMap
 
 
@@ -20,3 +23,18 @@ def test_benchmark_wrapped_names_exist():
     assert callable(PovmMap.operator_norm)
     assert callable(strictqst.measurement.map_matrix)
     assert callable(strictqst.measurement.hermitian_operator_basis)
+    # it counts solves by rebinding each estimator function wherever a
+    # strictqst module holds it by name, and by rewriting the CLI's method
+    # table as (kind, fn) pairs; a solve reached any other way goes uncounted
+    for name in ("estimate_least_squares", "estimate_trace_min", "estimate_max_likelihood"):
+        assert getattr(strictqst.experiments, name) is getattr(strictqst.estimators, name)
+    kinds = {}
+    for kind, fn in strictqst.cli._METHODS.values():
+        assert fn is getattr(strictqst.estimators, fn.__name__)
+        kinds[kind] = fn.__name__
+    assert kinds == {
+        "least_squares": "estimate_least_squares",
+        "trace_min": "estimate_trace_min",
+        "max_likelihood": "estimate_max_likelihood",
+        "feasibility": "feasibility",
+    }

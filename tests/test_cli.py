@@ -1,3 +1,4 @@
+import inspect
 import json
 from importlib import resources
 from pathlib import Path
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 import strictqst.cli as cli
+import strictqst.experiments
 from strictqst.errors import NotHermitian
+from strictqst.experiments import NoisyProtocolConfig, SweepConfig, run_robustness_scan
 from strictqst.cli import serialization as ser
 from strictqst.cli.plots import line_plot
 from strictqst.measurement import povm_from_bases
@@ -246,6 +249,134 @@ class TestExperimentCommands:
             path = cli._resolve_config_path(name)
             doc = load(path)
             assert doc["experiment"] in ("sweep", "noisy", "robustness")
+
+
+EXPERIMENTS = {  # command: (constructor, bundled base config)
+    "sweep": (SweepConfig, "onset_tiny.json"),
+    "noisy": (NoisyProtocolConfig, "protocol_tiny.json"),
+    "robustness": (run_robustness_scan, "robustness_tiny.json"),
+}
+
+MISSING = object()  # deletes the key
+
+# (command, changes to its base config) rejected by the constructor's checks
+BAD_VALUES = [
+    ("sweep", {"states_per_cell": True}),
+    ("noisy", {"n_targets": True}),
+    ("robustness", {"repeats": False}),
+    ("sweep", {"max_bases": 2.5}),
+    ("noisy", {"shots_per_basis": 2.5}),
+    ("sweep", {"dims": [4.5]}),
+    ("sweep", {"dims": ["a"]}),
+    ("sweep", {"infidelity_threshold": float("nan")}),
+    ("noisy", {"noise_scale": float("nan")}),
+    ("robustness", {"epsilons": [float("nan")]}),
+    ("sweep", {"infidelity_threshold": -1e-5}),
+    ("noisy", {"mixing": -0.1}),
+    ("noisy", {"noise_scale": -1.0}),
+    ("robustness", {"epsilons": [-1e-3, 1e-3]}),
+    ("sweep", {"seed": -1}),
+    ("sweep", {"dims": []}),
+    ("noisy", {"estimators": []}),
+    ("robustness", {"epsilons": []}),
+    ("sweep", {"dims": [[5]]}),
+    ("noisy", {"estimators": [["least_squares"]]}),
+    ("robustness", {"epsilons": [[1e-3]]}),
+    ("noisy", {"estimators": ["trace_min", "trace_min"]}),
+    ("sweep", {"ranks": None}),
+    ("noisy", {"noiseless": None}),
+    ("robustness", {"repeats": None}),
+    ("robustness", {"seed": None}),
+]
+
+# rejected by the CLI's key check: jobs comes only from --jobs, seed is required
+BAD_KEYS = [
+    ("sweep", {"jobs": 1}),
+    ("noisy", {"jobs": 2}),
+    ("robustness", {"jobs": 1}),
+    ("sweep", {"seed": MISSING}),
+    ("noisy", {"seed": MISSING}),
+    ("robustness", {"seed": MISSING}),
+]
+
+
+def _case_ids(cases):
+    return [
+        command + ":" + ",".join(
+            f"{key}={'missing' if value is MISSING else json.dumps(value)}"
+            for key, value in changes.items()
+        )
+        for command, changes in cases
+    ]
+
+
+def _malformed(command, changes):
+    doc = load(cli._resolve_config_path(EXPERIMENTS[command][1]))
+    doc.update(changes)
+    return {key: value for key, value in doc.items() if value is not MISSING}
+
+
+class TestConfigContract:
+    """The config schemas, the config constructors and the CLI agree."""
+
+    @pytest.fixture()
+    def schema_rejects(self, schema_validator):
+        jsonschema = pytest.importorskip("jsonschema")
+
+        def rejects(doc):
+            try:
+                json.dumps(doc, allow_nan=False)
+            except ValueError:
+                return True  # NaN is no JSON number (RFC 8259), so no schema admits it
+            try:
+                schema_validator(doc, f"{doc['experiment']}_config")
+            except jsonschema.ValidationError:
+                return True
+            return False
+
+        return rejects
+
+    def test_bundled_configs_validate(self, schema_validator):
+        for name in cli.bundled_config_names():
+            doc = load(cli._resolve_config_path(name))
+            schema_validator(doc, f"{doc['experiment']}_config")
+
+    @pytest.mark.parametrize("command", sorted(EXPERIMENTS))
+    def test_schema_keys_match_constructor(self, command):
+        schema = load(resources.files("strictqst") / "schemas" / f"{command}_config.schema.json")
+        params = inspect.signature(EXPERIMENTS[command][0]).parameters
+        assert set(schema["properties"]) == set(params) - {"jobs"} | {"experiment"}
+        required = {key for key, p in params.items() if p.default is p.empty}
+        assert set(schema["required"]) == required | {"seed", "experiment"}
+
+    @pytest.mark.parametrize("command, changes", BAD_VALUES + BAD_KEYS,
+                             ids=_case_ids(BAD_VALUES + BAD_KEYS))
+    def test_malformed_config_rejected(self, tmp_path, command, changes, schema_rejects):
+        doc = _malformed(command, changes)
+        assert schema_rejects(doc)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert run([command, "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, changes", BAD_VALUES, ids=_case_ids(BAD_VALUES))
+    def test_malformed_values_rejected_before_any_draw(self, monkeypatch, command, changes):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a basis was drawn")
+
+        monkeypatch.setattr(strictqst.experiments, "global_random_bases", no_draw)
+        monkeypatch.setattr(strictqst.experiments, "local_random_bases", no_draw)
+        fields = _malformed(command, changes)
+        del fields["experiment"]
+        with pytest.raises(ValueError):
+            EXPERIMENTS[command][0](**fields)
+
+    def test_null_means_default_only_for_shots(self, tmp_path, schema_validator):
+        doc = _malformed("noisy", {"shots_per_basis": None})
+        schema_validator(doc, "noisy_config")
+        cfg = tmp_path / "ok.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["noisy", "--config", cfg, "--out-dir", tmp_path / "o"]) == 0
 
 
 class TestPlots:

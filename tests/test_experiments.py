@@ -25,6 +25,15 @@ class TestSweepConfig:
             SweepConfig(dims=(6,), basis_type="local")
         with pytest.raises(ValueError):
             SweepConfig(dims=(4,), basis_type="diagonal")
+        for field, value in [
+            ("infidelity_threshold", np.nan),
+            ("dims", (3.0,)),
+            ("max_bases", True),
+            ("jobs", 0),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                SweepConfig(**{"dims": (4,), field: value})
+        assert SweepConfig(dims=[4], ranks=[1]).dims == (4,)
 
 
 class TestCompletenessSweep:
@@ -127,6 +136,16 @@ class TestNoisyProtocol:
             NoisyProtocolConfig(dim=4, estimators=("ridge",))
         with pytest.raises(ValueError):
             NoisyProtocolConfig(dim=4, min_bases=5, max_bases=3)
+        for field, value in [
+            ("shots_per_basis", 2.5),
+            ("shots_per_basis", True),
+            ("noise_scale", 0.0),
+            ("noise_scale", -1.0),
+            ("noise_scale", np.nan),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                NoisyProtocolConfig(dim=4, **{field: value})
+        assert NoisyProtocolConfig(dim=4, estimators=["trace_min"]).estimators == ("trace_min",)
         assert NoisyProtocolConfig(dim=11).resolved_shots == 3300
 
     def test_noiseless_limit_reaches_uniqueness_floor(self):
@@ -198,6 +217,13 @@ class TestRobustnessScan:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(ValueError):
             run_robustness_scan(4, 1, 4, [0.0, 1e-3])
+
+    def test_rejects_bad_arguments(self):
+        # 10**400 is a valid JSON number that no float holds
+        for field, value in [("repeats", 0), ("n_bases", 0), ("epsilons", [10**400])]:
+            with pytest.raises(ValueError, match=field):
+                run_robustness_scan(**{"dim": 4, "rank": 1, "n_bases": 4, "epsilons": [1e-3],
+                                       field: value})
 
     def test_deterministic(self):
         s1 = run_robustness_scan(4, 1, 4, [1e-3], seed=6, repeats=2)
