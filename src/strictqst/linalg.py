@@ -76,12 +76,15 @@ def signature(a: np.ndarray, zero_tol: float | None = None) -> tuple[int, int]:
     """Counts (n_plus, n_minus) of strictly positive / negative eigenvalues.
 
     Eigenvalues within [-zero_tol, zero_tol] count as zero.  The default
-    zero_tol is 1e-9 * ||a||_F, so the split is scale invariant.
+    zero_tol is 1e-9 * ||a||_F, so the split is scale invariant.  An
+    explicit zero_tol must be finite and >= 0, and > 0 unless a is zero.
     """
+    if zero_tol is not None and not 0 <= zero_tol < np.inf:  # NaN fails too
+        raise ValueError(f"zero_tol must be a finite real >= 0, got {zero_tol!r}")
     h = require_hermitian(a)
     if zero_tol is None:
         zero_tol = 1e-9 * np.linalg.norm(h)
-    if zero_tol <= 0 and np.linalg.norm(h) > 0:
+    if zero_tol == 0 and np.linalg.norm(h) > 0:
         raise ValueError("zero_tol must be positive")
     lam = np.linalg.eigvalsh(h)
     n_plus = int(np.sum(lam > zero_tol))

@@ -306,18 +306,57 @@ def hermitian_operator_basis(d: int) -> np.ndarray:
     return np.stack(mats)
 
 
+def _diagonal_block(d: int) -> np.ndarray:
+    """d x (d-1) matrix V of the diagonal basis elements [1 .. d-1]:
+    column l-1 is (1,..,1,-l,0,..)/sqrt(l(l+1)) with l leading ones."""
+    l = np.arange(1, d)
+    v = np.triu(np.ones((d, d - 1)))
+    v[l, l - 1] = -l
+    return v / np.sqrt(l * (l + 1))
+
+
+def _from_coordinates(c: np.ndarray, d: int) -> np.ndarray:
+    """Matrices sum_j c[n, j] G_j over hermitian_operator_basis, shape
+    (n, d, d), from real coordinates c of shape (n, d*d); exactly Hermitian.
+
+    The diagonal is c_0/sqrt(d) + V c_diag; for the pair i<j with
+    symmetric and antisymmetric coordinates s and a, entry (i, j) is
+    (s - i a)/sqrt(2) and entry (j, i) its conjugate.
+    """
+    n_pairs = d * (d - 1) // 2
+    out = np.zeros((c.shape[0], d, d), dtype=complex)
+    out[:, np.arange(d), np.arange(d)] = c[:, :1] / np.sqrt(d) + c[:, 1:d] @ _diagonal_block(d).T
+    s = c[:, d : d + n_pairs] / np.sqrt(2.0)
+    a = c[:, d + n_pairs :] / np.sqrt(2.0)
+    # the pairs (i, j > i) of row i are contiguous in row-major pair order;
+    # writing real and imaginary parts in place needs no complex temporary
+    lo = 0
+    for i in range(d - 1):
+        hi = lo + d - 1 - i
+        out.real[:, i, i + 1 :] = out.real[:, i + 1 :, i] = s[:, lo:hi]
+        out.imag[:, i, i + 1 :] = -a[:, lo:hi]
+        out.imag[:, i + 1 :, i] = a[:, lo:hi]
+        lo = hi
+    return out
+
+
 def map_matrix(povm: PovmMap) -> np.ndarray:
     """Real m x d^2 matrix of the weighted map over hermitian_operator_basis.
 
     Row mu holds Tr(G_j E_mu); the matrix represents the map isometrically,
-    so its singular values equal those of the abstract operator.
+    so its singular values equal those of the abstract operator.  In closed
+    form, with u = |b_i> the effect's vector and z_ij = conj(u_i) u_j over
+    the pairs i<j in row-major order, row mu is
+    weight * (|u|^2/sqrt(d), |u_i|^2 V, sqrt(2) Re z, sqrt(2) Im z), where V
+    holds the diagonal basis elements as columns (see _diagonal_block).
     """
     d = povm.dim
-    g_flat = hermitian_operator_basis(d).reshape(d * d, d * d)
     u = povm._u
-    # row mu holds conj(u[a, mu]) u[c, mu] over (a, c): <b_i|X|b_i> = row . vec(X)
-    q = np.einsum("am,cm->mac", u.conj(), u).reshape(povm.n_outcomes, d * d)
-    return povm.weight * (q @ g_flat.T).real
+    iu, ju = np.triu_indices(d, 1)
+    p = (u.real**2 + u.imag**2).T  # |u_i|^2, one row per effect
+    z = np.sqrt(2.0) * (u[iu].conj() * u[ju]).T
+    rows = np.hstack([p.sum(axis=1, keepdims=True) / np.sqrt(d), p @ _diagonal_block(d), z.real, z.imag])
+    return povm.weight * rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,12 +392,15 @@ def kernel_analysis(
     """Compute the kernel of the POVM map and probe element signatures.
 
     The kernel basis comes from the SVD of the map matrix (singular values
-    below ``DEFAULT.kernel_svd_rel`` of the largest count as zero).  n_probes
-    unit-Frobenius random combinations of kernel basis elements are drawn;
+    below ``DEFAULT.kernel_svd_rel`` of the largest count as zero); its
+    coordinate vectors become Hermitian matrices in closed form (see
+    _from_coordinates), as do the probes.  n_probes unit-Frobenius random
+    combinations of kernel basis elements are drawn as one
+    (n_probes, kernel_dimension) standard-normal array, rows normalised;
     a probe with min(n-, n+) <= r falsifies rank-r strict-completeness and
     one with max(n-, n+) <= r falsifies rank-r completeness.  Only
     kernel_dimension is reproducible across BLAS builds: the kernel basis is
-    not unique, so the seeded signatures and witnesses are not.
+    not unique, so the seeded signatures and witnesses may rotate.
     """
     _require_int("r", r, 1)
     _require_int("n_probes", n_probes, 1)
@@ -368,24 +410,16 @@ def kernel_analysis(
     rank = int(np.sum(s > cut))
     kernel_vecs = vt[rank:]
     kdim = kernel_vecs.shape[0]
-    g_flat = hermitian_operator_basis(d).reshape(d * d, d * d)
-    # products over blocks of d kernel vectors keep the temporaries small;
-    # one product over all kdim vectors plus its symmetrization would hold
-    # several (kdim, d, d) copies at once
-    basis = np.empty((kdim, d, d), dtype=complex)
-    for lo in range(0, kdim, d):
-        block = (kernel_vecs[lo : lo + d] @ g_flat).reshape(-1, d, d)
-        basis[lo : lo + d] = 0.5 * (block + block.conj().transpose(0, 2, 1))
+    basis = _from_coordinates(kernel_vecs, d)
     basis.setflags(write=False)
 
     signatures: list[tuple[int, int]] = []
     strict_wit = None
     complete_wit = None
     if kdim > 0:
-        for _ in range(n_probes):
-            c = rng.standard_normal(kdim)
-            c /= np.linalg.norm(c)
-            k_mat = hermitize(np.tensordot(c, basis, axes=1))
+        c = rng.standard_normal((n_probes, kdim))
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        for k_mat in _from_coordinates(c @ kernel_vecs, d):
             n_plus, n_minus = signature(k_mat)
             signatures.append((n_plus, n_minus))
             if strict_wit is None and min(n_plus, n_minus) <= r:

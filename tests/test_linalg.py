@@ -129,3 +129,16 @@ class TestSignature:
             n_zero = int(np.sum(np.abs(np.linalg.eigvalsh(a0)) <= zero_tol))
             assert n_plus + n_minus + n_zero == d
             assert n_zero >= 1
+
+    def test_rejects_non_finite_or_negative_zero_tol(self):
+        # a NaN or infinite tolerance would count every eigenvalue as zero,
+        # and a negative one would count 2d eigenvalues of the zero matrix
+        for a in (np.diag([1.0, -1.0, 1e-3]), np.zeros((2, 2))):
+            for zero_tol in (np.nan, np.inf, -np.inf, -1.0):
+                with pytest.raises(ValueError, match="zero_tol"):
+                    signature(a, zero_tol)
+
+    def test_zero_tol_zero_only_for_zero_matrix(self):
+        assert signature(np.zeros((2, 2)), 0.0) == (0, 0)
+        with pytest.raises(ValueError, match="zero_tol"):
+            signature(np.diag([1.0, -1.0]), 0.0)

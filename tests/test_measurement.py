@@ -6,6 +6,7 @@ import pytest
 from strictqst.errors import DimensionMismatch, NotHermitian
 from strictqst.measurement import (
     BasisSet,
+    _from_coordinates,
     MeasurementRecord,
     apply_map,
     hermitian_operator_basis,
@@ -37,13 +38,15 @@ def effects(povm):
 
 
 def reference_povms():
-    """Global, local, single-basis and repeated-basis designs."""
+    """Global, local, single-basis, repeated-basis and d=2 designs."""
     rng = np.random.default_rng(8)
     povms = [povm_from_bases(global_random_bases(d, k, rng)) for d, k in ((3, 2), (8, 5), (16, 3))]
     povms.append(povm_from_bases(local_random_bases(3, 3, rng)))
     povms.append(povm_from_bases(global_random_bases(6, 1, rng)))
     one = global_random_bases(5, 1, rng).bases[0]
     povms.append(povm_from_bases(BasisSet(dim=5, bases=(one, one, one))))
+    # the smallest closed form: one off-diagonal pair, one diagonal column
+    povms.append(povm_from_bases(global_random_bases(2, 2, rng)))
     return povms
 
 
@@ -280,6 +283,14 @@ class TestMapMatrix:
                 assert np.array_equal(k_mat, k_mat.conj().T)
 
 
+    def test_coordinate_scatter_reproduces_operator_basis(self):
+        # kernel vectors carry no identity coordinate, so only unit
+        # coordinates reach every term of the closed-form scatter
+        for d in (1, 2, 3, 5):
+            g = _from_coordinates(np.eye(d * d), d)
+            assert np.max(np.abs(g - hermitian_operator_basis(d))) <= 1e-15
+
+
 class TestKernelAnalysis:
     def test_informationally_complete_has_trivial_kernel(self, rng):
         # 4 bases at d=3 give rank min(9, 4*2+1) = 9: fully IC
@@ -312,15 +323,28 @@ class TestKernelAnalysis:
             assert np.linalg.norm(apply_map(povm, k_mat)) <= 1e-8
 
     def test_probe_finds_strictness_witness_when_kernel_is_shallow(self):
-        # at d=4, k=2 some kernel elements have min(n+, n-) <= 1
+        # at d=4, k=2 some kernel elements have min(n+, n-) <= 1; the probes
+        # are one (n_probes, kdim) standard-normal draw with normalised rows,
+        # and the witness is the first falsifying row's combination of the
+        # kernel basis
         rng = np.random.default_rng(17)
         povm = povm_from_bases(global_random_bases(4, 2, rng))
+        replay = np.random.Generator(type(rng.bit_generator)())
+        replay.bit_generator.state = rng.bit_generator.state
         report = kernel_analysis(povm, r=1, n_probes=400, rng=rng)
         assert report.strict_falsified
         w = report.strict_witness
         lam = np.linalg.eigvalsh(w)
         cut = 1e-9 * np.linalg.norm(w)
         assert min(int((lam > cut).sum()), int((lam < -cut).sum())) <= 1
+        assert np.array_equal(w, w.conj().T)
+        assert np.linalg.norm(apply_map(povm, w)) <= 1e-10 * np.linalg.norm(w)
+        c = replay.standard_normal((400, report.kernel_dimension))
+        assert rng.bit_generator.state == replay.bit_generator.state
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+        i = next(n for n, sig in enumerate(report.sampled_signatures) if min(sig) <= 1)
+        expected = np.tensordot(c[i], np.array(report.kernel_basis), axes=1)
+        assert np.max(np.abs(w - expected)) <= 1e-13
 
     def test_no_witness_at_reference_design(self):
         # 6 random bases at d=11 sit at the strict-completeness onset;
