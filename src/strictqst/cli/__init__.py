@@ -238,6 +238,7 @@ def _cmd_sweep(args) -> int:
                     "failure_log": [list(entry) for entry in c.failure_log],
                     "state_seed_keys": list(c.state_seed_keys),
                     "errors": [[float(v) for v in row] for row in c.errors],
+                    "stop_reasons": list(c.stop_reasons),
                 }
                 for c in result.cells
             ],

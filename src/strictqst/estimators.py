@@ -8,7 +8,10 @@ Four programs over the cone of (unnormalized) PSD matrices:
   ``PovmMap.operator_norm``).  A gate (objective change <= tol * f or step
   <= 100 tol max(1, ||X||)) must open before the projected-gradient
   certificate pg <= 10 tol L max(1, ||X||) is checked; without the gate,
-  noiseless solves stop early at 30-50x higher infidelities.
+  noiseless solves stop early at 30-50x higher infidelities.  A second
+  exit ends a solve once the certificate, checked every 100 iterations,
+  has held across 7,000: on noiseless data f can fall towards 0 so slowly
+  that the relative-change gate does not open within the budget.
 * ``estimate_trace_min``      - min Tr X  s.t. ||A[X] - f||_2 <= eps, X >= 0,
   by a primal-dual splitting that alternates an l2-ball projection of the
   residual with a PSD eigenvalue clip plus dual updates.
@@ -54,6 +57,10 @@ _DEFAULT_TOL = {
     "trace_min": 1e-8,
     "max_likelihood": 1e-7,
 }
+
+# least squares' held-certificate exit, in iterations (see _least_squares)
+_HELD_CHECK_EVERY = 100
+_HELD_WINDOW = 7000
 
 
 @dataclass(frozen=True)
@@ -206,19 +213,51 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, project, lip, stop, bac
 
 def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
     """_fista on 0.5 ||A[X] - f||^2 over the PSD cone, step 1/L with
-    L = ||A||^2; the default stop is the projected-gradient certificate."""
+    L = ||A||^2.
+
+    The default stop has two exits, both on the projected-gradient
+    certificate pg = L ||X - clip(X - grad / L)|| <= 10 tol L max(1, ||X||):
+
+    * "projected_gradient": the gate (objective change <= tol * f or step
+      <= 100 tol max(1, ||X||)) opens, then the certificate holds;
+    * "projected_gradient_held": the certificate, checked every
+      _HELD_CHECK_EVERY iterations, has held at every check across
+      _HELD_WINDOW iterations.  This ends noiseless solves whose objective
+      falls so slowly towards 0 that the relative-change gate does not
+      open within the budget.
+
+    The certificate bounds the objective gap, not the distance to the
+    limit point: after it first holds, X can keep moving for thousands of
+    iterations before the step gate opens, and the held exit stops such a
+    solve early.  The window exceeds the longest of these tails among the
+    noiseless solves of the test suite (6,715 iterations), so those end on
+    the gate as before; longer tails exist (README, "Numerical notes").
+    """
     tol = spec.tol
     lip = prob.norm_a**2
+    held_since = None
 
     def dphi(ax):
         return ax - prob.f
 
     def pg_stop(it, x, ax, fx, chg, move):
+        nonlocal held_since
         scale = max(1.0, float(np.linalg.norm(x)))
-        if (0 <= chg <= tol * max(fx, 1e-30)) or move <= 100 * tol * scale:
-            pg = lip * float(np.linalg.norm(x - psd_clip(x - prob.adjoint(dphi(ax)) / lip)))
-            if pg <= 10 * tol * lip * scale:
-                return True, "projected_gradient"
+        gate = (0 <= chg <= tol * max(fx, 1e-30)) or move <= 100 * tol * scale
+        check = it % _HELD_CHECK_EVERY == 0
+        if not (gate or check):
+            return None
+        pg = lip * float(np.linalg.norm(x - psd_clip(x - prob.adjoint(dphi(ax)) / lip)))
+        held = pg <= 10 * tol * lip * scale
+        if gate and held:
+            return True, "projected_gradient"
+        if check:
+            if not held:
+                held_since = None
+            elif held_since is None:
+                held_since = it
+            elif it - held_since >= _HELD_WINDOW:
+                return True, "projected_gradient_held"
         return None
 
     return _fista(prob.d, spec.max_iterations, prob.apply, prob.adjoint,

@@ -154,7 +154,8 @@ class SweepCell:
     errors[k-1, s] is the pass metric of state s reconstructed from the
     first k bases (rank 1: infidelity; rank > 1: Frobenius distance).
     Rows exist for k = 1 .. k_evaluated, where growth stops at the first
-    all-pass basis count or at max_bases.
+    all-pass basis count or at max_bases.  stop_reasons[k-1] counts the
+    least-squares stop reasons of the states at k bases.
     """
 
     dim: int
@@ -163,6 +164,7 @@ class SweepCell:
     threshold: float
     errors: np.ndarray
     state_seed_keys: tuple[str, ...]
+    stop_reasons: tuple[dict[str, int], ...]
 
     @property
     def pass_cut(self) -> float:
@@ -233,20 +235,24 @@ def _run_sweep_cell(args) -> SweepCell:
     cut = _pass_cut(rank, config.infidelity_threshold)
     basis_mats: list[np.ndarray] = []
     rows: list[np.ndarray] = []
+    stop_reasons: list[dict[str, int]] = []
     spec = EstimatorSpec(kind="least_squares")
     for _ in range(config.max_bases):
         basis_mats.append(_draw_basis(dim, config.basis_type, rng))
         basis_set = BasisSet(dim=dim, bases=tuple(basis_mats), kind=config.basis_type)
         povm = povm_from_bases(basis_set)
         row = np.empty(config.states_per_cell)
+        reasons: dict[str, int] = {}
         for s, state in enumerate(states):
             record = noiseless_record(povm, state)
             result = estimate_least_squares(povm, record, spec)
+            reasons[result.stop_reason] = reasons.get(result.stop_reason, 0) + 1
             if rank == 1:
                 row[s] = infidelity(state, result.rho_hat)
             else:
                 row[s] = float(np.linalg.norm(result.rho_hat.rho - state.rho))
         rows.append(row)
+        stop_reasons.append(reasons)
         if np.all(row <= cut):
             break
     return SweepCell(
@@ -256,6 +262,7 @@ def _run_sweep_cell(args) -> SweepCell:
         threshold=config.infidelity_threshold,
         errors=np.vstack(rows),
         state_seed_keys=tuple(str(ss.spawn_key) for ss in state_seeds),
+        stop_reasons=tuple(stop_reasons),
     )
 
 

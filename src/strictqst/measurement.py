@@ -143,6 +143,8 @@ class PovmMap:
 
 def povm_from_bases(bases: BasisSet) -> PovmMap:
     """Build the POVM map of a basis set (validates unitarity first)."""
+    if not bases.n_bases:
+        raise ValueError("a POVM needs at least one basis, got an empty basis set")
     bases.validate()
     return PovmMap(basis_set=bases)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadRank, DimensionMismatch, NotPure
 from .linalg import hermitize, require_hermitian
-from .measurement import BasisSet
+from .measurement import BasisSet, _require_int
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -155,6 +155,7 @@ def global_random_bases(
     d: int, n_bases: int, rng: np.random.Generator, seed_label: str | None = None
 ) -> BasisSet:
     """n_bases independent Haar-random orthonormal bases of a d-dim space."""
+    _require_int("n_bases", n_bases, 0)
     bases = tuple(haar_random_unitary(d, rng) for _ in range(n_bases))
     labels = tuple(f"global[{i}]" + (f" seed={seed_label}" if seed_label else "") for i in range(n_bases))
     return BasisSet(dim=d, bases=bases, kind="global", labels=labels)
@@ -167,6 +168,7 @@ def local_random_bases(
     Haar unitaries; global dimension 2**n_qubits."""
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
+    _require_int("n_bases", n_bases, 0)
     d = 2**n_qubits
     mats = []
     for _ in range(n_bases):

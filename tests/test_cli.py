@@ -82,6 +82,21 @@ class TestGenBases:
         assert run(["gen-bases", "--dim", 6, "--n-bases", 1, "--type", "local",
                     "--seed", 0, "--out", tmp_path / "x.json"]) == 2
 
+    @pytest.mark.parametrize("kind", ["global", "local"])
+    def test_negative_basis_count_exits_2(self, tmp_path, kind):
+        out = tmp_path / "x.json"
+        assert run(["gen-bases", "--dim", 4, "--n-bases", -2, "--type", kind,
+                    "--seed", 0, "--out", out]) == 2
+        assert not out.exists()
+
+    def test_empty_basis_set_is_written_but_cannot_be_measured(self, tmp_path, schema_validator):
+        bases, rec = tmp_path / "b.json", tmp_path / "r.json"
+        assert run(["gen-bases", "--dim", 3, "--n-bases", 0, "--seed", 0, "--out", bases]) == 0
+        schema_validator(load(bases), "basis_set")
+        assert run(["simulate", "--bases", bases, "--random-rank", 1, "--noiseless",
+                    "--out", rec]) == 2
+        assert not rec.exists()
+
 
 class TestSimulate:
     def test_maximally_mixed_uniform_blocks(self, tmp_path, schema_validator):
@@ -198,6 +213,11 @@ class TestExperimentCommands:
         doc = load(out / "sweep_result.json")
         schema_validator(doc, "sweep_result")
         schema_validator(load(out / "manifest.json"), "run_manifest")
+        # one stop-reason count per evaluated basis count, over every state
+        n_states = load(resources.files("strictqst") / "configs" / "onset_tiny.json")["states_per_cell"]
+        for cell in doc["cells"]:
+            assert len(cell["stop_reasons"]) == len(cell["errors"])
+            assert all(sum(counts.values()) == n_states for counts in cell["stop_reasons"])
         rendered = cli._onset_svg_from_csv(out / "onsets.csv")
         assert rendered + "\n" == (out / "onsets.svg").read_text()
 

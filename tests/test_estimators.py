@@ -3,6 +3,7 @@ import pytest
 
 from strictqst import estimators
 from strictqst.errors import Infeasible
+from strictqst.linalg import psd_project
 from strictqst.estimators import (
     EstimatorSpec,
     estimate,
@@ -114,8 +115,6 @@ class TestLeastSquares:
             assert res.converged
             lip = povm.operator_norm() ** 2
             grad = povm.adjoint_projectors(povm.projector_values(res.X_hat) - rec.values)
-            from strictqst.linalg import psd_project
-
             pg = lip * np.linalg.norm(res.X_hat - psd_project(res.X_hat - grad / lip))
             assert pg <= 10 * spec.tol * lip * max(1.0, np.linalg.norm(res.X_hat))
 
@@ -130,6 +129,67 @@ class TestLeastSquares:
         assert abs(np.trace(res.rho_hat.rho).real - 1.0) <= 1e-10
         # noiseless strictly-complete data: X_hat itself is normalized
         assert abs(np.trace(res.X_hat).real - 1.0) <= 1e-6
+
+
+class TestHeldCertificateExit:
+    @staticmethod
+    def default_stop(monkeypatch, povm, rec):
+        """The default least-squares stop callable, built for (povm, rec)."""
+        captured = []
+        monkeypatch.setattr(estimators, "_fista", lambda *args, **kw: captured.append(args[8]))
+        estimators._least_squares(estimators._Problem(povm, rec), EstimatorSpec())
+        return captured[0]
+
+    def test_stalled_noiseless_solve_ends_on_held_certificate(self):
+        # state 2 at k=4 of run_completeness_sweep(SweepConfig(dims=(16,),
+        # states_per_cell=4, seed=6)), drawn as _run_sweep_cell draws it:
+        # f falls towards 0 so slowly that the gate stays shut for all
+        # 20,000 iterations (found by a search over seeds 0..29 that read
+        # SweepCell.stop_reasons)
+        cell_seq = np.random.SeedSequence(6).spawn(1)[0]
+        bases_rng = np.random.default_rng(cell_seq)
+        state = random_pure_state(16, np.random.default_rng(cell_seq.spawn(4)[2]))
+        povm = povm_from_bases(global_random_bases(16, 4, bases_rng))
+        rec = noiseless_record(povm, state)
+        spec = EstimatorSpec(kind="least_squares")
+        res = estimate_least_squares(povm, rec, spec)
+        assert res.stop_reason == "projected_gradient_held" and res.converged
+        assert res.iterations < spec.max_iterations
+        lip = povm.operator_norm() ** 2
+        grad = povm.adjoint_projectors(povm.projector_values(res.X_hat) - rec.values)
+        pg = lip * np.linalg.norm(res.X_hat - psd_project(res.X_hat - grad / lip))
+        assert pg <= 10 * spec.tol * lip * max(1.0, np.linalg.norm(res.X_hat))
+
+    def test_lapsed_certificate_restarts_the_window(self, monkeypatch):
+        # drive the stop directly: the exact state certifies (zero gradient),
+        # I/d does not; objective change and step stay large, so the gate
+        # never opens and only the held exit can end the solve
+        state, povm, rec = make_noiseless_problem(4, 6, seed=0)
+        held = (state.rho, povm.projector_values(state.rho))
+        lapsed = (np.eye(4) / 4, povm.projector_values(np.eye(4) / 4))
+        every, window = estimators._HELD_CHECK_EVERY, estimators._HELD_WINDOW
+
+        def first_stop(lapse_at):
+            stop = self.default_stop(monkeypatch, povm, rec)
+            for it in range(3 * window):
+                # between checks the certificate is not looked at
+                x, ax = held if it % every == 0 and it != lapse_at else lapsed
+                done = stop(it, x, ax, 1.0, 1.0, 1.0)
+                if done:
+                    return it, done
+            return None
+
+        assert first_stop(None) == (window, (True, "projected_gradient_held"))
+        lapse = 10 * every
+        assert first_stop(lapse) == (lapse + every + window, (True, "projected_gradient_held"))
+
+    def test_gate_stop_comes_first(self, monkeypatch):
+        state, povm, rec = make_noiseless_problem(4, 6, seed=0)
+        stop = self.default_stop(monkeypatch, povm, rec)
+        ax = povm.projector_values(state.rho)
+        assert stop(7, state.rho, ax, 0.0, 0.0, 0.0) == (True, "projected_gradient")
+        assert stop(estimators._HELD_CHECK_EVERY, state.rho, ax, 0.0, 0.0, 0.0) == (
+            True, "projected_gradient")
 
 
 class TestTraceMin:

@@ -79,6 +79,10 @@ class TestPovmFromBases:
             with pytest.raises(ValueError):
                 povm_from_bases(BasisSet(dim=2, bases=(u,)))
 
+    def test_rejects_empty_basis_set(self):
+        with pytest.raises(ValueError, match="at least one basis"):
+            povm_from_bases(BasisSet(dim=3, bases=()))
+
     def test_rejects_inf_basis_without_warning(self):
         u = np.eye(3, dtype=complex)
         u[0, 1] = np.inf

@@ -124,6 +124,14 @@ class TestBases:
         assert bs.n_bases == 3 and bs.dim == 7
         assert bs.prefix(2).n_bases == 2
 
+    def test_basis_count_validation(self, rng):
+        # 0 stays allowed: the basis-set schema admits an empty set
+        for generate, size in ((global_random_bases, 3), (local_random_bases, 2)):
+            for bad in (-2, 1.5, True, None):
+                with pytest.raises(ValueError, match="n_bases"):
+                    generate(size, bad, rng)
+            assert generate(size, 0, rng).n_bases == 0
+
 
 class TestFidelity:
     def test_self_fidelity(self, rng):
