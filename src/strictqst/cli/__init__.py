@@ -275,6 +275,7 @@ def _cmd_noisy(args) -> int:
                 est: [[float(v) for v in row] for row in mat]
                 for est, mat in result.infidelities.items()
             },
+            "stop_reasons": {est: list(counts) for est, counts in result.stop_reasons.items()},
         },
         json_path,
     )

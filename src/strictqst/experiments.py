@@ -17,6 +17,7 @@ task, so results are identical for any worker count.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -334,11 +335,14 @@ class NoisyProtocolConfig:
 
 @dataclass(frozen=True, eq=False)
 class NoisyProtocolResult:
-    """infidelities[estimator] has shape (n_basis_counts, n_targets)."""
+    """infidelities[estimator] has shape (n_basis_counts, n_targets);
+    stop_reasons[estimator][i] counts the stop reasons of that estimator's
+    solves at basis_counts[i], summed over targets."""
 
     config: NoisyProtocolConfig
     basis_counts: tuple[int, ...]
     infidelities: dict[str, np.ndarray]
+    stop_reasons: dict[str, tuple[dict[str, int], ...]]
 
     def mean_curve(self, estimator: str) -> np.ndarray:
         return self.infidelities[estimator].mean(axis=1)
@@ -368,7 +372,7 @@ class NoisyProtocolResult:
         return out
 
 
-def _run_protocol_target(args) -> dict[str, np.ndarray]:
+def _run_protocol_target(args) -> tuple[dict[str, np.ndarray], dict[str, list[str]]]:
     config, seed_seq = args
     rng = np.random.default_rng(seed_seq)
     d = config.dim
@@ -377,6 +381,7 @@ def _run_protocol_target(args) -> dict[str, np.ndarray]:
     sigma = StateModel(target, config.mixing, tau).realize()
     ks = list(range(config.min_bases, config.max_bases + 1))
     out = {est: np.empty(len(ks)) for est in config.estimators}
+    reasons = {est: [""] * len(ks) for est in config.estimators}
     basis_mats: list[np.ndarray] = []
     for _ in range(config.max_bases):
         basis_mats.append(_draw_basis(d, config.basis_type, rng))
@@ -398,7 +403,8 @@ def _run_protocol_target(args) -> dict[str, np.ndarray]:
             else:
                 res = estimate_max_likelihood(povm, record)
             out[est][idx] = infidelity(target, res.rho_hat)
-    return out
+            reasons[est][idx] = res.stop_reason
+    return out, reasons
 
 
 def run_noisy_protocol(config: NoisyProtocolConfig) -> NoisyProtocolResult:
@@ -413,9 +419,15 @@ def run_noisy_protocol(config: NoisyProtocolConfig) -> NoisyProtocolResult:
     per_target = _fan_out(_run_protocol_target, [(config, s) for s in seeds], config.jobs)
     ks = tuple(range(config.min_bases, config.max_bases + 1))
     stacked = {
-        est: np.stack([pt[est] for pt in per_target], axis=1) for est in config.estimators
+        est: np.stack([out[est] for out, _ in per_target], axis=1) for est in config.estimators
     }
-    return NoisyProtocolResult(config=config, basis_counts=ks, infidelities=stacked)
+    stop_reasons = {
+        est: tuple(dict(Counter(r[est][i] for _, r in per_target)) for i in range(len(ks)))
+        for est in config.estimators
+    }
+    return NoisyProtocolResult(
+        config=config, basis_counts=ks, infidelities=stacked, stop_reasons=stop_reasons
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -365,12 +365,13 @@ def map_matrix(povm: PovmMap) -> np.ndarray:
 class KernelReport:
     """Null-space analysis of a POVM map with randomized signature probes.
 
-    The probe test is one-sided: a witness falsifies the corresponding
-    completeness property, but the absence of witnesses certifies nothing.
+    Only the kernel's dimension is kept, not a basis of it: the probes are
+    drawn against the map's row space (see kernel_analysis).  The probe
+    test is one-sided: a witness falsifies the corresponding completeness
+    property, but the absence of witnesses certifies nothing.
     """
 
     kernel_dimension: int
-    kernel_basis: tuple[np.ndarray, ...]
     sampled_signatures: tuple[tuple[int, int], ...]
     rank_target: int
     strict_witness: np.ndarray | None = None
@@ -391,37 +392,39 @@ def kernel_analysis(
     n_probes: int,
     rng: np.random.Generator,
 ) -> KernelReport:
-    """Compute the kernel of the POVM map and probe element signatures.
+    """Find the kernel dimension of the POVM map and probe element signatures.
 
-    The kernel basis comes from the SVD of the map matrix (singular values
-    below ``DEFAULT.kernel_svd_rel`` of the largest count as zero); its
-    coordinate vectors become Hermitian matrices in closed form (see
-    _from_coordinates), as do the probes.  n_probes unit-Frobenius random
-    combinations of kernel basis elements are drawn as one
-    (n_probes, kernel_dimension) standard-normal array, rows normalised;
-    a probe with min(n-, n+) <= r falsifies rank-r strict-completeness and
-    one with max(n-, n+) <= r falsifies rank-r completeness.  Only
-    kernel_dimension is reproducible across BLAS builds: the kernel basis is
-    not unique, so the seeded signatures and witnesses may rotate.
+    The rank comes from an economy SVD of the m x d^2 map matrix (singular
+    values below ``DEFAULT.kernel_svd_rel`` of the largest count as zero);
+    its leading right singular vectors span the row space, and the kernel
+    is the orthogonal complement, of dimension d^2 - rank.  When the kernel
+    is nontrivial, n_probes are drawn as one (n_probes, d^2) standard-normal
+    array with the row-space component projected out and the rows
+    normalised: a standard normal vector projected onto a subspace is
+    standard normal there, so each probe is uniform on the kernel's unit
+    sphere.  Probes become exactly Hermitian matrices in closed form (see
+    _from_coordinates).  A probe with min(n-, n+) <= r falsifies rank-r
+    strict-completeness and one with max(n-, n+) <= r falsifies rank-r
+    completeness; the first of each is kept as the witness.  Only
+    kernel_dimension is reproducible across BLAS builds: the row-space
+    basis is not unique, so the seeded signatures and witnesses may rotate.
     """
     _require_int("r", r, 1)
     _require_int("n_probes", n_probes, 1)
     d = povm.dim
-    _, s, vt = np.linalg.svd(map_matrix(povm), full_matrices=True)
+    _, s, vt = np.linalg.svd(map_matrix(povm), full_matrices=False)
     cut = DEFAULT.kernel_svd_rel * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cut))
-    kernel_vecs = vt[rank:]
-    kdim = kernel_vecs.shape[0]
-    basis = _from_coordinates(kernel_vecs, d)
-    basis.setflags(write=False)
+    row = vt[: int(np.sum(s > cut))]
+    kdim = d * d - row.shape[0]
 
     signatures: list[tuple[int, int]] = []
     strict_wit = None
     complete_wit = None
     if kdim > 0:
-        c = rng.standard_normal((n_probes, kdim))
-        c /= np.linalg.norm(c, axis=1, keepdims=True)
-        for k_mat in _from_coordinates(c @ kernel_vecs, d):
+        g = rng.standard_normal((n_probes, d * d))
+        g -= (g @ row.T) @ row
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        for k_mat in _from_coordinates(g, d):
             n_plus, n_minus = signature(k_mat)
             signatures.append((n_plus, n_minus))
             if strict_wit is None and min(n_plus, n_minus) <= r:
@@ -430,7 +433,6 @@ def kernel_analysis(
                 complete_wit = k_mat
     return KernelReport(
         kernel_dimension=kdim,
-        kernel_basis=tuple(basis),
         sampled_signatures=tuple(signatures),
         rank_target=r,
         strict_witness=strict_wit,

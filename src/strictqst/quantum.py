@@ -121,8 +121,7 @@ def haar_random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     positive diagonal, which makes the QR decomposition unique and the Q
     factor exactly Haar distributed.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    _require_int("d", d, 1)
     z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r).copy()
@@ -155,6 +154,7 @@ def global_random_bases(
     d: int, n_bases: int, rng: np.random.Generator, seed_label: str | None = None
 ) -> BasisSet:
     """n_bases independent Haar-random orthonormal bases of a d-dim space."""
+    _require_int("d", d, 1)
     _require_int("n_bases", n_bases, 0)
     bases = tuple(haar_random_unitary(d, rng) for _ in range(n_bases))
     labels = tuple(f"global[{i}]" + (f" seed={seed_label}" if seed_label else "") for i in range(n_bases))
@@ -166,8 +166,7 @@ def local_random_bases(
 ) -> BasisSet:
     """Bases that factor as tensor products of independent single-qubit
     Haar unitaries; global dimension 2**n_qubits."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
+    _require_int("n_qubits", n_qubits, 1)
     _require_int("n_bases", n_bases, 0)
     d = 2**n_qubits
     mats = []

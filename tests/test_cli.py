@@ -226,7 +226,14 @@ class TestExperimentCommands:
         assert run(["noisy", "--config", "protocol_tiny.json", "--out-dir", out]) == 0
         header = (out / "curves.csv").read_text().splitlines()[0]
         assert header == "n_bases,estimator,mean_infidelity,stderr"
-        schema_validator(load(out / "protocol_result.json"), "protocol_result")
+        doc = load(out / "protocol_result.json")
+        schema_validator(doc, "protocol_result")
+        # one stop-reason count per basis count and estimator, over every target
+        config = load(resources.files("strictqst") / "configs" / "protocol_tiny.json")
+        assert set(doc["stop_reasons"]) == set(doc["infidelities"])
+        for counts in doc["stop_reasons"].values():
+            assert len(counts) == len(doc["basis_counts"])
+            assert all(sum(c.values()) == config["n_targets"] for c in counts)
         rendered = cli._curves_svg_from_csv(out / "curves.csv", "Estimation of near-pure states")
         assert rendered + "\n" == (out / "curves.svg").read_text()
 

@@ -3,7 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
+from strictqst import measurement
 from strictqst.errors import DimensionMismatch, NotHermitian
+from strictqst.linalg import signature
 from strictqst.measurement import (
     BasisSet,
     _from_coordinates,
@@ -48,6 +50,24 @@ def reference_povms():
     # the smallest closed form: one off-diagonal pair, one diagonal column
     povms.append(povm_from_bases(global_random_bases(2, 2, rng)))
     return povms
+
+
+def _replay(rng):
+    """A generator that will draw exactly what rng draws next."""
+    replay = np.random.Generator(type(rng.bit_generator)())
+    replay.bit_generator.state = rng.bit_generator.state
+    return replay
+
+
+def null_space_probes(povm, g):
+    """The normalised kernel components of the rows of g as matrices, from
+    the null space of a full SVD of the loop-built map matrix, combined
+    over the loop-built kernel basis."""
+    _, s, vt = np.linalg.svd(map_matrix_loop(povm), full_matrices=True)
+    null = vt[int(np.sum(s > 1e-9 * s[0])) :]
+    c = g @ null.T
+    c /= np.linalg.norm(c, axis=1, keepdims=True)
+    return list(np.tensordot(c, np.array(kernel_basis_loop(null, povm.dim)), axes=1))
 
 
 class TestPovmFromBases:
@@ -274,18 +294,24 @@ class TestMapMatrix:
         for povm in reference_povms():
             assert np.max(np.abs(map_matrix(povm) - map_matrix_loop(povm))) <= 1e-14
 
-    def test_kernel_basis_matches_vector_loop_reference(self, rng):
+    def test_probes_match_null_space_oracle(self, rng):
         for povm in reference_povms():
-            report = kernel_analysis(povm, r=1, n_probes=1, rng=rng)
-            # same input bits, so the same SVD as inside kernel_analysis
-            _, s, vt = np.linalg.svd(map_matrix(povm))
-            rank = int(np.sum(s > 1e-9 * s[0]))
-            reference = kernel_basis_loop(vt[rank:], povm.dim)
-            assert len(report.kernel_basis) == len(reference) == report.kernel_dimension
-            for k_mat, k_ref in zip(report.kernel_basis, reference):
-                assert np.max(np.abs(k_mat - k_ref)) <= 1e-14
-                assert np.array_equal(k_mat, k_mat.conj().T)
-
+            # every reference design has a kernel, so every call draws
+            replay = _replay(rng)
+            report = kernel_analysis(povm, r=1, n_probes=20, rng=rng)
+            probes = null_space_probes(povm, replay.standard_normal((20, povm.dim**2)))
+            assert rng.bit_generator.state == replay.bit_generator.state
+            assert [signature(p) for p in probes] == list(report.sampled_signatures)
+            for witness, falsifies in (
+                (report.strict_witness, lambda sig: min(sig) <= 1),
+                (report.completeness_witness, lambda sig: max(sig) <= 1),
+            ):
+                i = next((n for n, sig in enumerate(report.sampled_signatures) if falsifies(sig)), None)
+                if i is None:
+                    assert witness is None
+                else:
+                    assert np.max(np.abs(witness - probes[i])) <= 1e-13
+                    assert np.array_equal(witness, witness.conj().T)
 
     def test_coordinate_scatter_reproduces_operator_basis(self):
         # kernel vectors carry no identity coordinate, so only unit
@@ -304,11 +330,14 @@ class TestKernelAnalysis:
         assert not report.strict_falsified and not report.completeness_falsified
 
     def test_single_qubit_basis_kernel(self, rng):
-        # computational basis at d=2: kernel is span{sigma_x, sigma_y}
+        # computational basis at d=2: kernel is span{sigma_x, sigma_y}, whose
+        # elements all have signature (1, 1), so the first probe is both witnesses
         povm = computational_povm()
         report = kernel_analysis(povm, r=1, n_probes=50, rng=rng)
         assert report.kernel_dimension == 2
-        for k_mat in report.kernel_basis:
+        witnesses = (report.strict_witness, report.completeness_witness)
+        assert all(w is not None for w in witnesses)
+        for k_mat in witnesses:
             assert abs(k_mat[0, 0]) < 1e-12 and abs(k_mat[1, 1]) < 1e-12
 
     def test_kernel_dimension_law(self, rng):
@@ -320,21 +349,23 @@ class TestKernelAnalysis:
             assert report.kernel_dimension == d * d - min(d * d, k * (d - 1) + 1)
 
     def test_kernel_elements_traceless_and_annihilated(self, rng):
+        # at r=2 every traceless 4x4 probe falsifies strictness and a (2, 2)
+        # probe falsifies completeness, so 20 probes give both witnesses
         povm = povm_from_bases(global_random_bases(4, 2, rng))
-        report = kernel_analysis(povm, r=1, n_probes=20, rng=rng)
-        for k_mat in report.kernel_basis:
+        report = kernel_analysis(povm, r=2, n_probes=20, rng=rng)
+        witnesses = (report.strict_witness, report.completeness_witness)
+        assert all(w is not None for w in witnesses)
+        for k_mat in witnesses:
             assert abs(np.trace(k_mat)) <= 1e-8
             assert np.linalg.norm(apply_map(povm, k_mat)) <= 1e-8
 
     def test_probe_finds_strictness_witness_when_kernel_is_shallow(self):
         # at d=4, k=2 some kernel elements have min(n+, n-) <= 1; the probes
-        # are one (n_probes, kdim) standard-normal draw with normalised rows,
-        # and the witness is the first falsifying row's combination of the
-        # kernel basis
+        # are one (n_probes, d^2) standard-normal draw projected onto the
+        # kernel, rows normalised, and the witness is the first falsifying row
         rng = np.random.default_rng(17)
         povm = povm_from_bases(global_random_bases(4, 2, rng))
-        replay = np.random.Generator(type(rng.bit_generator)())
-        replay.bit_generator.state = rng.bit_generator.state
+        replay = _replay(rng)
         report = kernel_analysis(povm, r=1, n_probes=400, rng=rng)
         assert report.strict_falsified
         w = report.strict_witness
@@ -343,12 +374,26 @@ class TestKernelAnalysis:
         assert min(int((lam > cut).sum()), int((lam < -cut).sum())) <= 1
         assert np.array_equal(w, w.conj().T)
         assert np.linalg.norm(apply_map(povm, w)) <= 1e-10 * np.linalg.norm(w)
-        c = replay.standard_normal((400, report.kernel_dimension))
+        g = replay.standard_normal((400, 16))
         assert rng.bit_generator.state == replay.bit_generator.state
-        c /= np.linalg.norm(c, axis=1, keepdims=True)
         i = next(n for n, sig in enumerate(report.sampled_signatures) if min(sig) <= 1)
-        expected = np.tensordot(c[i], np.array(report.kernel_basis), axes=1)
+        expected = null_space_probes(povm, g[i : i + 1])[0]
         assert np.max(np.abs(w - expected)) <= 1e-13
+
+    def test_economy_svd_only(self, rng, monkeypatch):
+        # the kernel is found from the row space, so no call asks numpy for
+        # the d^2 x d^2 right factor of a full SVD
+        calls = []
+        real_svd = np.linalg.svd
+
+        def spy(a, full_matrices=True, *args, **kwargs):
+            calls.append(full_matrices)
+            return real_svd(a, full_matrices, *args, **kwargs)
+
+        monkeypatch.setattr(measurement.np.linalg, "svd", spy)
+        for povm in reference_povms():
+            kernel_analysis(povm, r=1, n_probes=2, rng=rng)
+        assert calls and not any(calls)
 
     def test_no_witness_at_reference_design(self):
         # 6 random bases at d=11 sit at the strict-completeness onset;

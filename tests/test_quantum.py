@@ -126,11 +126,20 @@ class TestBases:
 
     def test_basis_count_validation(self, rng):
         # 0 stays allowed: the basis-set schema admits an empty set
-        for generate, size in ((global_random_bases, 3), (local_random_bases, 2)):
+        for generate, size, size_name in ((global_random_bases, 3, "d"), (local_random_bases, 2, "n_qubits")):
             for bad in (-2, 1.5, True, None):
                 with pytest.raises(ValueError, match="n_bases"):
                     generate(size, bad, rng)
             assert generate(size, 0, rng).n_bases == 0
+            # a bool or a fraction is not a size, even where it would
+            # convert to a valid one, and even when no basis is drawn
+            for bad in (True, 2.0, 1.5, 0):
+                for n_bases in (0, 1):
+                    with pytest.raises(ValueError, match=f"^{size_name} must"):
+                        generate(bad, n_bases, rng)
+        for bad in (True, 2.0, 0):
+            with pytest.raises(ValueError, match="^d must"):
+                haar_random_unitary(bad, rng)
 
 
 class TestFidelity:
