@@ -19,7 +19,6 @@ from .errors import (
 from .estimators import (
     EstimateResult,
     EstimatorSpec,
-    estimate,
     estimate_least_squares,
     estimate_max_likelihood,
     estimate_trace_min,
@@ -40,7 +39,6 @@ from .measurement import (
     KernelReport,
     MeasurementRecord,
     PovmMap,
-    apply_map,
     kernel_analysis,
     noiseless_record,
     povm_from_bases,
@@ -83,8 +81,6 @@ __all__ = [
     "SweepConfig",
     "SweepResult",
     "Tolerances",
-    "apply_map",
-    "estimate",
     "estimate_least_squares",
     "estimate_max_likelihood",
     "estimate_trace_min",

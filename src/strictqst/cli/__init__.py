@@ -198,7 +198,7 @@ def _cmd_estimate(args) -> int:
     eps = args.epsilon
     if kind == "trace_min" and eps is None and rec.noise_bound is None:
         raise ConfigError("--method tracemin needs --epsilon or a record noise bound")
-    spec = EstimatorSpec(kind=kind, noise_bound=eps)
+    spec = EstimatorSpec(noise_bound=eps)
     result = fn(povm, rec, spec)
     ser.dump_json(ser.estimate_to_json(result), Path(args.out))
     return 0
@@ -386,7 +386,3 @@ def main(argv=None) -> int:
     except (ConfigError, BadRank, NotPure, NotHermitian, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DimensionMismatch
-from ..measurement import BasisSet, MeasurementRecord
+from ..measurement import BasisSet, MeasurementRecord, _require_int
 from ..quantum import QuantumState
 
 
@@ -82,12 +82,15 @@ def basis_set_to_json(bs: BasisSet, seed: int | None = None) -> dict:
 
 
 def basis_set_from_json(data: dict) -> BasisSet:
+    """BasisSet checks dim, kind, labels and the basis shapes itself."""
     dim = _expect(data, "dim", int, "basis_set")
     kind = _expect(data, "kind", str, "basis_set")
     payload = _expect(data, "bases", list, "basis_set")
-    bases = tuple(matrix_from_json(u, dim) for u in payload)
-    labels = tuple(data.get("labels") or ())
-    bs = BasisSet(dim=dim, bases=bases, kind=kind, labels=labels)
+    if _require_int("n_bases", _expect(data, "n_bases", int, "basis_set"), 0) != len(payload):
+        raise ConfigError(f"basis_set: n_bases is {data['n_bases']} but {len(payload)} bases are given")
+    labels = _expect(data, "labels", list, "basis_set") if "labels" in data else []
+    bases = tuple(matrix_from_json(u) for u in payload)
+    bs = BasisSet(dim=dim, bases=bases, kind=kind, labels=tuple(labels))
     bs.validate()
     return bs
 
@@ -104,7 +107,7 @@ def state_to_json(state: QuantumState) -> dict:
 
 
 def state_from_json(data: dict) -> QuantumState:
-    dim = _expect(data, "dim", int, "state")
+    dim = _require_int("dim", _expect(data, "dim", int, "state"), 1)
     rho = matrix_from_json(_expect(data, "rho", list, "state"), dim)
     rank = data.get("declared_rank")
     return QuantumState(rho, declared_rank=rank)

@@ -30,7 +30,7 @@ restored post hoc as rho_hat = X_hat / Tr X_hat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,14 +46,10 @@ __all__ = [
     "estimate_trace_min",
     "estimate_max_likelihood",
     "feasibility",
-    "estimate",
 ]
-
-ESTIMATOR_KINDS = ("feasibility", "least_squares", "trace_min", "max_likelihood")
 
 _DEFAULT_TOL = {
     "least_squares": 1e-10,
-    "feasibility": 1e-10,
     "trace_min": 1e-8,
     "max_likelihood": 1e-7,
 }
@@ -65,31 +61,27 @@ _HELD_WINDOW = 7000
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """Solver configuration shared by all estimation programs.
+    """Solver configuration; the program is the function it is passed to.
 
-    convergence_tol of None selects the per-kind default (LS/feasibility
-    1e-10, trace_min 1e-8, max_likelihood 1e-7); for max_likelihood it
-    bounds the log-likelihood gap to the optimum.  noise_bound is required
-    by trace_min and feasibility when the record carries none.
+    tol(method) is convergence_tol or, if None, the program's default
+    (least_squares 1e-10, trace_min 1e-8, max_likelihood 1e-7); for
+    max_likelihood it bounds the log-likelihood gap to the optimum.
+    noise_bound is required by trace_min when the record carries none.
     """
 
-    kind: str = "least_squares"
     noise_bound: float | None = None
     max_iterations: int = 20000
     convergence_tol: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ESTIMATOR_KINDS:
-            raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}")
         if self.noise_bound is not None:
             _require_real("noise_bound", self.noise_bound, 0.0)
         _require_int("max_iterations", self.max_iterations, 1)
         if self.convergence_tol is not None:
             _require_real("convergence_tol", self.convergence_tol, 0.0, open_lo=True)
 
-    @property
-    def tol(self) -> float:
-        return self.convergence_tol if self.convergence_tol is not None else _DEFAULT_TOL[self.kind]
+    def tol(self, method: str) -> float:
+        return self.convergence_tol if self.convergence_tol is not None else _DEFAULT_TOL[method]
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +225,7 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
     noiseless solves of the test suite (6,715 iterations), so those end on
     the gate as before; longer tails exist (README, "Numerical notes").
     """
-    tol = spec.tol
+    tol = spec.tol("least_squares")
     lip = prob.norm_a**2
     held_since = None
 
@@ -270,9 +262,8 @@ def estimate_least_squares(
 ) -> EstimateResult:
     """Constrained least squares over the PSD cone (accelerated projected
     gradient, step 1/L with L = ||A||^2 = k, the number of bases)."""
-    spec = replace(spec, kind="least_squares") if spec else EstimatorSpec(kind="least_squares")
     prob = _Problem(povm, record)
-    x, it, trace, conv, reason = _least_squares(prob, spec)
+    x, it, trace, conv, reason = _least_squares(prob, spec or EstimatorSpec())
     return _result("least_squares", prob, x, it, conv, trace, reason)
 
 
@@ -289,7 +280,7 @@ def feasibility(
     Infeasible
         If the solver converges with residual above the target.
     """
-    spec = replace(spec, kind="feasibility") if spec else EstimatorSpec(kind="feasibility")
+    spec = spec or EstimatorSpec()
     eps = spec.noise_bound if spec.noise_bound is not None else record.noise_bound
     target = max(eps or 0.0, 1e-10)
     prob = _Problem(povm, record)
@@ -328,12 +319,12 @@ def estimate_trace_min(
         If no PSD matrix meets the ball constraint (diverging dual /
         residual distance that cannot close).
     """
-    spec = replace(spec, kind="trace_min") if spec else EstimatorSpec(kind="trace_min")
+    spec = spec or EstimatorSpec()
     eps = spec.noise_bound if spec.noise_bound is not None else record.noise_bound
     if eps is None:
         raise ValueError("trace_min requires a noise bound (spec or record)")
     prob = _Problem(povm, record)
-    tol = spec.tol
+    tol = spec.tol("trace_min")
     d = prob.d
     f = prob.f
     norm_a = prob.norm_a
@@ -386,7 +377,8 @@ def estimate_max_likelihood(
     gives ll* - ll(rho) <= lambda_max(R) - 1: the solver stops when that
     gap is at most tol.  objective_trace holds ll, non-decreasing.
     """
-    spec = replace(spec, kind="max_likelihood") if spec else EstimatorSpec(kind="max_likelihood")
+    spec = spec or EstimatorSpec()
+    tol = spec.tol("max_likelihood")
     if np.min(record.values) < 0:
         raise ValueError("max_likelihood requires nonnegative record entries")
     prob = _Problem(povm, record)
@@ -400,7 +392,7 @@ def estimate_max_likelihood(
         return w
 
     def gap_stop(it, x, ax, fx, chg, move):
-        if np.linalg.eigvalsh(-prob.adjoint(dphi(ax)))[-1] - 1.0 <= spec.tol:
+        if np.linalg.eigvalsh(-prob.adjoint(dphi(ax)))[-1] - 1.0 <= tol:
             return True, "duality_gap"
         return None
 
@@ -412,15 +404,3 @@ def estimate_max_likelihood(
     )
     return _result("max_likelihood", prob, x, it, conv, -np.asarray(trace), reason)
 
-
-_DISPATCH = {
-    "feasibility": feasibility,
-    "least_squares": estimate_least_squares,
-    "trace_min": estimate_trace_min,
-    "max_likelihood": estimate_max_likelihood,
-}
-
-
-def estimate(povm: PovmMap, record: MeasurementRecord, spec: EstimatorSpec) -> EstimateResult:
-    """Dispatch to the program named by spec.kind."""
-    return _DISPATCH[spec.kind](povm, record, spec)

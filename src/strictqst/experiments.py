@@ -210,18 +210,6 @@ class SweepResult:
                 return c
         raise KeyError(f"no cell for dim={dim} rank={rank}")
 
-    def onset_table(self) -> list[dict]:
-        return [
-            {
-                "dim": c.dim,
-                "rank": c.rank,
-                "basis_type": c.basis_type,
-                "onset": c.onset,
-                "n_states": c.errors.shape[1],
-            }
-            for c in self.cells
-        ]
-
 
 def _run_sweep_cell(args) -> SweepCell:
     config, dim, rank, seed_seq = args
@@ -237,7 +225,6 @@ def _run_sweep_cell(args) -> SweepCell:
     basis_mats: list[np.ndarray] = []
     rows: list[np.ndarray] = []
     stop_reasons: list[dict[str, int]] = []
-    spec = EstimatorSpec(kind="least_squares")
     for _ in range(config.max_bases):
         basis_mats.append(_draw_basis(dim, config.basis_type, rng))
         basis_set = BasisSet(dim=dim, bases=tuple(basis_mats), kind=config.basis_type)
@@ -246,7 +233,7 @@ def _run_sweep_cell(args) -> SweepCell:
         reasons: dict[str, int] = {}
         for s, state in enumerate(states):
             record = noiseless_record(povm, state)
-            result = estimate_least_squares(povm, record, spec)
+            result = estimate_least_squares(povm, record)
             reasons[result.stop_reason] = reasons.get(result.stop_reason, 0) + 1
             if rank == 1:
                 row[s] = infidelity(state, result.rho_hat)
@@ -399,7 +386,7 @@ def _run_protocol_target(args) -> tuple[dict[str, np.ndarray], dict[str, list[st
                 res = estimate_least_squares(povm, record)
             elif est == "trace_min":
                 eps = record.noise_bound if record.noise_bound is not None else 0.0
-                res = estimate_trace_min(povm, record, EstimatorSpec(kind="trace_min", noise_bound=eps))
+                res = estimate_trace_min(povm, record, EstimatorSpec(noise_bound=eps))
             else:
                 res = estimate_max_likelihood(povm, record)
             out[est][idx] = infidelity(target, res.rho_hat)

@@ -17,7 +17,6 @@ __all__ = [
     "require_hermitian",
     "hermitize",
     "psd_clip",
-    "psd_project",
     "signature",
 ]
 
@@ -52,8 +51,9 @@ def psd_clip(h: np.ndarray, unit_trace: bool = False) -> np.ndarray:
     exactly Hermitian h, without validation: one eigh, eigenvalues clipped
     at zero (or projected onto the probability simplex), an exactly
     Hermitian reconstruction from the eigenvectors whose clipped eigenvalue
-    is positive.  For solver inner loops whose iterates are Hermitian by
-    construction; everything else goes through psd_project."""
+    is positive.  The one PSD projection of the package: callers hold
+    matrices that are Hermitian by construction (solver iterates, outputs
+    of hermitize or require_hermitian)."""
     lam, v = np.linalg.eigh(h)
     if unit_trace:  # shift by the simplex threshold, then clip
         css = np.cumsum(lam[::-1]) - 1.0
@@ -63,30 +63,13 @@ def psd_clip(h: np.ndarray, unit_trace: bool = False) -> np.ndarray:
     return hermitize((v[:, p:] * lam[p:]) @ v[:, p:].conj().T)
 
 
-def psd_project(a: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest PSD matrix: clip negative eigenvalues to zero.
-
-    The result is returned exactly Hermitian.  Projection of an already-PSD
-    matrix reproduces it up to floating error.
-    """
-    return psd_clip(require_hermitian(a))
-
-
-def signature(a: np.ndarray, zero_tol: float | None = None) -> tuple[int, int]:
+def signature(a: np.ndarray) -> tuple[int, int]:
     """Counts (n_plus, n_minus) of strictly positive / negative eigenvalues.
 
-    Eigenvalues within [-zero_tol, zero_tol] count as zero.  The default
-    zero_tol is 1e-9 * ||a||_F, so the split is scale invariant.  An
-    explicit zero_tol must be finite and >= 0, and > 0 unless a is zero.
+    Eigenvalues within 1e-9 * ||a||_F of zero count as zero, so the split
+    is scale invariant and the zero matrix has signature (0, 0).
     """
-    if zero_tol is not None and not 0 <= zero_tol < np.inf:  # NaN fails too
-        raise ValueError(f"zero_tol must be a finite real >= 0, got {zero_tol!r}")
     h = require_hermitian(a)
-    if zero_tol is None:
-        zero_tol = 1e-9 * np.linalg.norm(h)
-    if zero_tol == 0 and np.linalg.norm(h) > 0:
-        raise ValueError("zero_tol must be positive")
+    cut = 1e-9 * np.linalg.norm(h)
     lam = np.linalg.eigvalsh(h)
-    n_plus = int(np.sum(lam > zero_tol))
-    n_minus = int(np.sum(lam < -zero_tol))
-    return n_plus, n_minus
+    return int(np.sum(lam > cut)), int(np.sum(lam < -cut))

@@ -10,10 +10,10 @@ Conventions
 -----------
 * Effect ordering is basis-major, outcome-minor: index mu = b*d + i refers
   to column i of basis b.  This ordering is part of the wire contract.
-* ``apply_map`` returns the weighted values Tr(X E_mu), which sum to Tr X.
-* Measurement records store per-basis conditional distributions: each
-  block of d entries sums to 1.  Records relate to the weighted map by a
-  factor k; estimators consume records directly on this scale.
+* Records and ``PovmMap.projector_values`` share one scale: unweighted
+  values <b_i|X|b_i>, k times Tr(X E_mu), so each block of d record
+  entries (a per-basis conditional distribution) sums to 1.  Estimators
+  consume records directly; only ``map_matrix`` carries the weight 1/k.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import hermitize, require_hermitian, signature
+from .linalg import hermitize, signature
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "MeasurementRecord",
     "KernelReport",
     "povm_from_bases",
-    "apply_map",
     "noiseless_record",
     "sample_record",
     "hermitian_operator_basis",
@@ -41,14 +40,15 @@ __all__ = [
 ]
 
 RECORD_KINDS = ("noiseless", "sampled", "synthetic")
+BASIS_KINDS = ("global", "local", "custom")
 
 
 @dataclass(frozen=True, eq=False)
 class BasisSet:
     """Ordered collection of orthonormal measurement bases.
 
-    bases[b] is a d x d unitary whose columns are the basis vectors.
-    labels carry provenance (generator kind, seed, index).
+    bases[b] is a d x d unitary whose columns are the basis vectors; kind
+    is one of BASIS_KINDS; labels are one provenance string per basis.
     """
 
     dim: int
@@ -57,6 +57,9 @@ class BasisSet:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        _require_int("dim", self.dim, 1)
+        if self.kind not in BASIS_KINDS:
+            raise ValueError(f"kind must be one of {BASIS_KINDS}, got {self.kind!r}")
         frozen = []
         for i, u in enumerate(self.bases):
             u = np.array(u, dtype=complex)
@@ -67,6 +70,8 @@ class BasisSet:
         object.__setattr__(self, "bases", tuple(frozen))
         if not self.labels:
             object.__setattr__(self, "labels", tuple(f"{self.kind}[{i}]" for i in range(len(frozen))))
+        elif len(self.labels) != len(frozen) or not all(isinstance(s, str) for s in self.labels):
+            raise ValueError(f"labels must be {len(frozen)} strings, one per basis, got {self.labels!r}")
 
     @property
     def n_bases(self) -> int:
@@ -115,10 +120,6 @@ class PovmMap:
         return self.basis_set.n_bases
 
     @property
-    def n_outcomes(self) -> int:
-        return self.n_bases * self.dim
-
-    @property
     def weight(self) -> float:
         return 1.0 / self.n_bases
 
@@ -149,23 +150,6 @@ def povm_from_bases(bases: BasisSet) -> PovmMap:
     return PovmMap(basis_set=bases)
 
 
-def apply_map(povm: PovmMap, x: np.ndarray) -> np.ndarray:
-    """Weighted measurement vector y_mu = Tr(X E_mu); sums to Tr X.
-
-    X must be Hermitian and match the POVM dimension.
-    """
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (povm.dim, povm.dim):
-        raise DimensionMismatch(f"matrix shape {x.shape} vs POVM dim {povm.dim}")
-    x = require_hermitian(x)
-    return povm.weight * povm.projector_values(x)
-
-
-def _state_matrix(state) -> np.ndarray:
-    """Accept either a QuantumState-like object (with .rho) or a bare matrix."""
-    return np.asarray(getattr(state, "rho", state), dtype=complex)
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementRecord:
     """Probability or frequency record of a basis-union measurement.
@@ -183,6 +167,8 @@ class MeasurementRecord:
     noise_bound: float | None = None
 
     def __post_init__(self):
+        _require_int("dim", self.dim, 1)
+        _require_int("n_bases", self.n_bases, 1)
         v = np.array(self.values, dtype=float).ravel()
         if v.size != self.dim * self.n_bases:
             raise DimensionMismatch(
@@ -233,11 +219,10 @@ def _require_real(name: str, value, lo: float, hi: float = np.inf, open_lo: bool
 
 
 def noiseless_record(povm: PovmMap, state) -> MeasurementRecord:
-    """Exact outcome distributions of a unit-trace state under every basis."""
-    rho = _state_matrix(state)
-    if rho.shape != (povm.dim, povm.dim):
-        raise DimensionMismatch(f"state dim {rho.shape[0]} vs POVM dim {povm.dim}")
-    p = povm.projector_values(require_hermitian(rho))
+    """Exact outcome distributions of a QuantumState under every basis."""
+    if state.dim != povm.dim:
+        raise DimensionMismatch(f"state dim {state.dim} vs POVM dim {povm.dim}")
+    p = povm.projector_values(state.rho)
     p = np.clip(p, 0.0, None).reshape(povm.n_bases, povm.dim)
     p /= p.sum(axis=1, keepdims=True)  # remove float drift; blocks sum to 1 exactly
     return MeasurementRecord(dim=povm.dim, n_bases=povm.n_bases, values=p.ravel(), kind="noiseless")
@@ -253,17 +238,14 @@ def sample_record(
     """Finite-shot record: independent multinomial draws per basis.
 
     Each basis gets ``shots_per_basis`` trials from its outcome
-    distribution; frequencies are counts/shots.  The attached noise bound
-    is the l2 concentration surrogate
+    distribution, all in one multinomial call (the draws of one call per
+    basis, in basis order); frequencies are counts/shots.  The attached
+    noise bound is the l2 concentration surrogate
     ``noise_scale * sqrt(n_bases * dim / shots_per_basis)``.
     """
     _require_int("shots_per_basis", shots_per_basis, 1)
     exact = noiseless_record(povm, state).blocks()
-    freqs = np.empty_like(exact)
-    for b in range(povm.n_bases):
-        pb = np.clip(exact[b], 0.0, None)
-        pb = pb / pb.sum()
-        freqs[b] = rng.multinomial(shots_per_basis, pb) / shots_per_basis
+    freqs = rng.multinomial(shots_per_basis, exact) / shots_per_basis
     bound = noise_scale * np.sqrt(povm.n_bases * povm.dim / shots_per_basis)
     return MeasurementRecord(
         dim=povm.dim,
@@ -367,23 +349,20 @@ class KernelReport:
 
     Only the kernel's dimension is kept, not a basis of it: the probes are
     drawn against the map's row space (see kernel_analysis).  The probe
-    test is one-sided: a witness falsifies the corresponding completeness
-    property, but the absence of witnesses certifies nothing.
+    test is one-sided: a witness (a read-only matrix) falsifies the
+    corresponding completeness property, but its absence certifies nothing.
     """
 
     kernel_dimension: int
     sampled_signatures: tuple[tuple[int, int], ...]
-    rank_target: int
     strict_witness: np.ndarray | None = None
     completeness_witness: np.ndarray | None = None
 
-    @property
-    def strict_falsified(self) -> bool:
-        return self.strict_witness is not None
 
-    @property
-    def completeness_falsified(self) -> bool:
-        return self.completeness_witness is not None
+def _read_only_copy(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 def kernel_analysis(
@@ -427,14 +406,14 @@ def kernel_analysis(
         for k_mat in _from_coordinates(g, d):
             n_plus, n_minus = signature(k_mat)
             signatures.append((n_plus, n_minus))
+            # a witness is a copy: a row view would keep every probe alive
             if strict_wit is None and min(n_plus, n_minus) <= r:
-                strict_wit = k_mat
+                strict_wit = _read_only_copy(k_mat)
             if complete_wit is None and max(n_plus, n_minus) <= r:
-                complete_wit = k_mat
+                complete_wit = _read_only_copy(k_mat)
     return KernelReport(
         kernel_dimension=kdim,
         sampled_signatures=tuple(signatures),
-        rank_target=r,
         strict_witness=strict_wit,
         completeness_witness=complete_wit,
     )

@@ -40,8 +40,8 @@ class QuantumState:
     rho : ndarray
         d x d Hermitian PSD matrix with unit trace.
     declared_rank : int, optional
-        If given, the number of eigenvalues above the rank cutoff must
-        equal it (checked at construction).
+        If given, an integer >= 1 that must equal the number of eigenvalues
+        above the rank cutoff (checked at construction).
     """
 
     rho: np.ndarray
@@ -57,6 +57,7 @@ class QuantumState:
         if abs(tr - 1.0) > DEFAULT.trace:
             raise ValueError(f"state trace {tr!r} deviates from 1 beyond {DEFAULT.trace:.1e}")
         if self.declared_rank is not None:
+            _require_int("declared_rank", self.declared_rank, 1)
             got = int(np.sum(lam > DEFAULT.rank_cut))
             if got != self.declared_rank:
                 raise ValueError(
@@ -82,9 +83,6 @@ class QuantumState:
     @property
     def is_pure(self) -> bool:
         return self.rank() == 1
-
-    def purity(self) -> float:
-        return float(np.sum(self._eigenvalues**2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from characteristic-polynomial companion roots, optima from scipy
 descent on a Cholesky parameterization, Kronecker products from explicit
-index loops, the map and its adjoint from per-basis loops, the map
-matrix and kernel basis from per-column and per-vector loops, the simplex
-shift by bisection.
+index loops, the map and its adjoint from per-basis loops, finite-shot
+frequencies from one multinomial draw per basis, the map matrix and
+kernel basis from per-column and per-vector loops, the simplex shift by
+bisection.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.optimize
 
-from strictqst.measurement import hermitian_operator_basis
+from strictqst.measurement import hermitian_operator_basis, noiseless_record
 
 
 def char_poly_coefficients(a: np.ndarray) -> np.ndarray:
@@ -65,6 +66,19 @@ def adjoint_projectors_loop(povm, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def sample_frequencies_loop(povm, state, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Finite-shot frequencies one basis at a time: each block of the exact
+    record clipped at zero, renormalised and drawn by its own multinomial
+    call, in basis order."""
+    exact = noiseless_record(povm, state).blocks()
+    freqs = np.empty_like(exact)
+    for b in range(povm.n_bases):
+        pb = np.clip(exact[b], 0.0, None)
+        pb = pb / pb.sum()
+        freqs[b] = rng.multinomial(shots, pb) / shots
+    return freqs.ravel()
+
+
 def simplex_shift(lam: np.ndarray) -> float:
     """theta with sum(max(lam - theta, 0)) = 1, by bisection (no sorting):
     clip(lam - theta, 0) is the Euclidean projection onto the simplex."""
@@ -83,7 +97,7 @@ def map_matrix_loop(povm) -> np.ndarray:
     projector_values of the j-th hermitian_operator_basis element."""
     d = povm.dim
     g = hermitian_operator_basis(d)
-    cols = np.empty((povm.n_outcomes, d * d))
+    cols = np.empty((povm.n_bases * d, d * d))
     for j in range(d * d):
         cols[:, j] = povm.projector_values(g[j])
     return povm.weight * cols

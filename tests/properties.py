@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from strictqst.estimators import estimate_max_likelihood
-from strictqst.linalg import psd_project
-from strictqst.measurement import apply_map, noiseless_record, povm_from_bases, sample_record
+from strictqst.linalg import psd_clip
+from strictqst.measurement import noiseless_record, povm_from_bases, sample_record
 from strictqst.quantum import global_random_bases, random_rank_r_state
 
 from oracles import random_hermitian
@@ -22,8 +22,8 @@ def projection_idempotence_violations(n_instances: int = 1000, seed: int = 1) ->
     bad = 0
     for _ in range(n_instances):
         d = int(rng.integers(2, 17))
-        p1 = psd_project(random_hermitian(d, rng))
-        if np.linalg.norm(psd_project(p1) - p1) > 1e-10 * max(1.0, np.linalg.norm(p1)):
+        p1 = psd_clip(random_hermitian(d, rng))
+        if np.linalg.norm(psd_clip(p1) - p1) > 1e-10 * max(1.0, np.linalg.norm(p1)):
             bad += 1
     return bad
 
@@ -34,7 +34,7 @@ def projection_contractivity_violations(n_instances: int = 1000, seed: int = 2) 
     for _ in range(n_instances):
         d = int(rng.integers(2, 17))
         a, b = random_hermitian(d, rng), random_hermitian(d, rng)
-        lhs = np.linalg.norm(psd_project(a) - psd_project(b))
+        lhs = np.linalg.norm(psd_clip(a) - psd_clip(b))
         rhs = np.linalg.norm(a - b)
         if lhs > rhs + 1e-12:
             bad += 1
@@ -50,8 +50,8 @@ def map_linearity_violations(n_instances: int = 1000, seed: int = 3) -> int:
         povm = povm_from_bases(global_random_bases(d, k, rng))
         x, y = random_hermitian(d, rng), random_hermitian(d, rng)
         alpha, beta = rng.standard_normal(2)
-        lhs = apply_map(povm, alpha * x + beta * y)
-        rhs = alpha * apply_map(povm, x) + beta * apply_map(povm, y)
+        lhs = povm.projector_values(alpha * x + beta * y)
+        rhs = alpha * povm.projector_values(x) + beta * povm.projector_values(y)
         if np.max(np.abs(lhs - rhs)) > 1e-10:
             bad += 1
     return bad
@@ -65,7 +65,8 @@ def map_trace_identity_violations(n_instances: int = 1000, seed: int = 4) -> int
         k = int(rng.integers(1, 5))
         povm = povm_from_bases(global_random_bases(d, k, rng))
         x = random_hermitian(d, rng)
-        if abs(apply_map(povm, x).sum() - np.trace(x).real) > 1e-10:
+        # the unweighted values sum to k Tr X: each basis resolves the identity
+        if abs(povm.projector_values(x).sum() - k * np.trace(x).real) > 1e-10:
             bad += 1
     return bad
 

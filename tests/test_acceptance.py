@@ -104,8 +104,8 @@ def test_criterion_3_program_equivalence(d11_onset):
     same state: mutual Frobenius distance <= 1e-4 over 10 random states."""
     master = np.random.SeedSequence(33)
     worst = 0.0
-    mle_spec = EstimatorSpec(kind="max_likelihood", max_iterations=150000)
-    tm_spec = EstimatorSpec(kind="trace_min", noise_bound=0.0)
+    mle_spec = EstimatorSpec(max_iterations=150000)
+    tm_spec = EstimatorSpec(noise_bound=0.0)
     for ss in master.spawn(10):
         rng = np.random.default_rng(ss)
         state = random_pure_state(11, rng)

@@ -13,7 +13,7 @@ from strictqst.experiments import NoisyProtocolConfig, SweepConfig, run_robustne
 from strictqst.cli import serialization as ser
 from strictqst.cli.plots import line_plot
 from strictqst.measurement import povm_from_bases
-from strictqst.quantum import QuantumState, random_pure_state
+from strictqst.quantum import QuantumState, random_pure_state, random_rank_r_state
 
 from oracles import kron_explicit
 
@@ -449,3 +449,38 @@ class TestSerializationRoundTrips:
         doc["rho"][0][0][0] = float("nan")
         with pytest.raises(NotHermitian):
             ser.state_from_json(json.loads(json.dumps(doc)))
+
+
+# (input file, changes to a valid file of that kind) rejected by its loader;
+# the valid files hold one basis in dimension 4, a rank-2 state and its record
+BAD_INPUT_FILES = [
+    ("bases", {"dim": True}),
+    ("bases", {"dim": True, "bases": [[[[1.0, 0.0]]]]}),  # a 1 x 1 basis passes the shape check
+    ("bases", {"n_bases": True}),
+    ("bases", {"n_bases": 7}),
+    ("bases", {"kind": "haar"}),
+    ("bases", {"labels": ["global[0]", "global[1]"]}),
+    ("bases", {"labels": [0]}),
+    ("bases", {"labels": "global"}),
+    ("state", {"dim": True}),
+    ("state", {"declared_rank": 2.0}),
+    ("record", {"dim": True}),
+    ("record", {"n_bases": True}),
+]
+
+
+@pytest.mark.parametrize("name, changes", BAD_INPUT_FILES, ids=_case_ids(BAD_INPUT_FILES))
+def test_malformed_input_file_exits_2(tmp_path, name, changes):
+    files = {key: tmp_path / f"{key}.json" for key in ("bases", "state", "record")}
+    run(["gen-bases", "--dim", 4, "--n-bases", 1, "--seed", 3, "--out", files["bases"]])
+    ser.dump_json(ser.state_to_json(random_rank_r_state(4, 2, np.random.default_rng(1))), files["state"])
+    run(["simulate", "--bases", files["bases"], "--state", files["state"], "--noiseless",
+         "--out", files["record"]])
+    files[name].write_text(json.dumps({**load(files[name]), **changes}))
+    if name == "record":
+        args = ["estimate", "--record", files["record"], "--bases", files["bases"], "--method", "ls"]
+    else:
+        args = ["simulate", "--bases", files["bases"], "--state", files["state"], "--noiseless"]
+    out = tmp_path / "out.json"
+    assert run(args + ["--out", out]) == 2
+    assert not out.exists()

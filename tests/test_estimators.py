@@ -3,10 +3,9 @@ import pytest
 
 from strictqst import estimators
 from strictqst.errors import Infeasible
-from strictqst.linalg import psd_project
+from strictqst.linalg import psd_clip
 from strictqst.estimators import (
     EstimatorSpec,
-    estimate,
     estimate_least_squares,
     estimate_max_likelihood,
     estimate_trace_min,
@@ -21,6 +20,7 @@ from strictqst.measurement import (
     sample_record,
 )
 from strictqst.quantum import (
+    QuantumState,
     StateModel,
     global_random_bases,
     infidelity,
@@ -35,13 +35,14 @@ import properties
 
 class TestEstimatorSpec:
     def test_defaults_per_kind(self):
-        assert EstimatorSpec(kind="least_squares").tol == 1e-10
-        assert EstimatorSpec(kind="trace_min").tol == 1e-8
-        assert EstimatorSpec(kind="max_likelihood").tol == 1e-7
+        spec = EstimatorSpec()
+        assert spec.tol("least_squares") == 1e-10
+        assert spec.tol("trace_min") == 1e-8
+        assert spec.tol("max_likelihood") == 1e-7
+        for method in ("least_squares", "trace_min", "max_likelihood"):
+            assert EstimatorSpec(convergence_tol=1e-3).tol(method) == 1e-3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EstimatorSpec(kind="ridge")
         with pytest.raises(ValueError):
             EstimatorSpec(noise_bound=-0.1)
         for bound in (np.nan, np.inf):
@@ -59,11 +60,6 @@ class TestEstimatorSpec:
                 with pytest.raises(ValueError, match=field):
                     EstimatorSpec(**{field: flag})
 
-    def test_dispatcher(self):
-        state, povm, rec = make_noiseless_problem(3, 4, seed=0)
-        res = estimate(povm, rec, EstimatorSpec(kind="least_squares"))
-        assert res.method == "least_squares"
-
 
 class TestLeastSquares:
     def test_reference_reconstruction(self):
@@ -76,7 +72,7 @@ class TestLeastSquares:
     def test_single_basis_feasible_point_reproduces_record(self, rng):
         d = 4
         povm = povm_from_bases(global_random_bases(d, 1, rng))
-        rec = noiseless_record(povm, np.eye(d, dtype=complex) / d)
+        rec = noiseless_record(povm, QuantumState(np.eye(d, dtype=complex) / d))
         res = estimate_least_squares(povm, rec)
         assert res.residual <= 1e-10
         assert np.allclose(povm.projector_values(res.X_hat), rec.values, atol=1e-9)
@@ -110,13 +106,13 @@ class TestLeastSquares:
             state = random_pure_state(d, gen)
             povm = povm_from_bases(global_random_bases(d, k, gen))
             rec = sample_record(povm, state, 400, gen)
-            spec = EstimatorSpec(kind="least_squares")
+            spec = EstimatorSpec()
             res = estimate_least_squares(povm, rec, spec)
             assert res.converged
             lip = povm.operator_norm() ** 2
             grad = povm.adjoint_projectors(povm.projector_values(res.X_hat) - rec.values)
-            pg = lip * np.linalg.norm(res.X_hat - psd_project(res.X_hat - grad / lip))
-            assert pg <= 10 * spec.tol * lip * max(1.0, np.linalg.norm(res.X_hat))
+            pg = lip * np.linalg.norm(res.X_hat - psd_clip(res.X_hat - grad / lip))
+            assert pg <= 10 * spec.tol("least_squares") * lip * max(1.0, np.linalg.norm(res.X_hat))
 
     def test_objective_trace_non_increasing(self):
         state, povm, rec = make_noiseless_problem(5, 3, seed=3)
@@ -151,14 +147,14 @@ class TestHeldCertificateExit:
         state = random_pure_state(16, np.random.default_rng(cell_seq.spawn(4)[2]))
         povm = povm_from_bases(global_random_bases(16, 4, bases_rng))
         rec = noiseless_record(povm, state)
-        spec = EstimatorSpec(kind="least_squares")
+        spec = EstimatorSpec()
         res = estimate_least_squares(povm, rec, spec)
         assert res.stop_reason == "projected_gradient_held" and res.converged
         assert res.iterations < spec.max_iterations
         lip = povm.operator_norm() ** 2
         grad = povm.adjoint_projectors(povm.projector_values(res.X_hat) - rec.values)
-        pg = lip * np.linalg.norm(res.X_hat - psd_project(res.X_hat - grad / lip))
-        assert pg <= 10 * spec.tol * lip * max(1.0, np.linalg.norm(res.X_hat))
+        pg = lip * np.linalg.norm(res.X_hat - psd_clip(res.X_hat - grad / lip))
+        assert pg <= 10 * spec.tol("least_squares") * lip * max(1.0, np.linalg.norm(res.X_hat))
 
     def test_lapsed_certificate_restarts_the_window(self, monkeypatch):
         # drive the stop directly: the exact state certifies (zero gradient),
@@ -195,15 +191,15 @@ class TestHeldCertificateExit:
 class TestTraceMin:
     def test_noiseless_recovers_state(self):
         state, povm, rec = make_noiseless_problem(11, 6, seed=7)
-        res = estimate_trace_min(povm, rec, EstimatorSpec(kind="trace_min", noise_bound=0.0))
+        res = estimate_trace_min(povm, rec, EstimatorSpec(noise_bound=0.0))
         assert infidelity(state, res.rho_hat) <= 1e-5
         assert res.converged
 
     def test_mixed_state_ic_unit_trace(self, rng):
         d = 3
         povm = povm_from_bases(global_random_bases(d, 4, rng))
-        rec = noiseless_record(povm, np.eye(d, dtype=complex) / d)
-        res = estimate_trace_min(povm, rec, EstimatorSpec(kind="trace_min", noise_bound=0.0))
+        rec = noiseless_record(povm, QuantumState(np.eye(d, dtype=complex) / d))
+        res = estimate_trace_min(povm, rec, EstimatorSpec(noise_bound=0.0))
         assert abs(np.trace(res.X_hat).real - 1.0) <= 1e-6
 
     def test_objective_matches_oracle(self):
@@ -213,14 +209,14 @@ class TestTraceMin:
         exact = noiseless_record(povm, state)
         rec = sample_record(povm, state, 2000, gen)
         eps = 1.1 * float(np.linalg.norm(rec.values - exact.values))
-        res = estimate_trace_min(povm, rec, EstimatorSpec(kind="trace_min", noise_bound=eps, convergence_tol=1e-10))
+        res = estimate_trace_min(povm, rec, EstimatorSpec(noise_bound=eps, convergence_tol=1e-10))
         oracle = trace_min_oracle(povm, rec.values, eps, seed=11)
         assert abs(np.trace(res.X_hat).real - np.trace(oracle).real) <= 1e-5
 
     def test_requires_noise_bound(self):
         state, povm, rec = make_noiseless_problem(3, 2, seed=0)
         with pytest.raises(ValueError):
-            estimate_trace_min(povm, rec, EstimatorSpec(kind="trace_min"))
+            estimate_trace_min(povm, rec, EstimatorSpec())
 
     def test_uses_record_noise_bound(self, rng):
         d = 4
@@ -236,7 +232,7 @@ class TestTraceMin:
         povm = povm_from_bases(global_random_bases(d, 3, rng))
         rec = sample_record(povm, random_pure_state(d, rng), 500, rng)
         with pytest.raises(Infeasible):
-            estimate_trace_min(povm, rec, EstimatorSpec(kind="trace_min", noise_bound=0.0, max_iterations=4000))
+            estimate_trace_min(povm, rec, EstimatorSpec(noise_bound=0.0, max_iterations=4000))
 
 
 class TestMaxLikelihood:
@@ -254,7 +250,7 @@ class TestMaxLikelihood:
         # infidelity in ~100 iterations, and 3e-5 stays the gate
         state, povm, rec = make_noiseless_problem(6, 5, seed=5)
         res = estimate_max_likelihood(
-            povm, rec, EstimatorSpec(kind="max_likelihood", max_iterations=150000)
+            povm, rec, EstimatorSpec(max_iterations=150000)
         )
         assert infidelity(state, res.rho_hat) <= 3e-5
 
@@ -284,7 +280,7 @@ class TestMaxLikelihood:
 
     def test_duality_gap_certificate(self):
         # ll* - ll(rho) <= lambda_max(R(rho)) - 1 at every converged result
-        spec = EstimatorSpec(kind="max_likelihood", max_iterations=2000)
+        spec = EstimatorSpec(max_iterations=2000)
         checked = 0
         for seed in range(6):
             gen = np.random.default_rng(seed)
@@ -299,7 +295,7 @@ class TestMaxLikelihood:
                 ft = rec.values / rec.values.sum()
                 q = povm.projector_values(res.X_hat)
                 w = np.where(ft > 0, ft / np.maximum(q, 1e-12), 0.0)
-                assert np.linalg.eigvalsh(povm.adjoint_projectors(w))[-1] - 1.0 <= spec.tol
+                assert np.linalg.eigvalsh(povm.adjoint_projectors(w))[-1] - 1.0 <= spec.tol("max_likelihood")
         assert checked >= 10
 
     def test_single_basis_protocol_target_converges(self):
@@ -392,7 +388,7 @@ class TestFeasibility:
     def test_huge_epsilon_returns_quickly(self):
         state, povm, rec = make_noiseless_problem(4, 2, seed=0)
         eps = 10.0 * float(np.linalg.norm(rec.values))
-        res = feasibility(povm, rec, EstimatorSpec(kind="feasibility", noise_bound=eps))
+        res = feasibility(povm, rec, EstimatorSpec(noise_bound=eps))
         assert res.residual <= eps
         assert res.iterations == 0
         lam = np.linalg.eigvalsh(res.X_hat)
@@ -409,7 +405,7 @@ class TestFeasibility:
         povm = povm_from_bases(global_random_bases(d, 3, rng))
         rec = sample_record(povm, random_pure_state(d, rng), 500, rng)
         with pytest.raises(Infeasible):
-            feasibility(povm, rec, EstimatorSpec(kind="feasibility", noise_bound=0.0))
+            feasibility(povm, rec, EstimatorSpec(noise_bound=0.0))
 
 
 class TestProgramEquivalence:
@@ -418,9 +414,9 @@ class TestProgramEquivalence:
         state, povm, rec = make_noiseless_problem(6, 5, seed=13)
         results = [
             estimate_least_squares(povm, rec),
-            estimate_trace_min(povm, rec, EstimatorSpec(kind="trace_min", noise_bound=0.0)),
+            estimate_trace_min(povm, rec, EstimatorSpec(noise_bound=0.0)),
             estimate_max_likelihood(
-                povm, rec, EstimatorSpec(kind="max_likelihood", max_iterations=150000)
+                povm, rec, EstimatorSpec(max_iterations=150000)
             ),
             feasibility(povm, rec),
         ]

@@ -47,8 +47,6 @@ class TestCompletenessSweep:
         assert cell.failure_counts[cell.onset - 1] == 0
         if cell.onset > 1:
             assert cell.failure_counts[cell.onset - 2] > 0
-        table = result.onset_table()
-        assert table[0]["onset"] == cell.onset and table[0]["dim"] == 5
 
     def test_deterministic(self):
         config = SweepConfig(dims=(4,), ranks=(1,), states_per_cell=3, max_bases=6, seed=9)
@@ -110,7 +108,7 @@ class TestCompletenessSweep:
 class TestMonotonicityInInformation:
     def test_noiseless_infidelity_never_increases_with_bases(self):
         # tight solver tolerance keeps the solver floor far below the slack
-        spec = EstimatorSpec(kind="least_squares", convergence_tol=1e-13, max_iterations=60000)
+        spec = EstimatorSpec(convergence_tol=1e-13, max_iterations=60000)
         for seed in (0, 2):
             gen = np.random.default_rng(seed)
             d = 6

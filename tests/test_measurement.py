@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from strictqst import measurement
-from strictqst.errors import DimensionMismatch, NotHermitian
+from strictqst.errors import DimensionMismatch
 from strictqst.linalg import signature
 from strictqst.measurement import (
     BasisSet,
     _from_coordinates,
     MeasurementRecord,
-    apply_map,
     hermitian_operator_basis,
     kernel_analysis,
     map_matrix,
@@ -26,6 +25,7 @@ from oracles import (
     map_matrix_loop,
     projector_values_loop,
     random_hermitian,
+    sample_frequencies_loop,
 )
 import properties
 
@@ -36,7 +36,7 @@ def computational_povm(d=2, k=1):
 
 def effects(povm):
     """Effect matrices E_mu = weight * A^dag(e_mu), in contract order."""
-    return [povm.weight * povm.adjoint_projectors(e) for e in np.eye(povm.n_outcomes)]
+    return [povm.weight * povm.adjoint_projectors(e) for e in np.eye(povm.n_bases * povm.dim)]
 
 
 def reference_povms():
@@ -130,35 +130,22 @@ class TestOperatorNorm:
             assert abs(k * sigma_max - np.sqrt(k)) <= 1e-12
 
 
-class TestApplyMap:
+class TestProjectorValues:
     def test_maximally_mixed_uniform(self, rng):
         d, k = 4, 3
         povm = povm_from_bases(global_random_bases(d, k, rng))
-        y = apply_map(povm, np.eye(d, dtype=complex) / d)
-        assert np.allclose(y, 1.0 / (k * d), atol=1e-12)
+        y = povm.projector_values(np.eye(d, dtype=complex) / d)
+        assert np.allclose(y, 1.0 / d, atol=1e-12)
 
     def test_computational_basis_state(self):
         povm = computational_povm()
         x = np.diag([1.0, 0.0]).astype(complex)
-        assert np.allclose(apply_map(povm, x), [1.0, 0.0], atol=1e-12)
+        assert np.allclose(povm.projector_values(x), [1.0, 0.0], atol=1e-12)
 
     def test_plus_state_symmetry(self):
         povm = computational_povm()
         plus = 0.5 * np.ones((2, 2), dtype=complex)
-        assert np.allclose(apply_map(povm, plus), [0.5, 0.5], atol=1e-12)
-
-    def test_dimension_mismatch(self, rng):
-        povm = povm_from_bases(global_random_bases(3, 1, rng))
-        with pytest.raises(DimensionMismatch):
-            apply_map(povm, np.eye(4, dtype=complex))
-
-    def test_rejects_non_finite_matrix(self, rng):
-        povm = povm_from_bases(global_random_bases(2, 1, rng))
-        for bad in (np.nan, np.inf):
-            x = np.eye(2, dtype=complex)
-            x[1, 1] = bad
-            with pytest.raises(NotHermitian):
-                apply_map(povm, x)
+        assert np.allclose(povm.projector_values(plus), [0.5, 0.5], atol=1e-12)
 
     def test_linearity_property(self):
         assert properties.map_linearity_violations(1000) == 0
@@ -209,6 +196,20 @@ class TestRecords:
         rec = sample_record(povm, random_pure_state(d, rng), shots, rng)
         assert rec.noise_bound == pytest.approx(1.5 * np.sqrt(k * d / shots))
 
+    def test_one_multinomial_call_matches_per_basis_loop(self):
+        # the same frequencies and the same generator state afterwards as one
+        # multinomial call per basis on the renormalised exact blocks
+        gen = np.random.default_rng(21)
+        for _ in range(60):
+            d, k, shots = int(gen.integers(2, 12)), int(gen.integers(1, 8)), int(gen.integers(1, 5001))
+            povm = povm_from_bases(global_random_bases(d, k, gen))
+            state = random_pure_state(d, gen)
+            seed = int(gen.integers(2**32))
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            rec = sample_record(povm, state, shots, rng)
+            assert np.array_equal(rec.values, sample_frequencies_loop(povm, state, shots, ref))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_multinomial_rate_property(self):
         assert properties.multinomial_consistency_violations() == 0
 
@@ -236,7 +237,7 @@ class TestRecords:
             # rejected before any draw, so the generator is not advanced
             before = rng.bit_generator.state
             with pytest.raises(ValueError, match="shots_per_basis"):
-                sample_record(povm, np.eye(2) / 2, shots, rng)
+                sample_record(povm, QuantumState(np.eye(2) / 2), shots, rng)
             assert rng.bit_generator.state == before
 
     def test_rejects_inf_record_without_warning(self):
@@ -272,7 +273,7 @@ class TestMapProducts:
 
     def test_adjoint_projectors_match_per_basis_loop(self, rng):
         for povm in reference_povms():
-            r = rng.standard_normal(povm.n_outcomes)
+            r = rng.standard_normal(povm.n_bases * povm.dim)
             out = povm.adjoint_projectors(r)
             assert np.max(np.abs(out - adjoint_projectors_loop(povm, r))) <= 1e-13
             assert np.array_equal(out, out.conj().T)
@@ -282,7 +283,7 @@ class TestMapProducts:
         for povm in reference_povms():
             for _ in range(5):
                 x = random_hermitian(povm.dim, rng)
-                r = rng.standard_normal(povm.n_outcomes)
+                r = rng.standard_normal(povm.n_bases * povm.dim)
                 lhs = povm.projector_values(x) @ r
                 rhs = np.trace(x @ povm.adjoint_projectors(r))
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -327,7 +328,7 @@ class TestKernelAnalysis:
         povm = povm_from_bases(global_random_bases(3, 4, rng))
         report = kernel_analysis(povm, r=1, n_probes=10, rng=rng)
         assert report.kernel_dimension == 0
-        assert not report.strict_falsified and not report.completeness_falsified
+        assert report.strict_witness is None and report.completeness_witness is None
 
     def test_single_qubit_basis_kernel(self, rng):
         # computational basis at d=2: kernel is span{sigma_x, sigma_y}, whose
@@ -357,7 +358,7 @@ class TestKernelAnalysis:
         assert all(w is not None for w in witnesses)
         for k_mat in witnesses:
             assert abs(np.trace(k_mat)) <= 1e-8
-            assert np.linalg.norm(apply_map(povm, k_mat)) <= 1e-8
+            assert np.linalg.norm(povm.projector_values(k_mat)) <= 1e-8
 
     def test_probe_finds_strictness_witness_when_kernel_is_shallow(self):
         # at d=4, k=2 some kernel elements have min(n+, n-) <= 1; the probes
@@ -367,13 +368,15 @@ class TestKernelAnalysis:
         povm = povm_from_bases(global_random_bases(4, 2, rng))
         replay = _replay(rng)
         report = kernel_analysis(povm, r=1, n_probes=400, rng=rng)
-        assert report.strict_falsified
         w = report.strict_witness
+        assert w is not None
+        # a read-only copy: a row view would pin all 400 probes, writably
+        assert w.base is None and not w.flags.writeable
         lam = np.linalg.eigvalsh(w)
         cut = 1e-9 * np.linalg.norm(w)
         assert min(int((lam > cut).sum()), int((lam < -cut).sum())) <= 1
         assert np.array_equal(w, w.conj().T)
-        assert np.linalg.norm(apply_map(povm, w)) <= 1e-10 * np.linalg.norm(w)
+        assert np.linalg.norm(povm.projector_values(w)) <= 1e-10 * np.linalg.norm(w)
         g = replay.standard_normal((400, 16))
         assert rng.bit_generator.state == replay.bit_generator.state
         i = next(n for n, sig in enumerate(report.sampled_signatures) if min(sig) <= 1)
@@ -401,7 +404,7 @@ class TestKernelAnalysis:
         rng = np.random.default_rng(5)
         povm = povm_from_bases(global_random_bases(11, 6, rng))
         report = kernel_analysis(povm, r=1, n_probes=100, rng=rng)
-        assert not report.strict_falsified
+        assert report.strict_witness is None
 
     def test_signatures_recorded_per_probe(self, rng):
         povm = povm_from_bases(global_random_bases(3, 1, rng))

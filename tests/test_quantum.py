@@ -67,7 +67,7 @@ class TestRandomStates:
         # Hilbert-Schmidt ensemble: E[Tr rho^2] = 2d/(d^2+1)
         rng = np.random.default_rng(77)
         d, n = 4, 10_000
-        purities = np.array([random_full_rank_state(d, rng).purity() for _ in range(n)])
+        purities = np.array([np.sum(random_full_rank_state(d, rng).eigenvalues ** 2) for _ in range(n)])
         se = purities.std(ddof=1) / np.sqrt(n)
         assert abs(purities.mean() - 2 * d / (d**2 + 1)) < 3 * se
 
