@@ -27,11 +27,18 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
+def _numbers(data, where: str) -> np.ndarray:
+    """data as a float array, checked to hold JSON numbers only: a string,
+    bool or null entry, or a list where a number belongs, is rejected
+    rather than coerced."""
+    arr = np.asarray(data, dtype=object)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in arr.flat):
+        raise ConfigError(f"{where}: entries must be JSON numbers")
+    return arr.astype(float)
+
+
 def matrix_from_json(data, expect_dim: int | None = None) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed matrix payload: {exc}") from exc
+    arr = _numbers(data, "matrix payload")
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise ConfigError(f"matrix payload has shape {arr.shape}, expected (d, d, 2)")
     if expect_dim is not None and arr.shape[0] != expect_dim:
@@ -130,12 +137,14 @@ def record_to_json(rec: MeasurementRecord) -> dict:
 def record_from_json(data: dict) -> MeasurementRecord:
     dim = _expect(data, "dim", int, "measurement_record")
     n_bases = _expect(data, "n_bases", int, "measurement_record")
-    values = _expect(data, "values", list, "measurement_record")
+    values = _numbers(_expect(data, "values", list, "measurement_record"), "measurement_record values")
+    if values.ndim != 1:
+        raise ConfigError(f"measurement_record: values must be a flat list, got shape {values.shape}")
     return MeasurementRecord(
         dim=dim,
         n_bases=n_bases,
-        values=np.asarray(values, dtype=float),
-        kind=data.get("kind", "noiseless"),
+        values=values,
+        kind=_expect(data, "kind", str, "measurement_record"),
         shots_per_basis=data.get("shots_per_basis"),
         noise_bound=data.get("noise_bound"),
     )

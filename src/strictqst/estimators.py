@@ -3,11 +3,14 @@
 Four programs over the cone of (unnormalized) PSD matrices:
 
 * ``estimate_least_squares``  - min 0.5 ||A[X] - f||_2^2  s.t. X >= 0,
-  by accelerated projected gradient with restart on nonmonotonicity and
-  step 1/L, where L = ||A||^2 = k exactly for k bases (the closed form in
-  ``PovmMap.operator_norm``).  A gate (objective change <= tol * f or step
-  <= 100 tol max(1, ||X||)) must open before the projected-gradient
-  certificate pg <= 10 tol L max(1, ||X||) is checked; without the gate,
+  by accelerated projected gradient with restart on nonmonotonicity.  The
+  step is 1/L along the identity, where L = ||A||^2 = k exactly for k bases
+  (the closed form in ``PovmMap.operator_norm``), and 1/L0 on traceless
+  matrices, where L0 = ``PovmMap.traceless_lipschitz`` <= k; the PSD
+  projection is taken in the same trace-weighted metric.  A gate
+  (objective change <= tol * f or step <= 100 tol max(1, ||X||)) must open
+  before the Euclidean projected-gradient certificate
+  pg <= 10 tol L max(1, ||X||) is checked; without the gate,
   noiseless solves stop early at 30-50x higher infidelities.  A second
   exit ends a solve once the certificate, checked every 100 iterations,
   has held across 7,000: on noiseless data f can fall towards 0 so slowly
@@ -17,7 +20,8 @@ Four programs over the cone of (unnormalized) PSD matrices:
   residual with a PSD eigenvalue clip plus dual updates.
 * ``estimate_max_likelihood`` - max sum_mu f_mu log q_mu(rho) over unit-trace
   PSD rho, by the same accelerated projected gradient with a backtracking
-  step, stopped when a certified log-likelihood gap is below tol.
+  step whose tests compare log-likelihoods in difference form, stopped
+  when a certified log-likelihood gap is below tol.
 * ``feasibility``             - find X >= 0 with ||A[X] - f|| <= eps,
   as least squares with an early exit at the target residual.
 
@@ -115,6 +119,7 @@ class _Problem:
         self.f = np.asarray(record.values, dtype=float)
         self.apply = povm.projector_values
         self.adjoint = povm.adjoint_projectors
+        self.povm = povm
         self.norm_a = povm.operator_norm()
 
     def residual(self, x: np.ndarray) -> float:
@@ -142,38 +147,52 @@ def _result(method, prob, x, iterations, converged, trace, reason="") -> Estimat
     )
 
 
-def _fista(d, max_iterations, apply, adjoint, phi, dphi, project, lip, stop, backtrack=False):
+def _fro(x: np.ndarray) -> float:
+    """Frobenius norm of a complex matrix, one BLAS dot."""
+    return float(np.sqrt(np.vdot(x, x).real))
+
+
+def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, change=None):
     """Accelerated projected gradient with function-value restart, from I/d,
-    on phi(A[X]): steps x+ = project(p - adjoint(dphi(A[p])) / lip).
+    on phi(A[X]): steps x+ = descend(p, adjoint(dphi(A[p])), lip), a
+    projected gradient step of length about 1/lip.
 
     Iterates carry their image ax = A[x]; the momentum point's image follows
     by linearity, so a trial step costs one adjoint, one projection and one
     apply.  The trial image is A[p] + A[x+ - p], so objective changes near
     the optimum are not lost to the rounding of two separately mapped
-    images.  lip is fixed unless backtrack: then it is halved before each
-    step and doubled until the sufficient-decrease test holds.  The
-    recorded objective is non-increasing: a momentum step that raises it is
-    replaced by a plain step from the last iterate.  stop(it, x, ax, fx,
-    chg, move) returns (converged, stop_reason) to end the run, or None; it
-    is first asked before any step, with chg = move = inf.
+    images.  Without change, lip is fixed and objective values are phi of
+    each image.  With change(a, delta) = phi(a + delta) - phi(a), computed
+    without the cancellation of two phi values, the recorded objective
+    follows the accepted changes from phi(A[I/d]), and lip backtracks: it is
+    halved before each step and doubled until change <= <g, dx> + lip/2
+    ||dx||^2.  The recorded objective is non-increasing: a momentum step
+    that raises it is replaced by a plain step from the last iterate.
+    stop(it, x, ax, fx, chg, move) returns (converged, stop_reason) to end
+    the run, or None; it is first asked before any step, with
+    chg = move = inf.
     Returns (X, iterations, objective_trace, converged, stop_reason).
     """
 
-    def step(p, ap, fp):
+    def step(p, ap):
         nonlocal lip
         g = adjoint(dphi(ap))
-        if backtrack:
+        if change:
             lip *= 0.5
         while True:
-            xn = project(p - g / lip)
-            axn = ap + apply(xn - p)
-            fn = phi(axn)
-            if not backtrack:
-                return xn, axn, fn
+            xn = descend(p, g, lip)
             dx = xn - p
-            if fn - fp <= np.vdot(g, dx).real + 0.5 * lip * np.vdot(dx, dx).real:
-                return xn, axn, fn
+            dax = apply(dx)
+            if not change or change(ap, dax) <= np.vdot(g, dx).real + 0.5 * lip * np.vdot(dx, dx).real:
+                return xn, ap + dax
             lip *= 2.0
+
+    def rise(axn):  # (phi(axn), phi(axn) - phi(ax))
+        if not change:
+            fn = phi(axn)
+            return fn, fn - fx
+        up = change(ax, axn - ax)
+        return fx + up, up
 
     y = x = np.eye(d, dtype=complex) / d
     ay = ax = apply(x)
@@ -184,18 +203,20 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, project, lip, stop, bac
     it = 0
     while not done and it < max_iterations:
         it += 1
-        xn, axn, fn = step(y, ay, phi(ay) if backtrack else None)
-        if fn > fx:
+        xn, axn = step(y, ay)
+        fn, up = rise(axn)
+        if up > 0:
             # restart: drop momentum, plain gradient step from x
             t = 1.0
-            xn, axn, fn = step(x, ax, fx)
-            if backtrack and fn > fx:  # a rounding-level step: keep x
+            xn, axn = step(x, ax)
+            fn, up = rise(axn)
+            if change and up > 0:  # a rounding-level step: keep x
                 xn, axn, fn = x, ax, fx
         tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / tn
         y = xn + beta * (xn - x)
         ay = axn + beta * (axn - ax)
-        move = float(np.linalg.norm(xn - x))
+        move = _fro(xn - x)
         chg = fx - fn
         x, ax, fx, t = xn, axn, fn, tn
         trace.append(fx)
@@ -204,10 +225,18 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, project, lip, stop, bac
 
 
 def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
-    """_fista on 0.5 ||A[X] - f||^2 over the PSD cone, step 1/L with
-    L = ||A||^2.
+    """_fista on 0.5 ||A[X] - f||^2 over the PSD cone.
 
-    The default stop has two exits, both on the projected-gradient
+    A^dag A is L = ||A||^2 = k on the identity and at most L0 =
+    PovmMap.traceless_lipschitz on traceless matrices, and L0 is well below
+    k for random bases (about 1.7 against k = 4 or 5 at d = 32).  So the
+    step is taken in the metric M = L0 on traceless matrices plus k on I,
+    which majorises A^dag A: h = p - g/L0 + (1/L0 - 1/k) (tr g / d) I, then
+    the nearest PSD matrix to h in the same metric, psd_clip with
+    trace_weight (k/L0 - 1)/d.  At L0 = k (one basis, or a repeated one)
+    this is the plain step 1/k.
+
+    The default stop has two exits, both on the Euclidean projected-gradient
     certificate pg = L ||X - clip(X - grad / L)|| <= 10 tol L max(1, ||X||):
 
     * "projected_gradient": the gate (objective change <= tol * f or step
@@ -222,24 +251,33 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
     limit point: after it first holds, X can keep moving for thousands of
     iterations before the step gate opens, and the held exit stops such a
     solve early.  The window exceeds the longest of these tails among the
-    noiseless solves of the test suite (6,715 iterations), so those end on
+    noiseless solves of the test suite (4,315 iterations), so those end on
     the gate as before; longer tails exist (README, "Numerical notes").
     """
     tol = spec.tol("least_squares")
     lip = prob.norm_a**2
+    lip0 = prob.povm.traceless_lipschitz
+    shift = 1.0 / lip0 - 1.0 / lip
+    weight = (lip / lip0 - 1.0) / prob.d
     held_since = None
 
     def dphi(ax):
         return ax - prob.f
 
+    def descend(p, g, l0):
+        h = p - g / l0
+        if shift:
+            h.flat[:: prob.d + 1] += shift * np.trace(g).real / prob.d
+        return psd_clip(h, trace_weight=weight)
+
     def pg_stop(it, x, ax, fx, chg, move):
         nonlocal held_since
-        scale = max(1.0, float(np.linalg.norm(x)))
+        scale = max(1.0, _fro(x))
         gate = (0 <= chg <= tol * max(fx, 1e-30)) or move <= 100 * tol * scale
         check = it % _HELD_CHECK_EVERY == 0
         if not (gate or check):
             return None
-        pg = lip * float(np.linalg.norm(x - psd_clip(x - prob.adjoint(dphi(ax)) / lip)))
+        pg = lip * _fro(x - psd_clip(x - prob.adjoint(dphi(ax)) / lip))
         held = pg <= 10 * tol * lip * scale
         if gate and held:
             return True, "projected_gradient"
@@ -254,14 +292,15 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
 
     return _fista(prob.d, spec.max_iterations, prob.apply, prob.adjoint,
                   lambda ax: 0.5 * float(np.linalg.norm(dphi(ax))) ** 2, dphi,
-                  psd_clip, lip, stop or pg_stop)
+                  descend, lip0, stop or pg_stop)
 
 
 def estimate_least_squares(
     povm: PovmMap, record: MeasurementRecord, spec: EstimatorSpec | None = None
 ) -> EstimateResult:
     """Constrained least squares over the PSD cone (accelerated projected
-    gradient, step 1/L with L = ||A||^2 = k, the number of bases)."""
+    gradient, step 1/k on the identity and 1/L0 on traceless matrices; see
+    _least_squares)."""
     prob = _Problem(povm, record)
     x, it, trace, conv, reason = _least_squares(prob, spec or EstimatorSpec())
     return _result("least_squares", prob, x, it, conv, trace, reason)
@@ -349,13 +388,13 @@ def estimate_trace_min(
         u_new = v - sigma * ball_project(v / sigma)
         xn = psd_clip(x - tau * (prob.adjoint(u_new) + eye))
         x_bar = 2.0 * xn - x
-        rp = float(np.linalg.norm(xn - x)) / tau
+        rp = _fro(xn - x) / tau
         rd = float(np.linalg.norm(u_new - u)) / sigma
         x, u = xn, u_new
         trace.append(float(np.trace(x).real))
         if np.linalg.norm(u) > 1e12:
             raise Infeasible("dual variable diverged; data ball unreachable from the PSD cone")
-        if max(rp, rd) < tol * max(1.0, float(np.linalg.norm(x))) * norm_a:
+        if max(rp, rd) < tol * max(1.0, _fro(x)) * norm_a:
             converged = True
             break
     gap = prob.residual(x) - eps
@@ -375,7 +414,10 @@ def estimate_max_likelihood(
     for unit-sum frequencies f; q_mu of observed outcomes is floored at
     1e-12.  ll has gradient R = sum_mu (f_mu / q_mu) Pi_mu, and concavity
     gives ll* - ll(rho) <= lambda_max(R) - 1: the solver stops when that
-    gap is at most tol.  objective_trace holds ll, non-decreasing.
+    gap is at most tol.  The backtracking and restart tests take each change
+    of ll as -sum_mu f_mu log1p(delta_mu / q_mu), delta being the mapped
+    step, so they stay exact where ll itself stops changing in float64.
+    objective_trace holds ll, non-decreasing, accumulated from those changes.
     """
     spec = spec or EstimatorSpec()
     tol = spec.tol("max_likelihood")
@@ -396,11 +438,16 @@ def estimate_max_likelihood(
             return True, "duality_gap"
         return None
 
+    def change(a, delta):  # phi(a + delta) - phi(a), floors included
+        a, delta = a[mask], delta[mask]
+        af = np.maximum(a, 1e-12)
+        return -float(fm @ np.log1p(np.maximum(a - af + delta, 1e-12 - af) / af))
+
     x, it, trace, conv, reason = _fista(
         prob.d, spec.max_iterations, prob.apply, prob.adjoint,
         lambda ax: -float(fm @ np.log(np.maximum(ax[mask], 1e-12))), dphi,
-        lambda h: psd_clip(h, unit_trace=True),
-        1.0, gap_stop, backtrack=True,
+        lambda p, g, lip: psd_clip(p - g / lip, unit_trace=True),
+        1.0, gap_stop, change,
     )
     return _result("max_likelihood", prob, x, it, conv, -np.asarray(trace), reason)
 

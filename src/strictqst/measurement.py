@@ -19,6 +19,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -103,11 +104,13 @@ class PovmMap:
 
     basis_set: BasisSet
     _u: np.ndarray = field(init=False, repr=False)
-    _uh: np.ndarray = field(init=False, repr=False)
+    _uc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         u = np.concatenate(self.basis_set.bases, axis=1)  # column b*d + i is |b_i>
-        for name, a in (("_u", u), ("_uh", u.conj().T.copy())):
+        # conj(U), contiguous for the elementwise product of projector_values;
+        # the adjoint reads U^dag as its transpose view
+        for name, a in (("_u", u), ("_uc", u.conj())):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -126,12 +129,12 @@ class PovmMap:
     def projector_values(self, x: np.ndarray) -> np.ndarray:
         """Unweighted values <b_i|X|b_i> as a flat length-m real vector:
         the column sums of Re(conj(U) * XU), one matrix product."""
-        return (self._uh.T * (x @ self._u)).real.sum(axis=0)
+        return (self._uc * (x @ self._u)).real.sum(axis=0)
 
     def adjoint_projectors(self, r: np.ndarray) -> np.ndarray:
         """Adjoint of projector_values: sum_mu r_mu |b_i><b_i| = U diag(r) U^dag
         (Hermitian), one matrix product."""
-        return hermitize((self._u * r) @ self._uh)
+        return hermitize((self._u * r) @ self._uc.T)
 
     def operator_norm(self) -> float:
         """Spectral norm of the unweighted projector map, sqrt(n_bases).
@@ -140,6 +143,24 @@ class PovmMap:
         an orthogonal projection that fixes I, so ||A^dag A|| = n_bases.
         """
         return float(np.sqrt(self.n_bases))
+
+    @cached_property
+    def traceless_lipschitz(self) -> float:
+        """L0 = ||A^dag A|| on traceless Hermitian matrices, rounded up.
+
+        A^dag A fixes the identity with eigenvalue n_bases and maps traceless
+        matrices to traceless ones, so it splits as n_bases on I plus a
+        traceless block.  Its nonzero spectrum is that of A A^dag =
+        |U^dag U|^2 (entrywise), whose all-ones eigenvector is the image of
+        I; subtracting J/d removes that eigenvalue, so L0 is the largest
+        eigenvalue of |U^dag U|^2 - J/d: one kd x kd eigvalsh.  L0 <= n_bases,
+        with equality at one basis or a repeated basis, and L0 >= 1 for d >= 2
+        (one pinching already reaches 1); d = 1 has no traceless part and
+        reads 1.
+        """
+        g = np.abs(self._uc.T @ self._u) ** 2 - 1.0 / self.dim
+        lam = float(np.linalg.eigvalsh(g)[-1])
+        return float(np.clip(lam + 1e-12 * self.n_bases, 1.0, self.n_bases))
 
 
 def povm_from_bases(bases: BasisSet) -> PovmMap:

@@ -6,7 +6,7 @@ descent on a Cholesky parameterization, Kronecker products from explicit
 index loops, the map and its adjoint from per-basis loops, finite-shot
 frequencies from one multinomial draw per basis, the map matrix and
 kernel basis from per-column and per-vector loops, the simplex shift by
-bisection.
+bisection, the trace-weighted shift by a grid search.
 """
 
 from __future__ import annotations
@@ -89,6 +89,21 @@ def simplex_shift(lam: np.ndarray) -> float:
             lo = mid
         else:
             hi = mid
+    return 0.5 * (lo + hi)
+
+
+def trace_weighted_shift(lam: np.ndarray, c: float) -> float:
+    """mu minimising ||Z - h||^2 + c tr(Z - h)^2 over Z = clip(h - mu I), for
+    h with eigenvalues lam, by brute-force search: Z - h has eigenvalues
+    -min(lam, mu), so the objective is sum(min(lam, mu)^2) + c sum(min(lam,
+    mu))^2, evaluated on a grid that is refined six times around its best
+    point (no sorting, no closed form)."""
+    lo, hi = min(float(lam.min()), 0.0) - 1.0, max(float(lam.max()), 0.0) + 1.0
+    for _ in range(6):
+        mus = np.linspace(lo, hi, 2001)
+        m = np.minimum(lam[None, :], mus[:, None])
+        best = int(np.argmin((m**2).sum(axis=1) + c * m.sum(axis=1) ** 2))
+        lo, hi = mus[max(best - 2, 0)], mus[min(best + 2, mus.size - 1)]
     return 0.5 * (lo + hi)
 
 

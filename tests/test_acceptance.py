@@ -41,6 +41,13 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
+def held_exits(sweep) -> int:
+    """Least-squares solves of a sweep that ended on the held-certificate
+    exit; the held window is meant to be longer than every converged tail
+    of these fixtures, so each of their solves ends on the gate."""
+    return sum(r.get("projected_gradient_held", 0) for c in sweep.cells for r in c.stop_reasons)
+
+
 @pytest.fixture(scope="module")
 def rank1_sweep_global():
     return run_completeness_sweep(
@@ -82,6 +89,7 @@ def test_criterion_1_rank1_onsets(rank1_sweep_global, rank1_sweep_local):
     ok = all(o is not None and abs(o - PAPER_RANK1_ONSET) <= 1 for o in onsets.values())
     detail = ", ".join(f"{k}: {v}" for k, v in onsets.items()) + f" (expected {PAPER_RANK1_ONSET} +- 1)"
     assert report("1 (rank-1 onsets)", ok, detail)
+    assert held_exits(rank1_sweep_global) == held_exits(rank1_sweep_local) == 0
 
 
 def test_criterion_2_higher_rank_onsets():
@@ -97,6 +105,7 @@ def test_criterion_2_higher_rank_onsets():
         f"rank {r}: {onsets[r]} (expected {PAPER_D11_ONSETS[r]} +- 1)" for r in (2, 3)
     )
     assert report("2 (rank-2/3 onsets)", ok, detail)
+    assert held_exits(result) == 0
 
 
 def test_criterion_3_program_equivalence(d11_onset):

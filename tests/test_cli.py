@@ -466,6 +466,11 @@ BAD_INPUT_FILES = [
     ("state", {"declared_rank": 2.0}),
     ("record", {"dim": True}),
     ("record", {"n_bases": True}),
+    ("record", {"values": ["0.25", "0.25", "0.25", "0.25"]}),
+    ("record", {"values": [[0.25], [0.25], [0.25], [0.25]]}),
+    ("record", {"kind": MISSING}),
+    # the maximally mixed state, written with string entries
+    ("state", {"declared_rank": 4, "rho": [[["0.25" if i == j else "0", "0"] for j in range(4)] for i in range(4)]}),
 ]
 
 
@@ -476,7 +481,8 @@ def test_malformed_input_file_exits_2(tmp_path, name, changes):
     ser.dump_json(ser.state_to_json(random_rank_r_state(4, 2, np.random.default_rng(1))), files["state"])
     run(["simulate", "--bases", files["bases"], "--state", files["state"], "--noiseless",
          "--out", files["record"]])
-    files[name].write_text(json.dumps({**load(files[name]), **changes}))
+    doc = {**load(files[name]), **changes}
+    files[name].write_text(json.dumps({key: value for key, value in doc.items() if value is not MISSING}))
     if name == "record":
         args = ["estimate", "--record", files["record"], "--bases", files["bases"], "--method", "ls"]
     else:

@@ -358,9 +358,9 @@ class TestProjectedGradientCore:
             events.append("P")
             return pv(self, x)
 
-        def counted_clip(h, unit_trace=False):
+        def counted_clip(h, **kw):
             events.append("C")
-            return clip(h, unit_trace)
+            return clip(h, **kw)
 
         monkeypatch.setattr(PovmMap, "projector_values", counted_pv)
         monkeypatch.setattr(estimators, "psd_clip", counted_clip)

@@ -7,7 +7,13 @@ from strictqst.errors import NotHermitian
 from strictqst.linalg import hermitize, psd_clip, require_hermitian, signature
 from strictqst.quantum import QuantumState
 
-from oracles import char_poly_eigenvalues, psd_projection_oracle, random_hermitian, simplex_shift
+from oracles import (
+    char_poly_eigenvalues,
+    psd_projection_oracle,
+    random_hermitian,
+    simplex_shift,
+    trace_weighted_shift,
+)
 import properties
 
 
@@ -100,6 +106,50 @@ class TestPsdClip:
                     out = psd_clip(h, unit_trace=unit_trace)
                     assert np.max(np.abs(out - full)) <= 1e-14
                     assert np.array_equal(out, out.conj().T)
+
+    def test_trace_weighted_matches_shift_oracle(self, rng):
+        # h = V diag(lam) V^dag with a known spectrum; the weights span the
+        # solver's (k/L0 - 1)/d range and beyond; the spectra include one
+        # that is all negative (Z = 0) and one that is PSD (Z = h)
+        for d in (1, 2, 5, 12):
+            for c in (1e-3, 0.1, 1.0, 30.0):
+                for shape in ("mixed", "negative", "positive"):
+                    lam = rng.standard_normal(d)
+                    lam = {"mixed": lam, "negative": -np.abs(lam) - 0.1, "positive": np.abs(lam)}[shape]
+                    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+                    h = hermitize((q * lam) @ q.conj().T)
+                    mu = trace_weighted_shift(lam, c)
+                    out = psd_clip(h, trace_weight=c)
+                    want = (q * np.clip(lam - mu, 0.0, None)) @ q.conj().T
+                    # a search on objective values finds mu to about sqrt(eps)
+                    assert np.max(np.abs(out - want)) <= 1e-7
+                    assert np.array_equal(out, out.conj().T)
+                    # KKT: Z = clip(h - mu I) with mu = c tr(Z - h)
+                    mu_kkt = c * np.trace(out - h).real
+                    assert np.max(np.abs(psd_clip(h - mu_kkt * np.eye(d)) - out)) <= 1e-12
+                    if out.any():  # then mu is unique
+                        assert abs(mu_kkt - mu) <= 1e-7 * max(1.0, abs(mu))
+                    else:  # every mu >= max(lam) gives Z = 0
+                        assert mu_kkt >= lam.max()
+                    assert out.any() == (shape != "negative") or shape == "mixed"
+                    if shape == "positive":
+                        assert abs(mu_kkt) <= 1e-12
+
+    def test_trace_weighted_beats_psd_neighbours(self, rng):
+        # optimality against feasible competitors: the plain clip and PSD
+        # perturbations of the answer
+        c = 0.2
+        for d in (3, 8):
+            h = random_hermitian(d, rng)
+            out = psd_clip(h, trace_weight=c)
+
+            def dist(z):
+                return np.linalg.norm(z - h) ** 2 + c * np.trace(z - h).real ** 2
+
+            assert dist(out) <= dist(psd_clip(h)) + 1e-12
+            for _ in range(20):
+                w = 0.05 * random_hermitian(d, rng)
+                assert dist(out) <= dist(psd_clip(out + w)) + 1e-12
 
 
 class TestSignature:

@@ -129,6 +129,29 @@ class TestOperatorNorm:
             sigma_max = np.linalg.svd(map_matrix(povm), compute_uv=False)[0]
             assert abs(k * sigma_max - np.sqrt(k)) <= 1e-12
 
+    def test_traceless_lipschitz_matches_map_matrix(self, rng):
+        # column 0 of map_matrix is the identity direction; the rest span
+        # the traceless matrices, and k * sigma_max of them is ||A|| there
+        one = global_random_bases(4, 1, rng).bases[0]
+        cases = [
+            (global_random_bases(5, 3, rng), None),
+            (global_random_bases(8, 6, rng), None),
+            (local_random_bases(3, 4, rng), None),
+            (global_random_bases(6, 1, rng), 1.0),
+            (BasisSet(dim=4, bases=(one, one)), 2.0),
+        ]
+        for bases, exact in cases:
+            povm = povm_from_bases(bases)
+            k = povm.n_bases
+            sigma_max = np.linalg.svd(map_matrix(povm)[:, 1:], compute_uv=False)[0]
+            want = (k * sigma_max) ** 2
+            got = povm.traceless_lipschitz
+            assert want - 1e-12 <= got <= min(want + 1e-10, k)
+            if exact is not None:
+                assert got == exact
+            else:
+                assert got < k - 0.1
+
 
 class TestProjectorValues:
     def test_maximally_mixed_uniform(self, rng):
