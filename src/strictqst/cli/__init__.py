@@ -38,6 +38,7 @@ from ..estimators import (
 from ..experiments import (
     NoisyProtocolConfig,
     SweepConfig,
+    _require_power_of_two,
     run_completeness_sweep,
     run_noisy_protocol,
     run_robustness_scan,
@@ -164,10 +165,8 @@ def _onset_svg_from_csv(csv_path: Path) -> str:
 def _cmd_gen_bases(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.type == "local":
-        n = int(round(np.log2(args.dim)))
-        if 2**n != args.dim:
-            raise ConfigError(f"--type local needs a power-of-two dimension, got {args.dim}")
-        bs = local_random_bases(n, args.n_bases, rng, seed_label=str(args.seed))
+        bs = local_random_bases(_require_power_of_two(args.dim), args.n_bases, rng,
+                                seed_label=str(args.seed))
     else:
         bs = global_random_bases(args.dim, args.n_bases, rng, seed_label=str(args.seed))
     ser.dump_json(ser.basis_set_to_json(bs, seed=args.seed), Path(args.out))

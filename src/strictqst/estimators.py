@@ -6,8 +6,8 @@ Four programs over the cone of (unnormalized) PSD matrices:
   by accelerated projected gradient with restart on nonmonotonicity.  The
   step is 1/L along the identity, where L = ||A||^2 = k exactly for k bases
   (the closed form in ``PovmMap.operator_norm``), and 1/L0 on traceless
-  matrices, where L0 = ``PovmMap.traceless_lipschitz`` <= k; the PSD
-  projection is taken in the same trace-weighted metric.  A gate
+  matrices, where L0 = ``PovmMap.traceless_lipschitz`` <= k: one
+  ``psd_clip`` of P - G/L0 with its trace anchored at tr P.  A gate
   (objective change <= tol * f or step <= 100 tol max(1, ||X||)) must open
   before the Euclidean projected-gradient certificate
   pg <= 10 tol L max(1, ||X||) is checked; without the gate,
@@ -231,10 +231,11 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
     PovmMap.traceless_lipschitz on traceless matrices, and L0 is well below
     k for random bases (about 1.7 against k = 4 or 5 at d = 32).  So the
     step is taken in the metric M = L0 on traceless matrices plus k on I,
-    which majorises A^dag A: h = p - g/L0 + (1/L0 - 1/k) (tr g / d) I, then
-    the nearest PSD matrix to h in the same metric, psd_clip with
-    trace_weight (k/L0 - 1)/d.  At L0 = k (one basis, or a repeated one)
-    this is the plain step 1/k.
+    which majorises A^dag A.  The PSD minimiser of <G, Z - P> + 1/2 <Z - P,
+    M (Z - P)> is the anchored-penalty step: the PSD Z minimising
+    ||Z - (P - G/L0)||^2 + c (tr Z - tr P)^2 with c = (k/L0 - 1)/d, one
+    psd_clip(P - G/L0, tr P, c).  At L0 = k (one basis, or a repeated one)
+    c = 0 and this is the plain step 1/k.
 
     The default stop has two exits, both on the Euclidean projected-gradient
     certificate pg = L ||X - clip(X - grad / L)|| <= 10 tol L max(1, ||X||):
@@ -257,18 +258,14 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
     tol = spec.tol("least_squares")
     lip = prob.norm_a**2
     lip0 = prob.povm.traceless_lipschitz
-    shift = 1.0 / lip0 - 1.0 / lip
-    weight = (lip / lip0 - 1.0) / prob.d
+    weight = max(lip / lip0 - 1.0, 0.0) / prob.d  # sqrt(k)**2 can round below L0 = k
     held_since = None
 
     def dphi(ax):
         return ax - prob.f
 
     def descend(p, g, l0):
-        h = p - g / l0
-        if shift:
-            h.flat[:: prob.d + 1] += shift * np.trace(g).real / prob.d
-        return psd_clip(h, trace_weight=weight)
+        return psd_clip(p - g / l0, np.trace(p).real, weight)
 
     def pg_stop(it, x, ax, fx, chg, move):
         nonlocal held_since
@@ -446,7 +443,7 @@ def estimate_max_likelihood(
     x, it, trace, conv, reason = _fista(
         prob.d, spec.max_iterations, prob.apply, prob.adjoint,
         lambda ax: -float(fm @ np.log(np.maximum(ax[mask], 1e-12))), dphi,
-        lambda p, g, lip: psd_clip(p - g / lip, unit_trace=True),
+        lambda p, g, lip: psd_clip(p - g / lip, 1.0, np.inf),
         1.0, gap_stop, change,
     )
     return _result("max_likelihood", prob, x, it, conv, -np.asarray(trace), reason)

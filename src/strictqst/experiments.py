@@ -67,10 +67,10 @@ PROTOCOL_ESTIMATORS = ("least_squares", "trace_min", "max_likelihood")
 
 
 def _require_power_of_two(d: int) -> int:
-    n = int(round(np.log2(d)))
-    if 2**n != d:
-        raise ValueError(f"local bases need a power-of-two dimension, got {d}")
-    return n
+    """log2 d, checked to be an integer >= 1 (d = 2, 4, 8, ...)."""
+    if d < 2 or d & (d - 1):
+        raise ValueError(f"local bases need a power-of-two dimension >= 2, got {d}")
+    return int(d).bit_length() - 1
 
 
 def _as_tuple(name: str, values) -> tuple:
@@ -91,10 +91,19 @@ def _check_shared_fields(config) -> None:
     _require_int("jobs", config.jobs, 1)
 
 
-def _draw_basis(dim: int, basis_type: str, rng: np.random.Generator) -> np.ndarray:
-    if basis_type == "local":
-        return local_random_bases(_require_power_of_two(dim), 1, rng).bases[0]
-    return global_random_bases(dim, 1, rng).bases[0]
+def _nested_povms(dim: int, basis_type: str, rng: np.random.Generator, max_bases: int,
+                  min_bases: int = 1):
+    """(k, POVM of the first k bases) for k = min_bases .. max_bases.  Each
+    basis is drawn from rng only when the next POVM is asked for, so the
+    draws interleave with the caller's own use of rng."""
+    mats: list[np.ndarray] = []
+    for k in range(1, max_bases + 1):
+        if basis_type == "local":
+            mats.append(local_random_bases(_require_power_of_two(dim), 1, rng).bases[0])
+        else:
+            mats.append(global_random_bases(dim, 1, rng).bases[0])
+        if k >= min_bases:
+            yield k, povm_from_bases(BasisSet(dim=dim, bases=tuple(mats), kind=basis_type))
 
 
 def _fan_out(fn, tasks: list, jobs: int) -> list:
@@ -222,13 +231,9 @@ def _run_sweep_cell(args) -> SweepCell:
             random_pure_state(dim, srng) if rank == 1 else random_rank_r_state(dim, rank, srng)
         )
     cut = _pass_cut(rank, config.infidelity_threshold)
-    basis_mats: list[np.ndarray] = []
     rows: list[np.ndarray] = []
     stop_reasons: list[dict[str, int]] = []
-    for _ in range(config.max_bases):
-        basis_mats.append(_draw_basis(dim, config.basis_type, rng))
-        basis_set = BasisSet(dim=dim, bases=tuple(basis_mats), kind=config.basis_type)
-        povm = povm_from_bases(basis_set)
+    for _, povm in _nested_povms(dim, config.basis_type, rng, config.max_bases):
         row = np.empty(config.states_per_cell)
         reasons: dict[str, int] = {}
         for s, state in enumerate(states):
@@ -369,13 +374,7 @@ def _run_protocol_target(args) -> tuple[dict[str, np.ndarray], dict[str, list[st
     ks = list(range(config.min_bases, config.max_bases + 1))
     out = {est: np.empty(len(ks)) for est in config.estimators}
     reasons = {est: [""] * len(ks) for est in config.estimators}
-    basis_mats: list[np.ndarray] = []
-    for _ in range(config.max_bases):
-        basis_mats.append(_draw_basis(d, config.basis_type, rng))
-        k = len(basis_mats)
-        if k < config.min_bases:
-            continue
-        povm = povm_from_bases(BasisSet(dim=d, bases=tuple(basis_mats), kind=config.basis_type))
+    for k, povm in _nested_povms(d, config.basis_type, rng, config.max_bases, config.min_bases):
         if config.noiseless:
             record = noiseless_record(povm, sigma)
         else:

@@ -46,28 +46,29 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def psd_clip(h: np.ndarray, unit_trace: bool = False, trace_weight: float = 0.0) -> np.ndarray:
-    """Nearest PSD matrix (with unit_trace, nearest density matrix) to an
-    exactly Hermitian h, without validation: one eigh, eigenvalues clipped
-    at zero (or projected onto the probability simplex), an exactly
-    Hermitian reconstruction from the eigenvectors whose clipped eigenvalue
-    is positive.  The one PSD projection of the package: callers hold
-    matrices that are Hermitian by construction (solver iterates, outputs
-    of hermitize or require_hermitian).
+def psd_clip(h: np.ndarray, trace: float = 0.0, weight: float = 0.0) -> np.ndarray:
+    """The PSD Z minimising ||Z - h||^2 + weight (tr Z - trace)^2, for an
+    exactly Hermitian h, without validation: one eigh, eigenvalues shifted
+    and clipped at zero, an exactly Hermitian reconstruction from the
+    eigenvectors whose clipped eigenvalue is positive.  The one PSD
+    projection of the package: callers hold matrices that are Hermitian by
+    construction (solver iterates, outputs of hermitize or
+    require_hermitian).
 
-    A trace_weight c > 0 measures distance as ||Z - h||^2 + c tr(Z - h)^2.
-    The minimiser is clip(h - mu I) with mu = c tr(Z - h); like the simplex
-    shift, mu comes from the sorted eigenvalues: with the r largest kept,
-    mu = (sum of them - tr h) / (r + 1/c).
+    weight = 0 is the plain clip; weight = inf makes tr Z = trace a hard
+    constraint, and trace = 1 then gives the nearest density matrix.  The
+    minimiser is clip(h - mu I) with mu = weight (tr Z - trace); with the r
+    largest eigenvalues kept, mu = (sum of them - trace) / (r + 1/weight).
+    When no r keeps an eigenvalue, Z is the exact zero matrix.
     """
     lam, v = np.linalg.eigh(h)
-    if unit_trace or trace_weight:  # shift, then clip
-        # target trace t and the shift's denominator offset 1/c (0: the simplex)
-        t, inv_c = (1.0, 0.0) if unit_trace else (lam.sum(), 1.0 / trace_weight)
-        css = np.cumsum(lam[::-1]) - t
-        kept = np.nonzero(lam[::-1] * (np.arange(1, lam.size + 1) + inv_c) > css)[0]
-        r = kept[-1] + 1 if kept.size else 0  # r = 0: every eigenvalue is cut
-        lam -= css[r - 1] / (r + inv_c) if r else -t / inv_c
+    if weight:  # shift, then clip
+        inv_w = 1.0 / weight  # 0 at weight = inf: the simplex shift
+        css = np.cumsum(lam[::-1]) - trace
+        kept = np.nonzero(lam[::-1] * (np.arange(1, lam.size + 1) + inv_w) > css)[0]
+        if not kept.size:
+            return np.zeros_like(v)
+        lam -= css[kept[-1]] / (kept[-1] + 1 + inv_w)
     p = np.searchsorted(lam, 0.0, side="right")  # lam ascends: keep lam[p:] > 0
     return hermitize((v[:, p:] * lam[p:]) @ v[:, p:].conj().T)
 

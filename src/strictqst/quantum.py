@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BadRank, DimensionMismatch, NotPure
 from .linalg import hermitize, require_hermitian
-from .measurement import BasisSet, _require_int
+from .measurement import BasisSet, _require_int, _require_real
 from .tolerances import DEFAULT
 
 __all__ = [
@@ -98,8 +98,7 @@ class StateModel:
     background: QuantumState
 
     def __post_init__(self):
-        if not 0.0 <= self.mixing_weight <= 1.0:
-            raise ValueError("mixing_weight must lie in [0, 1]")
+        _require_real("mixing_weight", self.mixing_weight, 0.0, 1.0)
         if not self.target.is_pure:
             raise NotPure("StateModel target must be a pure state")
         if self.target.dim != self.background.dim:

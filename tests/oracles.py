@@ -6,7 +6,8 @@ descent on a Cholesky parameterization, Kronecker products from explicit
 index loops, the map and its adjoint from per-basis loops, finite-shot
 frequencies from one multinomial draw per basis, the map matrix and
 kernel basis from per-column and per-vector loops, the simplex shift by
-bisection, the trace-weighted shift by a grid search.
+bisection, the anchored shift by a grid search, the least-squares
+step in its shift-then-clip form by a search over the kept rank.
 """
 
 from __future__ import annotations
@@ -79,21 +80,22 @@ def sample_frequencies_loop(povm, state, shots: int, rng: np.random.Generator) -
     return freqs.ravel()
 
 
-def simplex_shift(lam: np.ndarray) -> float:
-    """theta with sum(max(lam - theta, 0)) = 1, by bisection (no sorting):
-    clip(lam - theta, 0) is the Euclidean projection onto the simplex."""
-    lo, hi = float(lam.min()) - 1.0, float(lam.max())
+def simplex_shift(lam: np.ndarray, total: float = 1.0) -> float:
+    """theta with sum(max(lam - theta, 0)) = total > 0, by bisection (no
+    sorting): clip(lam - theta, 0) is the Euclidean projection onto the
+    simplex scaled to that total."""
+    lo, hi = float(lam.min()) - total, float(lam.max())
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if np.clip(lam - mid, 0.0, None).sum() > 1.0:
+        if np.clip(lam - mid, 0.0, None).sum() > total:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
 
 
-def trace_weighted_shift(lam: np.ndarray, c: float) -> float:
-    """mu minimising ||Z - h||^2 + c tr(Z - h)^2 over Z = clip(h - mu I), for
+def anchored_shift(lam: np.ndarray, c: float) -> float:
+    """mu minimising ||Z - h||^2 + c (tr Z - tr h)^2 over Z = clip(h - mu I), for
     h with eigenvalues lam, by brute-force search: Z - h has eigenvalues
     -min(lam, mu), so the objective is sum(min(lam, mu)^2) + c sum(min(lam,
     mu))^2, evaluated on a grid that is refined six times around its best
@@ -105,6 +107,28 @@ def trace_weighted_shift(lam: np.ndarray, c: float) -> float:
         best = int(np.argmin((m**2).sum(axis=1) + c * m.sum(axis=1) ** 2))
         lo, hi = mus[max(best - 2, 0)], mus[min(best + 2, mus.size - 1)]
     return 0.5 * (lo + hi)
+
+
+def shifted_ls_step(p: np.ndarray, g: np.ndarray, lip: float, lip0: float) -> np.ndarray:
+    """The least-squares step in the metric L0 on traceless matrices plus L
+    on I, in its shift-then-clip form: h = P - G/L0 + (1/L0 - 1/L)(tr G/d) I,
+    then the PSD Z minimising ||Z - h||^2 + c (tr Z - tr h)^2 with
+    c = (L/L0 - 1)/d.  Z = clip(h - mu I), and with the r largest
+    eigenvalues kept mu = c (S_r - tr h) / (1 + c r); the r taken is the one
+    whose mu cuts the spectrum between its r-th and (r+1)-th eigenvalue."""
+    d = p.shape[0]
+    h = p - g / lip0 + (1.0 / lip0 - 1.0 / lip) * np.trace(g).real / d * np.eye(d)
+    h = 0.5 * (h + h.conj().T)
+    c = (lip / lip0 - 1.0) / d
+    lam, v = np.linalg.eigh(h)
+    desc = np.concatenate(([np.inf], lam[::-1], [-np.inf]))
+    for r in range(d + 1):
+        mu = c * (desc[1 : r + 1].sum() - lam.sum()) / (1.0 + c * r)
+        if desc[r] > mu >= desc[r + 1]:
+            break
+    else:
+        raise AssertionError("no kept rank is consistent with its shift")
+    return (v * np.clip(lam - mu, 0.0, None)) @ v.conj().T
 
 
 def map_matrix_loop(povm) -> np.ndarray:

@@ -79,8 +79,11 @@ class TestGenBases:
             assert np.max(np.abs(u - expected)) < 1e-12
 
     def test_local_requires_power_of_two(self, tmp_path):
-        assert run(["gen-bases", "--dim", 6, "--n-bases", 1, "--type", "local",
-                    "--seed", 0, "--out", tmp_path / "x.json"]) == 2
+        out = tmp_path / "x.json"
+        for dim in (6, 0, 1, -4):
+            assert run(["gen-bases", "--dim", dim, "--n-bases", 1, "--type", "local",
+                        "--seed", 0, "--out", out]) == 2
+            assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["global", "local"])
     def test_negative_basis_count_exits_2(self, tmp_path, kind):

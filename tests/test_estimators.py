@@ -29,7 +29,7 @@ from strictqst.quantum import (
 )
 
 from conftest import make_noiseless_problem
-from oracles import ls_oracle, mle_oracle, trace_min_oracle
+from oracles import ls_oracle, mle_oracle, shifted_ls_step, trace_min_oracle
 import properties
 
 
@@ -126,6 +126,35 @@ class TestLeastSquares:
         # noiseless strictly-complete data: X_hat itself is normalized
         assert abs(np.trace(res.X_hat).real - 1.0) <= 1e-6
 
+    def test_anchored_step_matches_shifted_reference(self, monkeypatch, rng):
+        # the solver's one-call step against the shift-then-clip form, on
+        # random designs including k = 1 and a repeated basis (L0 = k: the
+        # plain step 1/k), from iterates whose step is and is not PSD; the
+        # iterate's trace is off 1, so the gradient has a trace
+        steps = []
+
+        def capture(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop):
+            steps.append((descend, lip))
+            return np.eye(d) / d, 0, [0.0], True, ""
+
+        monkeypatch.setattr(estimators, "_fista", capture)
+        designs = [global_random_bases(d, k, rng) for d in (2, 5, 11) for k in (1, 2, 3, 5)]
+        basis = global_random_bases(4, 1, rng).bases[0]
+        designs.append(BasisSet(dim=4, bases=(basis,) * 3))
+        for bases in designs:
+            povm = povm_from_bases(bases)
+            d, k = povm.dim, povm.n_bases
+            p = 1.3 * random_full_rank_state(d, rng).rho
+            rec = noiseless_record(povm, random_pure_state(d, rng))
+            estimate_least_squares(povm, rec)
+            descend, lip0 = steps.pop()
+            assert lip0 == povm.traceless_lipschitz
+            for scale in (1e-3, 1.0, 30.0):
+                g = scale * povm.adjoint_projectors(povm.projector_values(p) - rec.values)
+                want = shifted_ls_step(p, g, k, lip0)
+                got = descend(p, g, lip0)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
 
 class TestHeldCertificateExit:
     @staticmethod
@@ -195,7 +224,7 @@ class TestTraceMin:
         assert infidelity(state, res.rho_hat) <= 1e-5
         assert res.converged
 
-    def test_mixed_state_ic_unit_trace(self, rng):
+    def test_mixed_state_ic_trace_one(self, rng):
         d = 3
         povm = povm_from_bases(global_random_bases(d, 4, rng))
         rec = noiseless_record(povm, QuantumState(np.eye(d, dtype=complex) / d))
@@ -320,7 +349,7 @@ class TestMaxLikelihood:
     def test_monotonicity_property_suite(self):
         assert properties.mle_monotonicity_violations(25) == 0
 
-    def test_unit_trace_output(self, rng):
+    def test_trace_one_output(self, rng):
         d = 4
         povm = povm_from_bases(global_random_bases(d, 2, rng))
         rec = sample_record(povm, random_pure_state(d, rng), 500, rng)
@@ -358,9 +387,9 @@ class TestProjectedGradientCore:
             events.append("P")
             return pv(self, x)
 
-        def counted_clip(h, **kw):
+        def counted_clip(*args):
             events.append("C")
-            return clip(h, **kw)
+            return clip(*args)
 
         monkeypatch.setattr(PovmMap, "projector_values", counted_pv)
         monkeypatch.setattr(estimators, "psd_clip", counted_clip)

@@ -8,11 +8,11 @@ from strictqst.linalg import hermitize, psd_clip, require_hermitian, signature
 from strictqst.quantum import QuantumState
 
 from oracles import (
+    anchored_shift,
     char_poly_eigenvalues,
     psd_projection_oracle,
     random_hermitian,
     simplex_shift,
-    trace_weighted_shift,
 )
 import properties
 
@@ -89,9 +89,11 @@ class TestPsdClip:
         for d in (1, 4, 9):
             w = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             h = -(w @ w.conj().T) - 1e-3 * np.eye(d)
-            out = psd_clip(h)
-            assert out.dtype == complex and out.shape == (d, d)
-            assert np.array_equal(out, np.zeros((d, d), dtype=complex))
+            # plain, at a finite weight anchored at tr h, and at trace 0 fixed
+            for args in ((), (np.trace(h).real, 1.0), (0.0, np.inf)):
+                out = psd_clip(h, *args)
+                assert out.dtype == complex and out.shape == (d, d)
+                assert np.array_equal(out, np.zeros((d, d), dtype=complex))
 
     def test_positive_part_matches_full_reconstruction(self, rng):
         # dropping the columns of clipped-away eigenvalues changes nothing
@@ -101,13 +103,23 @@ class TestPsdClip:
                 h = random_hermitian(d, rng)
                 h /= np.linalg.norm(h, 2)
                 lam, v = np.linalg.eigh(h)
-                for unit_trace, shift in ((False, 0.0), (True, simplex_shift(lam))):
+                plain = psd_clip(h)
+                for args, shift in (
+                    ((), 0.0),
+                    ((2.5, 0.0), 0.0),  # weight 0: the plain clip, whatever the trace
+                    ((1.0, np.inf), simplex_shift(lam)),
+                    ((2.5, np.inf), simplex_shift(lam, 2.5)),
+                ):
                     full = (v * np.clip(lam - shift, 0.0, None)) @ v.conj().T
-                    out = psd_clip(h, unit_trace=unit_trace)
+                    out = psd_clip(h, *args)
                     assert np.max(np.abs(out - full)) <= 1e-14
                     assert np.array_equal(out, out.conj().T)
+                    if np.inf in args:
+                        assert abs(np.trace(out).real - args[0]) <= 1e-14 * args[0]
+                    else:
+                        assert np.array_equal(out, plain)
 
-    def test_trace_weighted_matches_shift_oracle(self, rng):
+    def test_anchored_matches_shift_oracle(self, rng):
         # h = V diag(lam) V^dag with a known spectrum; the weights span the
         # solver's (k/L0 - 1)/d range and beyond; the spectra include one
         # that is all negative (Z = 0) and one that is PSD (Z = h)
@@ -118,8 +130,8 @@ class TestPsdClip:
                     lam = {"mixed": lam, "negative": -np.abs(lam) - 0.1, "positive": np.abs(lam)}[shape]
                     q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
                     h = hermitize((q * lam) @ q.conj().T)
-                    mu = trace_weighted_shift(lam, c)
-                    out = psd_clip(h, trace_weight=c)
+                    mu = anchored_shift(lam, c)
+                    out = psd_clip(h, np.trace(h).real, c)
                     want = (q * np.clip(lam - mu, 0.0, None)) @ q.conj().T
                     # a search on objective values finds mu to about sqrt(eps)
                     assert np.max(np.abs(out - want)) <= 1e-7
@@ -135,13 +147,13 @@ class TestPsdClip:
                     if shape == "positive":
                         assert abs(mu_kkt) <= 1e-12
 
-    def test_trace_weighted_beats_psd_neighbours(self, rng):
+    def test_anchored_beats_psd_neighbours(self, rng):
         # optimality against feasible competitors: the plain clip and PSD
         # perturbations of the answer
         c = 0.2
         for d in (3, 8):
             h = random_hermitian(d, rng)
-            out = psd_clip(h, trace_weight=c)
+            out = psd_clip(h, np.trace(h).real, c)
 
             def dist(z):
                 return np.linalg.norm(z - h) ** 2 + c * np.trace(z - h).real ** 2

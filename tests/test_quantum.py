@@ -204,5 +204,6 @@ class TestStateModel:
     def test_rejects_bad_weight(self, rng):
         psi = random_pure_state(3, rng)
         tau = random_full_rank_state(3, rng)
-        with pytest.raises(ValueError):
-            StateModel(psi, 1.5, tau)
+        for q in (1.5, -0.1, np.nan, True, "0.5"):
+            with pytest.raises(ValueError):
+                StateModel(psi, q, tau)
