@@ -4,10 +4,10 @@ Four programs over the cone of (unnormalized) PSD matrices:
 
 * ``estimate_least_squares``  - min 0.5 ||A[X] - f||_2^2  s.t. X >= 0,
   by accelerated projected gradient with restart on nonmonotonicity.  The
-  step is 1/L along the identity, where L = ||A||^2 = k exactly for k bases
-  (the closed form in ``PovmMap.operator_norm``), and 1/L0 on traceless
-  matrices, where L0 = ``PovmMap.traceless_lipschitz`` <= k: one
-  ``psd_clip`` of P - G/L0 with its trace anchored at tr P.  A gate
+  step is 1/L along the identity, where L = ||A||^2 = k for k bases (the
+  integer k, not sqrt(k) squared), and 1/L0 on traceless matrices, where
+  L0 = ``PovmMap.traceless_lipschitz`` <= k: one ``psd_clip`` of
+  P - G/L0 with its trace anchored at tr P.  A gate
   (objective change <= tol * f or step <= 100 tol max(1, ||X||)) must open
   before the Euclidean projected-gradient certificate
   pg <= 10 tol L max(1, ||X||) is checked; without the gate,
@@ -21,7 +21,11 @@ Four programs over the cone of (unnormalized) PSD matrices:
 * ``estimate_max_likelihood`` - max sum_mu f_mu log q_mu(rho) over unit-trace
   PSD rho, by the same accelerated projected gradient with a backtracking
   step whose tests compare log-likelihoods in difference form, stopped
-  when a certified log-likelihood gap is below tol.
+  when a certified log-likelihood gap is below tol.  Once the rank of the
+  iterates has held for a window, a Newton-CG polish on rho = VV^dag at
+  that rank (Burer-Monteiro) tries to reach the certificate; its point is
+  taken only where the certificate holds and ll has not fallen, and
+  otherwise the gradient iteration goes on.
 * ``feasibility``             - find X >= 0 with ||A[X] - f|| <= eps,
   as least squares with an early exit at the target residual.
 
@@ -62,6 +66,12 @@ _DEFAULT_TOL = {
 _HELD_CHECK_EVERY = 100
 _HELD_WINDOW = 7000
 
+# max likelihood's face polish (see _polish): the clip's rank must hold for
+# _RANK_WINDOW steps before an attempt of at most _NEWTON_STEPS Newton steps;
+# each failed attempt doubles the window
+_RANK_WINDOW = 20
+_NEWTON_STEPS = 30
+
 
 @dataclass(frozen=True)
 class EstimatorSpec:
@@ -93,7 +103,8 @@ class EstimateResult:
     """Solver output: unnormalized X_hat, normalized rho_hat, diagnostics.
 
     residual is ||A[X_hat] - f||_2 on the record's (conditional) scale.
-    objective_trace holds one objective value per accepted iteration.
+    objective_trace holds one objective value per accepted iteration; a
+    max-likelihood polish adds one value for all its Newton steps.
     """
 
     method: str
@@ -120,7 +131,6 @@ class _Problem:
         self.apply = povm.projector_values
         self.adjoint = povm.adjoint_projectors
         self.povm = povm
-        self.norm_a = povm.operator_norm()
 
     def residual(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.apply(x) - self.f))
@@ -256,9 +266,9 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
     the gate as before; longer tails exist (README, "Numerical notes").
     """
     tol = spec.tol("least_squares")
-    lip = prob.norm_a**2
+    lip = float(prob.povm.n_bases)
     lip0 = prob.povm.traceless_lipschitz
-    weight = max(lip / lip0 - 1.0, 0.0) / prob.d  # sqrt(k)**2 can round below L0 = k
+    weight = (lip / lip0 - 1.0) / prob.d
     held_since = None
 
     def dphi(ax):
@@ -363,7 +373,7 @@ def estimate_trace_min(
     tol = spec.tol("trace_min")
     d = prob.d
     f = prob.f
-    norm_a = prob.norm_a
+    norm_a = povm.operator_norm()
     tau = sigma = 0.99 / norm_a
     eye = np.eye(d)
 
@@ -401,6 +411,95 @@ def estimate_trace_min(
                    "primal_dual_residual" if converged else "max_iterations")
 
 
+def _newton_cg(hess, g, max_cg):
+    """Truncated CG on hess(d) = -g from d = 0, to a residual of
+    min(0.5, sqrt(||g||)) ||g||; at a direction of nonpositive curvature it
+    returns the step so far, or -g if there is none."""
+    d = np.zeros_like(g)
+    res = -g
+    p = res.copy()
+    rr = np.vdot(res, res).real
+    stop = rr * min(0.25, np.sqrt(rr))
+    for _ in range(max_cg):
+        hp = hess(p)
+        curv = np.vdot(p, hp).real
+        if curv <= 0:
+            return d if d.any() else -g
+        a = rr / curv
+        d += a * p
+        res -= a * hp
+        rr, rr_old = np.vdot(res, res).real, rr
+        if rr <= stop:
+            break
+        p = res + (rr / rr_old) * p
+    return d
+
+
+def _polish(u, fm, x, r, tol):
+    """Damped Newton-CG on the face of rank r, from the top-r eigenpairs of x.
+
+    Minimises G(V) = -sum_mu f_mu log q_mu + tr VV^dag over V in C^{d x r},
+    with q = |U^dag V|^2 summed over columns (U: the basis vectors of the
+    observed outcomes, f: their unit-sum frequencies).  For unit-sum f the
+    minimiser of G over the PSD cone has trace 1 and is the MLE.  With
+    R = U diag(f/q) U^dag and W = U^dag V, the gradient is 2 (I - R) V and
+    the Hessian on Delta is 2 [(I - R) Delta + U((f dq/q^2) W)] with
+    dq = 2 Re sum_j conj(W) U^dag Delta: two matrix products per
+    Hessian-vector product, solved by truncated CG (_newton_cg).  The step
+    length halves until G falls by an Armijo fraction, G's change taken as
+    -sum f log1p(dq/q) + d(tr VV^dag).
+
+    The certificate lambda_max(R(rho)) - 1 <= tol, at rho = VV^dag /
+    tr VV^dag, is checked once the Newton decrement puts G within about
+    1e-3 tol of its minimum on the face, so rho is not only certified but
+    as good as the face allows.  Returns (rho, q(rho), steps) at the first
+    such point, or (None, None, steps) when there is none within
+    _NEWTON_STEPS steps or the line search finds no descent.
+    """
+    lam, vecs = np.linalg.eigh(x)
+    v = vecs[:, -r:] * np.sqrt(np.maximum(lam[-r:], 0.0))
+    uh = u.conj().T
+    steps = 0
+    while True:
+        w = uh @ v
+        q = (w.real**2 + w.imag**2).sum(axis=1)
+        if not q.min() > 0:
+            break
+        s = fm / q
+        g = v - u @ (s[:, None] * w)  # half the gradient, (I - R) V
+
+        def hess(dv):  # half the Hessian on dv
+            z = uh @ dv
+            dq = 2.0 * (w.real * z.real + w.imag * z.imag).sum(axis=1)
+            return dv - u @ (s[:, None] * z - (s * dq / q)[:, None] * w)
+
+        dv = _newton_cg(hess, g, 2 * v.size)
+        slope = 2.0 * np.vdot(g, dv).real
+        if steps and -slope <= 1e-3 * tol:
+            t = np.vdot(v, v).real
+            if t * np.linalg.eigvalsh((u * s) @ uh)[-1] - 1.0 <= tol:
+                return hermitize(v @ v.conj().T) / t, q / t, steps
+        if steps == _NEWTON_STEPS:
+            break
+        z = uh @ dv
+        wz = 2.0 * (w.real * z.real + w.imag * z.imag).sum(axis=1)
+        zz = (z.real**2 + z.imag**2).sum(axis=1)
+        vd, dd = 2.0 * np.vdot(v, dv).real, np.vdot(dv, dv).real
+        a = 1.0
+        while a > 1e-10:
+            dq = a * (wz + a * zz)
+            if np.all(dq > -q):
+                dg = a * (vd + a * dd) - float(fm @ np.log1p(dq / q))
+                if dg <= 1e-4 * a * slope:
+                    break
+            a *= 0.5
+        else:
+            break  # no descent along dv
+        steps += 1
+        v = v + a * dv
+    return None, None, steps
+
+
 def estimate_max_likelihood(
     povm: PovmMap, record: MeasurementRecord, spec: EstimatorSpec | None = None
 ) -> EstimateResult:
@@ -415,6 +514,16 @@ def estimate_max_likelihood(
     of ll as -sum_mu f_mu log1p(delta_mu / q_mu), delta being the mapped
     step, so they stay exact where ll itself stops changing in float64.
     objective_trace holds ll, non-decreasing, accumulated from those changes.
+
+    The iterates find the optimum's face long before the certificate: once
+    r, the rank of the accepted clip (its own count, never cut lower), has
+    held for _RANK_WINDOW steps, _polish runs Newton-CG on rho = VV^dag
+    with V of r columns, from the iterate's top-r eigenpairs.  Its point
+    ends the solve, still as "duality_gap", when the certificate holds
+    there and its ll is no lower than the iterate's (one more entry in
+    objective_trace); otherwise the gradient iteration goes on from the
+    iterate and tries again after a window twice as long.  iterations
+    counts gradient steps plus Newton steps.
     """
     spec = spec or EstimatorSpec()
     tol = spec.tol("max_likelihood")
@@ -430,9 +539,35 @@ def estimate_max_likelihood(
         w[mask] = -fm / np.maximum(ax[mask], 1e-12)
         return w
 
+    u = np.concatenate(povm.basis_set.bases, axis=1)[:, mask]  # observed |b_mu>
+    clip = None  # (Z, rank) of the last clip
+    rank, since, window, newton, polished = 0, 0, _RANK_WINDOW, 0, None
+
+    def descend(p, g, lip):
+        nonlocal clip
+        clip = psd_clip(p - g / lip, 1.0, np.inf, True)
+        return clip[0]
+
     def gap_stop(it, x, ax, fx, chg, move):
+        nonlocal rank, since, window, newton, polished
         if np.linalg.eigvalsh(-prob.adjoint(dphi(ax)))[-1] - 1.0 <= tol:
             return True, "duality_gap"
+        if clip is None or x is not clip[0]:
+            return None  # I/d, or a kept iterate: its rank is unchanged
+        if clip[1] != rank:
+            rank, since = clip[1], it
+        elif it - since >= window:
+            since = it
+            rho, q, steps = _polish(u, fm, x, rank, tol)
+            newton += steps
+            if rho is not None:
+                aq = np.zeros_like(ax)
+                aq[mask] = q
+                up = change(ax, aq - ax)
+                if up <= 0:
+                    polished = rho, fx + up
+                    return True, "duality_gap"
+            window *= 2  # bounds the share of a long solve spent on failures
         return None
 
     def change(a, delta):  # phi(a + delta) - phi(a), floors included
@@ -443,8 +578,10 @@ def estimate_max_likelihood(
     x, it, trace, conv, reason = _fista(
         prob.d, spec.max_iterations, prob.apply, prob.adjoint,
         lambda ax: -float(fm @ np.log(np.maximum(ax[mask], 1e-12))), dphi,
-        lambda p, g, lip: psd_clip(p - g / lip, 1.0, np.inf),
-        1.0, gap_stop, change,
+        descend, 1.0, gap_stop, change,
     )
-    return _result("max_likelihood", prob, x, it, conv, -np.asarray(trace), reason)
+    if polished:
+        x = polished[0]
+        trace.append(polished[1])
+    return _result("max_likelihood", prob, x, it + newton, conv, -np.asarray(trace), reason)
 

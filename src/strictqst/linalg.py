@@ -46,7 +46,7 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def psd_clip(h: np.ndarray, trace: float = 0.0, weight: float = 0.0) -> np.ndarray:
+def psd_clip(h: np.ndarray, trace: float = 0.0, weight: float = 0.0, rank: bool = False):
     """The PSD Z minimising ||Z - h||^2 + weight (tr Z - trace)^2, for an
     exactly Hermitian h, without validation: one eigh, eigenvalues shifted
     and clipped at zero, an exactly Hermitian reconstruction from the
@@ -59,18 +59,22 @@ def psd_clip(h: np.ndarray, trace: float = 0.0, weight: float = 0.0) -> np.ndarr
     constraint, and trace = 1 then gives the nearest density matrix.  The
     minimiser is clip(h - mu I) with mu = weight (tr Z - trace); with the r
     largest eigenvalues kept, mu = (sum of them - trace) / (r + 1/weight).
-    When no r keeps an eigenvalue, Z is the exact zero matrix.
+    When no r keeps an eigenvalue, Z is the exact zero matrix.  The r
+    eigenvalues that pass the test form a prefix of the descending spectrum,
+    so one count finds r.  rank=True returns (Z, rank of Z), the count of
+    eigenvectors in the reconstruction.
     """
     lam, v = np.linalg.eigh(h)
     if weight:  # shift, then clip
         inv_w = 1.0 / weight  # 0 at weight = inf: the simplex shift
         css = np.cumsum(lam[::-1]) - trace
-        kept = np.nonzero(lam[::-1] * (np.arange(1, lam.size + 1) + inv_w) > css)[0]
-        if not kept.size:
-            return np.zeros_like(v)
-        lam -= css[kept[-1]] / (kept[-1] + 1 + inv_w)
+        r = np.count_nonzero(lam[::-1] * (np.arange(1, lam.size + 1) + inv_w) > css)
+        if not r:
+            return (np.zeros_like(v), 0) if rank else np.zeros_like(v)
+        lam -= css[r - 1] / (r + inv_w)
     p = np.searchsorted(lam, 0.0, side="right")  # lam ascends: keep lam[p:] > 0
-    return hermitize((v[:, p:] * lam[p:]) @ v[:, p:].conj().T)
+    z = hermitize((v[:, p:] * lam[p:]) @ v[:, p:].conj().T)
+    return (z, lam.size - p) if rank else z
 
 
 def signature(a: np.ndarray) -> tuple[int, int]:

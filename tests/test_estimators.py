@@ -327,6 +327,81 @@ class TestMaxLikelihood:
                 assert np.linalg.eigvalsh(povm.adjoint_projectors(w))[-1] - 1.0 <= spec.tol("max_likelihood")
         assert checked >= 10
 
+    @staticmethod
+    def loglik_and_gap(povm, rec, x):
+        # ll and the certificate lambda_max(R) - 1, as in
+        # test_duality_gap_certificate
+        ft = rec.values / rec.values.sum()
+        q = povm.projector_values(x)
+        w = np.where(ft > 0, ft / np.maximum(q, 1e-12), 0.0)
+        ll = float(ft[ft > 0] @ np.log(np.maximum(q[ft > 0], 1e-12)))
+        return ll, np.linalg.eigvalsh(povm.adjoint_projectors(w))[-1] - 1.0
+
+    @staticmethod
+    def track_polish(monkeypatch, rank=None):
+        # wrap _polish, optionally at a fixed rank; the list collects
+        # whether each attempt returned a certified point
+        ended, polish = [], estimators._polish
+
+        def tracked(u, fm, x, r, tol):
+            out = polish(u, fm, x, rank or r, tol)
+            ended.append(out[0] is not None)
+            return out
+
+        monkeypatch.setattr(estimators, "_polish", tracked)
+        return ended
+
+    def test_polish_certified_and_no_worse_than_gradient_only(self, monkeypatch):
+        # seeded survey, d 2-8, k 1-6, sampled and noiseless records: every
+        # solve that the polish ends meets the certificate, and its ll is at
+        # least that of a gradient-only solve (no rank window opens within
+        # its 150,000-step budget) minus 1e-9
+        tol = EstimatorSpec().tol("max_likelihood")
+        ended = self.track_polish(monkeypatch)
+        polished = 0
+        for seed in range(30):
+            gen = np.random.default_rng(seed)
+            d, k = int(gen.integers(2, 9)), int(gen.integers(1, 7))
+            state = random_pure_state(d, gen)
+            povm = povm_from_bases(global_random_bases(d, k, gen))
+            for rec in (sample_record(povm, state, 300, gen), noiseless_record(povm, state)):
+                ended.clear()
+                res = estimate_max_likelihood(povm, rec)
+                if not (ended and ended[-1]):
+                    continue
+                polished += 1
+                assert res.converged and res.stop_reason == "duality_gap"
+                # gradient steps plus at least one Newton step; one ll entry for the polish
+                assert res.iterations >= len(res.objective_trace) - 1
+                ll, gap = self.loglik_and_gap(povm, rec, res.X_hat)
+                assert gap <= tol
+                assert np.all(np.diff(res.objective_trace) >= 0)
+                assert abs(res.objective_trace[-1] - ll) <= 1e-9
+                with monkeypatch.context() as m:
+                    m.setattr(estimators, "_RANK_WINDOW", 10**9)
+                    ref = estimate_max_likelihood(povm, rec, EstimatorSpec(max_iterations=150000))
+                assert ll >= self.loglik_and_gap(povm, rec, ref.X_hat)[0] - 1e-9
+        assert polished >= 30
+
+    def test_polish_at_too_small_rank_falls_back_to_gradient(self, monkeypatch):
+        # 2000 shots per basis of a full-rank state in five bases give a
+        # full-rank optimum; a polish at rank 1 cannot certify, and the solve
+        # ends on the gradient iteration's own certificate
+        gen = np.random.default_rng(1)
+        d = 3
+        povm = povm_from_bases(global_random_bases(d, 5, gen))
+        rec = sample_record(povm, random_full_rank_state(d, gen), 2000, gen)
+        ended = self.track_polish(monkeypatch, rank=1)
+        res = estimate_max_likelihood(povm, rec)
+        assert ended and not any(ended)
+        assert res.converged and res.stop_reason == "duality_gap"
+        assert self.loglik_and_gap(povm, rec, res.X_hat)[1] <= EstimatorSpec().tol("max_likelihood")
+        assert np.linalg.matrix_rank(res.X_hat) == d
+        # at the clip's own rank the same solve ends on a polish
+        monkeypatch.undo()
+        ended = self.track_polish(monkeypatch)
+        assert estimate_max_likelihood(povm, rec).converged and ended[-1]
+
     def test_single_basis_protocol_target_converges(self):
         # the first target of the bundled d=11 protocol config (seed 11),
         # measured in one basis with 300 * d shots

@@ -146,6 +146,19 @@ class TestNoisyProtocol:
         assert NoisyProtocolConfig(dim=4, estimators=["trace_min"]).estimators == ("trace_min",)
         assert NoisyProtocolConfig(dim=11).resolved_shots == 3300
 
+    def test_full_rank_likelihood_solves_certify(self):
+        # bases and records are drawn lazily and in order, so this redraws the
+        # k=1 and k=2 solves of the acceptance protocol fixture (d=11, seed
+        # 11); their maxima are full rank, where the gradient iteration
+        # alone can stall short of the certificate at the float64 floor: six
+        # of these 40 solves ran to max_iterations that way
+        result = run_noisy_protocol(
+            NoisyProtocolConfig(dim=11, n_targets=20, max_bases=2, estimators=("max_likelihood",), seed=11)
+        )
+        reasons = result.stop_reasons["max_likelihood"]
+        assert [sum(r.values()) for r in reasons] == [20, 20]
+        assert all(set(r) == {"duality_gap"} for r in reasons)
+
     def test_noiseless_limit_reaches_uniqueness_floor(self):
         # q=0 with exact records reduces to the uniqueness regime
         config = NoisyProtocolConfig(
