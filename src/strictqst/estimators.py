@@ -14,20 +14,23 @@ Four programs over the cone of (unnormalized) PSD matrices:
   noiseless solves stop early at 30-50x higher infidelities.  A second
   exit ends a solve once the certificate, checked every 100 iterations,
   has held across 7,000: on noiseless data f can fall towards 0 so slowly
-  that the relative-change gate does not open within the budget.
+  that the relative-change gate does not open within the budget.  The
+  face polish below can end a solve sooner, on the same certificate.
 * ``estimate_trace_min``      - min Tr X  s.t. ||A[X] - f||_2 <= eps, X >= 0,
   by a primal-dual splitting that alternates an l2-ball projection of the
   residual with a PSD eigenvalue clip plus dual updates.
 * ``estimate_max_likelihood`` - max sum_mu f_mu log q_mu(rho) over unit-trace
   PSD rho, by the same accelerated projected gradient with a backtracking
   step whose tests compare log-likelihoods in difference form, stopped
-  when a certified log-likelihood gap is below tol.  Once the rank of the
-  iterates has held for a window, a Newton-CG polish on rho = VV^dag at
-  that rank (Burer-Monteiro) tries to reach the certificate; its point is
-  taken only where the certificate holds and ll has not fallen, and
-  otherwise the gradient iteration goes on.
+  when a certified log-likelihood gap is below tol.
 * ``feasibility``             - find X >= 0 with ||A[X] - f|| <= eps,
-  as least squares with an early exit at the target residual.
+  as least squares with an early exit at the target residual (no polish).
+
+Least squares and maximum likelihood share one face polish (_Face,
+_polish): their iterates settle on a low-rank face long before the
+first-order stop, and damped Newton-CG on X = VV^dag at that rank
+(Burer-Monteiro, Math. Program. 95, 329 (2003)) reaches the program's own
+certificate; otherwise the gradient iteration goes on.
 
 The data map A and the record f live on the conditional scale (per-basis
 blocks of f sum to 1; rows of A are the unweighted projectors |b_i><b_i|),
@@ -66,11 +69,15 @@ _DEFAULT_TOL = {
 _HELD_CHECK_EVERY = 100
 _HELD_WINDOW = 7000
 
-# max likelihood's face polish (see _polish): the clip's rank must hold for
+# the face polish (see _Face, _polish): the clip's rank must hold for
 # _RANK_WINDOW steps before an attempt of at most _NEWTON_STEPS Newton steps;
-# each failed attempt doubles the window
+# each failed attempt doubles the window.  Least squares caps each Newton
+# system at _CG_STEPS CG products and ends an attempt at the first step that
+# does not cut the Newton decrement _DECREMENT_CUT-fold (see _least_squares)
 _RANK_WINDOW = 20
 _NEWTON_STEPS = 30
+_CG_STEPS = 60
+_DECREMENT_CUT = 8.0
 
 
 @dataclass(frozen=True)
@@ -104,7 +111,8 @@ class EstimateResult:
 
     residual is ||A[X_hat] - f||_2 on the record's (conditional) scale.
     objective_trace holds one objective value per accepted iteration; a
-    max-likelihood polish adds one value for all its Newton steps.
+    polish adds one value for all its Newton steps.  iterations counts
+    gradient steps plus the Newton steps of every polish attempt.
     """
 
     method: str
@@ -264,49 +272,90 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
     solve early.  The window exceeds the longest of these tails among the
     noiseless solves of the test suite (4,315 iterations), so those end on
     the gate as before; longer tails exist (README, "Numerical notes").
+
+    The default stop also runs the face polish (_Face, _polish) on G(V) =
+    0.5 ||q - f||^2: c = 0, a = q - f, b = 1.  An attempt ends at the first
+    step that does not cut the Newton decrement _DECREMENT_CUT-fold: on a
+    face wider than the optimum's rank (noiseless records) Newton shrinks
+    the surplus columns of V only geometrically, 4-5-fold per step, and
+    would certify a surplus eigenvalue of ~1e-9 that the clip sets to 0.
+    The gate is FISTA's in Newton terms, half the decrement <= tol G or a
+    Newton step that moves X by <= tol max(1, ||X||) (100x finer: it is
+    the whole estimated distance to the face minimum); then the
+    certificate must hold at X = VV^dag, whose objective must be no higher
+    than the iterate's.  Returns (X, iterations, objective_trace,
+    converged, stop_reason), Newton steps included.
     """
     tol = spec.tol("least_squares")
     lip = float(prob.povm.n_bases)
     lip0 = prob.povm.traceless_lipschitz
     weight = (lip / lip0 - 1.0) / prob.d
-    held_since = None
+    f = prob.f
+    held_since, polished = None, None
+
+    def phi(ax):
+        return 0.5 * float(np.linalg.norm(dphi(ax))) ** 2
 
     def dphi(ax):
-        return ax - prob.f
+        return ax - f
+
+    def certified(x, ax):
+        pg = lip * _fro(x - psd_clip(x - prob.adjoint(dphi(ax)) / lip))
+        return pg <= 10 * tol * lip * max(1.0, _fro(x))
+
+    def loss(q):
+        e = q - f
+        return e, lambda dq: dq, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
+
+    def finish(v, q, dv, dec):
+        x = hermitize(v @ v.conj().T)
+        vn = v + dv
+        e = q - f
+        if dec > tol * (e @ e) and _fro(vn @ vn.conj().T - x) > tol * max(1.0, _fro(x)):
+            return None
+        return (x, q) if certified(x, q) else None
+
+    face = _Face(np.concatenate(prob.povm.basis_set.bases, axis=1), 0.0, loss, finish,
+                 _CG_STEPS, _DECREMENT_CUT)
 
     def descend(p, g, l0):
-        return psd_clip(p - g / l0, np.trace(p).real, weight)
+        return face.clip(p - g / l0, np.trace(p).real, weight)
 
     def pg_stop(it, x, ax, fx, chg, move):
-        nonlocal held_since
-        scale = max(1.0, _fro(x))
-        gate = (0 <= chg <= tol * max(fx, 1e-30)) or move <= 100 * tol * scale
+        nonlocal held_since, polished
+        gate = (0 <= chg <= tol * max(fx, 1e-30)) or move <= 100 * tol * max(1.0, _fro(x))
         check = it % _HELD_CHECK_EVERY == 0
-        if not (gate or check):
-            return None
-        pg = lip * _fro(x - psd_clip(x - prob.adjoint(dphi(ax)) / lip))
-        held = pg <= 10 * tol * lip * scale
-        if gate and held:
+        if gate or check:
+            held = certified(x, ax)
+            if gate and held:
+                return True, "projected_gradient"
+            if check:
+                if not held:
+                    held_since = None
+                elif held_since is None:
+                    held_since = it
+                elif it - held_since >= _HELD_WINDOW:
+                    return True, "projected_gradient_held"
+        point = face.polish(it, x)
+        if point is not None and phi(point[1]) <= fx:
+            polished = point[0], phi(point[1])
             return True, "projected_gradient"
-        if check:
-            if not held:
-                held_since = None
-            elif held_since is None:
-                held_since = it
-            elif it - held_since >= _HELD_WINDOW:
-                return True, "projected_gradient_held"
         return None
 
-    return _fista(prob.d, spec.max_iterations, prob.apply, prob.adjoint,
-                  lambda ax: 0.5 * float(np.linalg.norm(dphi(ax))) ** 2, dphi,
-                  descend, lip0, stop or pg_stop)
+    x, it, trace, conv, reason = _fista(prob.d, spec.max_iterations, prob.apply, prob.adjoint,
+                                        phi, dphi, descend, lip0, stop or pg_stop)
+    if polished:
+        x = polished[0]
+        trace.append(polished[1])
+    return x, it + face.newton, trace, conv, reason
 
 
 def estimate_least_squares(
     povm: PovmMap, record: MeasurementRecord, spec: EstimatorSpec | None = None
 ) -> EstimateResult:
     """Constrained least squares over the PSD cone (accelerated projected
-    gradient, step 1/k on the identity and 1/L0 on traceless matrices; see
+    gradient, step 1/k on the identity and 1/L0 on traceless matrices, and
+    a certified Newton polish on the face its iterates identify; see
     _least_squares)."""
     prob = _Problem(povm, record)
     x, it, trace, conv, reason = _least_squares(prob, spec or EstimatorSpec())
@@ -435,69 +484,106 @@ def _newton_cg(hess, g, max_cg):
     return d
 
 
-def _polish(u, fm, x, r, tol):
+def _polish(u, x, r, c, loss, finish, max_cg, cut):
     """Damped Newton-CG on the face of rank r, from the top-r eigenpairs of x.
 
-    Minimises G(V) = -sum_mu f_mu log q_mu + tr VV^dag over V in C^{d x r},
-    with q = |U^dag V|^2 summed over columns (U: the basis vectors of the
-    observed outcomes, f: their unit-sum frequencies).  For unit-sum f the
-    minimiser of G over the PSD cone has trace 1 and is the MLE.  With
-    R = U diag(f/q) U^dag and W = U^dag V, the gradient is 2 (I - R) V and
-    the Hessian on Delta is 2 [(I - R) Delta + U((f dq/q^2) W)] with
-    dq = 2 Re sum_j conj(W) U^dag Delta: two matrix products per
-    Hessian-vector product, solved by truncated CG (_newton_cg).  The step
-    length halves until G falls by an Armijo fraction, G's change taken as
-    -sum f log1p(dq/q) + d(tr VV^dag).
+    Minimises a loss G(V) of q = A[VV^dag] = |U^dag V|^2 summed over
+    columns (U: one basis vector per outcome) plus c tr VV^dag, over V in
+    C^{d x r}.  loss(q) returns (a, curv, change), or None outside G's
+    domain.  With W = U^dag V, half the gradient is c V + U(a W) and half
+    the Hessian on Delta is c Delta + U(a Z + curv(dq) W), Z = U^dag Delta,
+    dq = 2 Re sum_j conj(W) Z and curv(dq) = b dq: two matrix products per
+    Hessian-vector product, solved by truncated CG (_newton_cg, at most
+    max_cg products, or 2 V.size for None).  The step length halves until G
+    falls by an Armijo fraction, its data part taken as change(dq) in
+    difference form (inf outside the domain).
 
-    The certificate lambda_max(R(rho)) - 1 <= tol, at rho = VV^dag /
-    tr VV^dag, is checked once the Newton decrement puts G within about
-    1e-3 tol of its minimum on the face, so rho is not only certified but
-    as good as the face allows.  Returns (rho, q(rho), steps) at the first
-    such point, or (None, None, steps) when there is none within
+    From the second point on, an attempt ends when (cut > 0) the Newton
+    decrement dec = -<grad G, dV> has not fallen cut-fold since the last
+    step, and else returns finish(v, q, dV, dec) when that is not None:
+    the solver's point, where its gate and certificate hold at VV^dag.
+    Returns (point, steps), or (None, steps) when there is none within
     _NEWTON_STEPS steps or the line search finds no descent.
     """
     lam, vecs = np.linalg.eigh(x)
     v = vecs[:, -r:] * np.sqrt(np.maximum(lam[-r:], 0.0))
     uh = u.conj().T
-    steps = 0
+    steps, last = 0, np.inf
     while True:
         w = uh @ v
         q = (w.real**2 + w.imag**2).sum(axis=1)
-        if not q.min() > 0:
+        model = loss(q)
+        if model is None:
             break
-        s = fm / q
-        g = v - u @ (s[:, None] * w)  # half the gradient, (I - R) V
+        a, curv, change = model
+        g = c * v + u @ (a[:, None] * w)  # half the gradient
 
         def hess(dv):  # half the Hessian on dv
             z = uh @ dv
             dq = 2.0 * (w.real * z.real + w.imag * z.imag).sum(axis=1)
-            return dv - u @ (s[:, None] * z - (s * dq / q)[:, None] * w)
+            return c * dv + u @ (a[:, None] * z + curv(dq)[:, None] * w)
 
-        dv = _newton_cg(hess, g, 2 * v.size)
-        slope = 2.0 * np.vdot(g, dv).real
-        if steps and -slope <= 1e-3 * tol:
-            t = np.vdot(v, v).real
-            if t * np.linalg.eigvalsh((u * s) @ uh)[-1] - 1.0 <= tol:
-                return hermitize(v @ v.conj().T) / t, q / t, steps
+        dv = _newton_cg(hess, g, max_cg or 2 * v.size)
+        dec = -2.0 * np.vdot(g, dv).real
+        if steps:
+            if cut * dec > last:
+                break  # a stalled decrement: an over-parameterised face
+            point = finish(v, q, dv, dec)
+            if point is not None:
+                return point, steps
+        last = dec
         if steps == _NEWTON_STEPS:
             break
         z = uh @ dv
         wz = 2.0 * (w.real * z.real + w.imag * z.imag).sum(axis=1)
         zz = (z.real**2 + z.imag**2).sum(axis=1)
         vd, dd = 2.0 * np.vdot(v, dv).real, np.vdot(dv, dv).real
-        a = 1.0
-        while a > 1e-10:
-            dq = a * (wz + a * zz)
-            if np.all(dq > -q):
-                dg = a * (vd + a * dd) - float(fm @ np.log1p(dq / q))
-                if dg <= 1e-4 * a * slope:
-                    break
-            a *= 0.5
+        t = 1.0
+        while t > 1e-10:
+            if c * (t * (vd + t * dd)) + change(t * (wz + t * zz)) <= -1e-4 * t * dec:
+                break
+            t *= 0.5
         else:
             break  # no descent along dv
         steps += 1
-        v = v + a * dv
-    return None, None, steps
+        v = v + t * dv
+    return None, steps
+
+
+class _Face:
+    """The face polish of one solve: when _polish runs, and its step count.
+
+    clip is the solver's projection, psd_clip with the kept rank recorded.
+    polish(it, x) runs _polish (from u and the loss arguments it was built
+    with) once r, the rank of the clip that gave x, has held for the
+    window; r is the clip's own count, never cut lower.  The window
+    doubles with each attempt, which bounds the share of a long solve
+    spent on failures (a success ends the solve).  Returns the point or
+    None; newton counts the Newton steps of all attempts.
+    """
+
+    def __init__(self, u, *polish_args):
+        self.u, self.args = u, polish_args
+        self.last = None  # (Z, rank) of the last clip
+        self.rank = self.since = self.newton = 0
+        self.window = _RANK_WINDOW
+
+    def clip(self, h, trace, weight):
+        self.last = psd_clip(h, trace, weight, True)
+        return self.last[0]
+
+    def polish(self, it, x):
+        if self.last is None or x is not self.last[0]:
+            return None  # I/d, or a kept iterate: its rank is unchanged
+        if self.last[1] != self.rank:
+            self.rank, self.since = self.last[1], it
+            return None
+        if not self.rank or it - self.since < self.window:
+            return None
+        self.since, self.window = it, 2 * self.window
+        point, steps = _polish(self.u, x, self.rank, *self.args)
+        self.newton += steps
+        return point
 
 
 def estimate_max_likelihood(
@@ -515,15 +601,15 @@ def estimate_max_likelihood(
     step, so they stay exact where ll itself stops changing in float64.
     objective_trace holds ll, non-decreasing, accumulated from those changes.
 
-    The iterates find the optimum's face long before the certificate: once
-    r, the rank of the accepted clip (its own count, never cut lower), has
-    held for _RANK_WINDOW steps, _polish runs Newton-CG on rho = VV^dag
-    with V of r columns, from the iterate's top-r eigenpairs.  Its point
-    ends the solve, still as "duality_gap", when the certificate holds
-    there and its ll is no lower than the iterate's (one more entry in
-    objective_trace); otherwise the gradient iteration goes on from the
-    iterate and tries again after a window twice as long.  iterations
-    counts gradient steps plus Newton steps.
+    The iterates find the optimum's face long before the certificate, so
+    the face polish (_Face, _polish) runs on G(V) = -sum f log q(VV^dag) +
+    tr VV^dag over the observed outcomes: c = 1, a = -f/q, b = f/q^2.  For
+    unit-sum f the minimiser of G over the PSD cone has trace 1 and is the
+    MLE.  Its gate is the Newton decrement <= 1e-3 tol, so G is within
+    about 1e-3 tol of its face minimum, then the certificate must hold at
+    rho = VV^dag / tr; rho ends the solve, still as "duality_gap", when its
+    ll is no lower than the iterate's (one more entry in objective_trace).
+    iterations counts gradient steps plus Newton steps.
     """
     spec = spec or EstimatorSpec()
     tol = spec.tol("max_likelihood")
@@ -533,6 +619,7 @@ def estimate_max_likelihood(
     ft = prob.f / prob.f.sum()
     mask = ft > 0
     fm = ft[mask]
+    polished = None
 
     def dphi(ax):  # -f/q on observed outcomes: the gradient is -R
         w = np.zeros_like(ft)
@@ -540,34 +627,40 @@ def estimate_max_likelihood(
         return w
 
     u = np.concatenate(povm.basis_set.bases, axis=1)[:, mask]  # observed |b_mu>
-    clip = None  # (Z, rank) of the last clip
-    rank, since, window, newton, polished = 0, 0, _RANK_WINDOW, 0, None
+    uh = u.conj().T
+
+    def loss(q):
+        if not q.min() > 0:
+            return None
+        s = fm / q
+        return -s, lambda dq: s * dq / q, lambda dq: (
+            -float(fm @ np.log1p(dq / q)) if np.all(dq > -q) else np.inf)
+
+    def finish(v, q, dv, dec):
+        if dec > 1e-3 * tol:
+            return None
+        t = np.vdot(v, v).real
+        if t * np.linalg.eigvalsh((u * (fm / q)) @ uh)[-1] - 1.0 <= tol:
+            return hermitize(v @ v.conj().T) / t, q / t
+        return None
+
+    face = _Face(u, 1.0, loss, finish, None, 0)
 
     def descend(p, g, lip):
-        nonlocal clip
-        clip = psd_clip(p - g / lip, 1.0, np.inf, True)
-        return clip[0]
+        return face.clip(p - g / lip, 1.0, np.inf)
 
     def gap_stop(it, x, ax, fx, chg, move):
-        nonlocal rank, since, window, newton, polished
+        nonlocal polished
         if np.linalg.eigvalsh(-prob.adjoint(dphi(ax)))[-1] - 1.0 <= tol:
             return True, "duality_gap"
-        if clip is None or x is not clip[0]:
-            return None  # I/d, or a kept iterate: its rank is unchanged
-        if clip[1] != rank:
-            rank, since = clip[1], it
-        elif it - since >= window:
-            since = it
-            rho, q, steps = _polish(u, fm, x, rank, tol)
-            newton += steps
-            if rho is not None:
-                aq = np.zeros_like(ax)
-                aq[mask] = q
-                up = change(ax, aq - ax)
-                if up <= 0:
-                    polished = rho, fx + up
-                    return True, "duality_gap"
-            window *= 2  # bounds the share of a long solve spent on failures
+        point = face.polish(it, x)
+        if point is not None:
+            aq = np.zeros_like(ax)
+            aq[mask] = point[1]
+            up = change(ax, aq - ax)
+            if up <= 0:
+                polished = point[0], fx + up
+                return True, "duality_gap"
         return None
 
     def change(a, delta):  # phi(a + delta) - phi(a), floors included
@@ -583,5 +676,4 @@ def estimate_max_likelihood(
     if polished:
         x = polished[0]
         trace.append(polished[1])
-    return _result("max_likelihood", prob, x, it + newton, conv, -np.asarray(trace), reason)
-
+    return _result("max_likelihood", prob, x, it + face.newton, conv, -np.asarray(trace), reason)

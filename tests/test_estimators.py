@@ -26,11 +26,39 @@ from strictqst.quantum import (
     infidelity,
     random_full_rank_state,
     random_pure_state,
+    random_rank_r_state,
 )
 
-from conftest import make_noiseless_problem
+from conftest import make_noiseless_problem, no_polish
 from oracles import ls_oracle, mle_oracle, shifted_ls_step, trace_min_oracle
 import properties
+
+
+def track_polish(monkeypatch, rank=None):
+    """Wrap the face polish, optionally at a fixed rank, and count the CG
+    products of its Newton systems; the returned list collects (certified,
+    Newton steps, most CG products in one system) for each attempt."""
+    attempts, products = [], []
+    polish, newton_cg = estimators._polish, estimators._newton_cg
+
+    def counted_cg(hess, g, max_cg):
+        products.append(0)
+
+        def counted(p):
+            products[-1] += 1
+            return hess(p)
+
+        return newton_cg(counted, g, max_cg)
+
+    def tracked(u, x, r, *args):
+        products.clear()
+        point, steps = polish(u, x, rank or r, *args)
+        attempts.append((point is not None, steps, max(products, default=0)))
+        return point, steps
+
+    monkeypatch.setattr(estimators, "_polish", tracked)
+    monkeypatch.setattr(estimators, "_newton_cg", counted_cg)
+    return attempts
 
 
 class TestEstimatorSpec:
@@ -109,7 +137,7 @@ class TestLeastSquares:
             spec = EstimatorSpec()
             res = estimate_least_squares(povm, rec, spec)
             assert res.converged
-            lip = povm.operator_norm() ** 2
+            lip = povm.n_bases
             grad = povm.adjoint_projectors(povm.projector_values(res.X_hat) - rec.values)
             pg = lip * np.linalg.norm(res.X_hat - psd_clip(res.X_hat - grad / lip))
             assert pg <= 10 * spec.tol("least_squares") * lip * max(1.0, np.linalg.norm(res.X_hat))
@@ -161,7 +189,12 @@ class TestHeldCertificateExit:
     def default_stop(monkeypatch, povm, rec):
         """The default least-squares stop callable, built for (povm, rec)."""
         captured = []
-        monkeypatch.setattr(estimators, "_fista", lambda *args, **kw: captured.append(args[8]))
+
+        def capture(*args, **kw):
+            captured.append(args[8])
+            return np.eye(povm.dim) / povm.dim, 0, [0.0], False, ""
+
+        monkeypatch.setattr(estimators, "_fista", capture)
         estimators._least_squares(estimators._Problem(povm, rec), EstimatorSpec())
         return captured[0]
 
@@ -170,17 +203,19 @@ class TestHeldCertificateExit:
         # states_per_cell=4, seed=6)), drawn as _run_sweep_cell draws it:
         # f falls towards 0 so slowly that the gate stays shut for all
         # 20,000 iterations (found by a search over seeds 0..29 that read
-        # SweepCell.stop_reasons)
+        # SweepCell.stop_reasons); the face polish is held off, so the exit
+        # itself is what ends the solve
         cell_seq = np.random.SeedSequence(6).spawn(1)[0]
         bases_rng = np.random.default_rng(cell_seq)
         state = random_pure_state(16, np.random.default_rng(cell_seq.spawn(4)[2]))
         povm = povm_from_bases(global_random_bases(16, 4, bases_rng))
         rec = noiseless_record(povm, state)
         spec = EstimatorSpec()
-        res = estimate_least_squares(povm, rec, spec)
+        with no_polish():
+            res = estimate_least_squares(povm, rec, spec)
         assert res.stop_reason == "projected_gradient_held" and res.converged
         assert res.iterations < spec.max_iterations
-        lip = povm.operator_norm() ** 2
+        lip = povm.n_bases
         grad = povm.adjoint_projectors(povm.projector_values(res.X_hat) - rec.values)
         pg = lip * np.linalg.norm(res.X_hat - psd_clip(res.X_hat - grad / lip))
         assert pg <= 10 * spec.tol("least_squares") * lip * max(1.0, np.linalg.norm(res.X_hat))
@@ -215,6 +250,101 @@ class TestHeldCertificateExit:
         assert stop(7, state.rho, ax, 0.0, 0.0, 0.0) == (True, "projected_gradient")
         assert stop(estimators._HELD_CHECK_EVERY, state.rho, ax, 0.0, 0.0, 0.0) == (
             True, "projected_gradient")
+
+
+class TestLeastSquaresPolish:
+    @staticmethod
+    def objective_and_certificate(povm, rec, x):
+        # 0.5 ||A[X] - f||^2, and whether pg <= 10 tol L max(1, ||X||) holds
+        # with L = k, as in test_optimality_certificate
+        tol, lip = EstimatorSpec().tol("least_squares"), povm.n_bases
+        ax = povm.projector_values(x)
+        grad = povm.adjoint_projectors(ax - rec.values)
+        pg = lip * np.linalg.norm(x - psd_clip(x - grad / lip))
+        held = pg <= 10 * tol * lip * max(1.0, np.linalg.norm(x))
+        return 0.5 * float(np.linalg.norm(ax - rec.values)) ** 2, held
+
+    def test_polish_certified_and_no_worse_than_gradient_only(self, monkeypatch):
+        # seeded survey, d 2-8, k 1-6, states of random rank, sampled and
+        # noiseless records: every solve that the polish ends meets the
+        # certificate, and its objective is at most that of a gradient-only
+        # solve (no rank window opens within its 150,000-step budget) plus
+        # 1e-12.  On noiseless records that the gradient-only solve recovers
+        # (the sweep's pass metric, infidelity for a pure state and Frobenius
+        # distance otherwise, at most 1e-5) the polished estimate is no
+        # farther from the state
+        ended = track_polish(monkeypatch)
+        polished = recovered = 0
+        for seed in range(60):
+            gen = np.random.default_rng(seed)
+            d, k = int(gen.integers(2, 9)), int(gen.integers(1, 7))
+            rank = int(gen.integers(1, d + 1))
+            state = random_pure_state(d, gen) if rank == 1 else random_rank_r_state(d, rank, gen)
+            povm = povm_from_bases(global_random_bases(d, k, gen))
+
+            def error(res):
+                if rank == 1:
+                    return infidelity(state, res.rho_hat)
+                return float(np.linalg.norm(res.rho_hat.rho - state.rho))
+
+            for noiseless, rec in ((False, sample_record(povm, state, 300, gen)),
+                                   (True, noiseless_record(povm, state))):
+                ended.clear()
+                res = estimate_least_squares(povm, rec)
+                if not (ended and ended[-1][0]):
+                    continue
+                polished += 1
+                assert res.converged and res.stop_reason == "projected_gradient"
+                # gradient steps plus at least one Newton step; one entry for the polish
+                assert res.iterations >= len(res.objective_trace) - 1
+                obj, held = self.objective_and_certificate(povm, rec, res.X_hat)
+                assert held
+                assert np.all(np.diff(res.objective_trace) <= 1e-15)
+                assert abs(res.objective_trace[-1] - obj) <= 1e-12
+                with no_polish():
+                    ref = estimate_least_squares(povm, rec, EstimatorSpec(max_iterations=150000))
+                assert obj <= self.objective_and_certificate(povm, rec, ref.X_hat)[0] + 1e-12
+                if noiseless and error(ref) <= 1e-5:
+                    recovered += 1
+                    assert error(res) <= error(ref)
+        assert polished >= 60 and recovered >= 5
+
+    def test_failed_attempts_leave_the_gradient_solve_unchanged(self, monkeypatch):
+        # noiseless pure states whose clip keeps a wider face than the
+        # state's rank 1 (the over-parameterised case): Newton on such a face
+        # converges only linearly, and each attempt ends on the stalled
+        # decrement within a few steps and the CG cap.  The solve is then the
+        # gradient-only solve, bit for bit, with the Newton steps added to
+        # its iterations.  State 3 at k=5 of the benchmark sweep cell (d=32,
+        # seed 7, drawn as _run_sweep_cell draws it) keeps rank 5-7; survey
+        # seeds 23 and 141 (drawn as the likelihood survey draws them) keep
+        # rank 2, and there a 4-fold decrement rule (23) or a move gate of
+        # 100 tol (141) certified a surplus eigenvalue above the
+        # gradient-only solve's infidelity
+        cell_seq = np.random.SeedSequence(7).spawn(1)[0]
+        bases_rng = np.random.default_rng(cell_seq)
+        state = random_pure_state(32, np.random.default_rng(cell_seq.spawn(4)[3]))
+        cases = [(state, povm_from_bases(global_random_bases(32, 5, bases_rng)))]
+        for seed in (23, 141):
+            gen = np.random.default_rng(seed)
+            d, k = int(gen.integers(2, 9)), int(gen.integers(1, 7))
+            state = random_pure_state(d, gen)
+            cases.append((state, povm_from_bases(global_random_bases(d, k, gen))))
+        attempts = track_polish(monkeypatch)
+        for state, povm in cases:
+            rec = noiseless_record(povm, state)
+            attempts.clear()
+            res = estimate_least_squares(povm, rec)
+            with no_polish():
+                ref = estimate_least_squares(povm, rec)
+            assert attempts and not any(certified for certified, _, _ in attempts)
+            for _, steps, products in attempts:
+                assert steps <= 3 and products <= estimators._CG_STEPS
+            assert res.iterations == ref.iterations + sum(steps for _, steps, _ in attempts)
+            assert np.array_equal(res.X_hat, ref.X_hat)
+            assert np.array_equal(res.objective_trace, ref.objective_trace)
+            assert (res.stop_reason, res.residual) == (ref.stop_reason, ref.residual)
+            assert infidelity(state, res.rho_hat) <= 1e-5
 
 
 class TestTraceMin:
@@ -337,27 +467,13 @@ class TestMaxLikelihood:
         ll = float(ft[ft > 0] @ np.log(np.maximum(q[ft > 0], 1e-12)))
         return ll, np.linalg.eigvalsh(povm.adjoint_projectors(w))[-1] - 1.0
 
-    @staticmethod
-    def track_polish(monkeypatch, rank=None):
-        # wrap _polish, optionally at a fixed rank; the list collects
-        # whether each attempt returned a certified point
-        ended, polish = [], estimators._polish
-
-        def tracked(u, fm, x, r, tol):
-            out = polish(u, fm, x, rank or r, tol)
-            ended.append(out[0] is not None)
-            return out
-
-        monkeypatch.setattr(estimators, "_polish", tracked)
-        return ended
-
     def test_polish_certified_and_no_worse_than_gradient_only(self, monkeypatch):
         # seeded survey, d 2-8, k 1-6, sampled and noiseless records: every
         # solve that the polish ends meets the certificate, and its ll is at
         # least that of a gradient-only solve (no rank window opens within
         # its 150,000-step budget) minus 1e-9
         tol = EstimatorSpec().tol("max_likelihood")
-        ended = self.track_polish(monkeypatch)
+        ended = track_polish(monkeypatch)
         polished = 0
         for seed in range(30):
             gen = np.random.default_rng(seed)
@@ -367,7 +483,7 @@ class TestMaxLikelihood:
             for rec in (sample_record(povm, state, 300, gen), noiseless_record(povm, state)):
                 ended.clear()
                 res = estimate_max_likelihood(povm, rec)
-                if not (ended and ended[-1]):
+                if not (ended and ended[-1][0]):
                     continue
                 polished += 1
                 assert res.converged and res.stop_reason == "duality_gap"
@@ -377,8 +493,7 @@ class TestMaxLikelihood:
                 assert gap <= tol
                 assert np.all(np.diff(res.objective_trace) >= 0)
                 assert abs(res.objective_trace[-1] - ll) <= 1e-9
-                with monkeypatch.context() as m:
-                    m.setattr(estimators, "_RANK_WINDOW", 10**9)
+                with no_polish():
                     ref = estimate_max_likelihood(povm, rec, EstimatorSpec(max_iterations=150000))
                 assert ll >= self.loglik_and_gap(povm, rec, ref.X_hat)[0] - 1e-9
         assert polished >= 30
@@ -391,16 +506,16 @@ class TestMaxLikelihood:
         d = 3
         povm = povm_from_bases(global_random_bases(d, 5, gen))
         rec = sample_record(povm, random_full_rank_state(d, gen), 2000, gen)
-        ended = self.track_polish(monkeypatch, rank=1)
+        ended = track_polish(monkeypatch, rank=1)
         res = estimate_max_likelihood(povm, rec)
-        assert ended and not any(ended)
+        assert ended and not any(certified for certified, _, _ in ended)
         assert res.converged and res.stop_reason == "duality_gap"
         assert self.loglik_and_gap(povm, rec, res.X_hat)[1] <= EstimatorSpec().tol("max_likelihood")
         assert np.linalg.matrix_rank(res.X_hat) == d
         # at the clip's own rank the same solve ends on a polish
         monkeypatch.undo()
-        ended = self.track_polish(monkeypatch)
-        assert estimate_max_likelihood(povm, rec).converged and ended[-1]
+        ended = track_polish(monkeypatch)
+        assert estimate_max_likelihood(povm, rec).converged and ended[-1][0]
 
     def test_single_basis_protocol_target_converges(self):
         # the first target of the bundled d=11 protocol config (seed 11),
@@ -454,7 +569,9 @@ class TestProjectedGradientCore:
         # linearity, so projector_values runs once right after each
         # projection, plus at most twice per solve (the image of I/d and the
         # result's residual); a second map per step, or one in a stop rule,
-        # would show as calls not preceded by a clip
+        # would show as calls not preceded by a clip.  Newton steps of the
+        # face polish map nothing (q comes from V), so the count is held
+        # against the gradient steps
         events = []
         pv, clip = PovmMap.projector_values, estimators.psd_clip
 
@@ -468,14 +585,17 @@ class TestProjectedGradientCore:
 
         monkeypatch.setattr(PovmMap, "projector_values", counted_pv)
         monkeypatch.setattr(estimators, "psd_clip", counted_clip)
+        attempts = track_polish(monkeypatch)
         state, povm, rec = make_noiseless_problem(6, 4, seed=3)
         sampled = sample_record(povm, state, 500, np.random.default_rng(4))
         for solve in (estimate_least_squares, estimate_max_likelihood):
             for record in (rec, sampled):
                 events.clear()
+                attempts.clear()
                 res = solve(povm, record)
                 trail = "".join(events)
-                assert res.converged and trail.count("CP") >= res.iterations
+                gradient_steps = res.iterations - sum(steps for _, steps, _ in attempts)
+                assert res.converged and trail.count("CP") >= gradient_steps
                 assert trail.count("P") - trail.count("CP") <= 2
                 if solve is estimate_max_likelihood:
                     # every clip is a projection step: the gap stop has none
