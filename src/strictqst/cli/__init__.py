@@ -193,12 +193,8 @@ def _cmd_estimate(args) -> int:
     bs = ser.basis_set_from_json(ser.load_json(Path(args.bases)))
     povm = povm_from_bases(bs)
     rec = ser.record_from_json(ser.load_json(Path(args.record)))
-    kind, fn = _METHODS[args.method]
-    eps = args.epsilon
-    if kind == "trace_min" and eps is None and rec.noise_bound is None:
-        raise ConfigError("--method tracemin needs --epsilon or a record noise bound")
-    spec = EstimatorSpec(noise_bound=eps)
-    result = fn(povm, rec, spec)
+    _, fn = _METHODS[args.method]
+    result = fn(povm, rec, EstimatorSpec(noise_bound=args.epsilon))
     ser.dump_json(ser.estimate_to_json(result), Path(args.out))
     return 0
 

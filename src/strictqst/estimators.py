@@ -26,11 +26,12 @@ Four programs over the cone of (unnormalized) PSD matrices:
 * ``feasibility``             - find X >= 0 with ||A[X] - f|| <= eps,
   as least squares with an early exit at the target residual (no polish).
 
-Least squares and maximum likelihood share one face polish (_Face,
-_polish): their iterates settle on a low-rank face long before the
-first-order stop, and damped Newton-CG on X = VV^dag at that rank
-(Burer-Monteiro, Math. Program. 95, 329 (2003)) reaches the program's own
-certificate; otherwise the gradient iteration goes on.
+Least squares and maximum likelihood share one accelerated projected
+gradient core (_fista), and it runs their one face polish (_polish): the
+iterates settle on a low-rank face long before the first-order stop, and
+damped Newton-CG on X = VV^dag at that rank (Burer-Monteiro, Math.
+Program. 95, 329 (2003)) reaches the program's own certificate; otherwise
+the gradient iteration goes on.
 
 The data map A and the record f live on the conditional scale (per-basis
 blocks of f sum to 1; rows of A are the unweighted projectors |b_i><b_i|),
@@ -69,7 +70,7 @@ _DEFAULT_TOL = {
 _HELD_CHECK_EVERY = 100
 _HELD_WINDOW = 7000
 
-# the face polish (see _Face, _polish): the clip's rank must hold for
+# the face polish (see _fista, _polish): the clip's rank must hold for
 # _RANK_WINDOW steps before an attempt of at most _NEWTON_STEPS Newton steps;
 # each failed attempt doubles the window.  Least squares caps each Newton
 # system at _CG_STEPS CG products and ends an attempt at the first step that
@@ -170,10 +171,12 @@ def _fro(x: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(x, x).real))
 
 
-def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, change=None):
+def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, polish,
+           change=None):
     """Accelerated projected gradient with function-value restart, from I/d,
     on phi(A[X]): steps x+ = descend(p, adjoint(dphi(A[p])), lip), a
-    projected gradient step of length about 1/lip.
+    projected gradient step of length about 1/lip that returns (x+, rank
+    of x+).
 
     Iterates carry their image ax = A[x]; the momentum point's image follows
     by linearity, so a trial step costs one adjoint, one projection and one
@@ -189,7 +192,16 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, cha
     stop(it, x, ax, fx, chg, move) returns (converged, stop_reason) to end
     the run, or None; it is first asked before any step, with
     chg = move = inf.
-    Returns (X, iterations, objective_trace, converged, stop_reason).
+
+    When stop returns None, the face polish runs once r, descend's own rank
+    for x (never cut lower; I/d and a kept iterate carry none), has held
+    for the window, _RANK_WINDOW steps doubled per attempt so failures take
+    a bounded share of a long solve: polish(x, r) returns (point, Newton
+    steps), point being (X, A[X], stop_reason) or None.  The point ends the
+    run, converged and with one more objective entry, if its objective is
+    no higher than the iterate's.  polish=None runs gradient steps alone.
+    Returns (X, iterations, objective_trace, converged, stop_reason),
+    iterations counting gradient steps plus every attempt's Newton steps.
     """
 
     def step(p, ap):
@@ -198,11 +210,11 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, cha
         if change:
             lip *= 0.5
         while True:
-            xn = descend(p, g, lip)
+            xn, rn = descend(p, g, lip)
             dx = xn - p
             dax = apply(dx)
             if not change or change(ap, dax) <= np.vdot(g, dx).real + 0.5 * lip * np.vdot(dx, dx).real:
-                return xn, ap + dax
+                return xn, ap + dax, rn
             lip *= 2.0
 
     def rise(axn):  # (phi(axn), phi(axn) - phi(ax))
@@ -218,18 +230,19 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, cha
     fx = phi(ax)
     trace = [fx]
     done = stop(0, x, ax, fx, np.inf, np.inf)
-    it = 0
+    it = rank = since = newton = 0
+    window = _RANK_WINDOW
     while not done and it < max_iterations:
         it += 1
-        xn, axn = step(y, ay)
+        xn, axn, rn = step(y, ay)
         fn, up = rise(axn)
         if up > 0:
             # restart: drop momentum, plain gradient step from x
             t = 1.0
-            xn, axn = step(x, ax)
+            xn, axn, rn = step(x, ax)
             fn, up = rise(axn)
             if change and up > 0:  # a rounding-level step: keep x
-                xn, axn, fn = x, ax, fx
+                xn, axn, fn, rn = x, ax, fx, None
         tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / tn
         y = xn + beta * (xn - x)
@@ -239,7 +252,20 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, cha
         x, ax, fx, t = xn, axn, fn, tn
         trace.append(fx)
         done = stop(it, x, ax, fx, chg, move)
-    return (x, it, trace) + (done or (False, "max_iterations"))
+        if done or not polish or rn is None:
+            continue
+        if rn != rank:
+            rank, since = rn, it
+        elif rank and it - since >= window:
+            since, window = it, 2 * window
+            point, steps = polish(x, rank)
+            newton += steps
+            if point is not None:
+                fn, up = rise(point[1])
+                if up <= 0:
+                    x, done = point[0], (True, point[2])
+                    trace.append(fn)
+    return (x, it + newton, trace) + (done or (False, "max_iterations"))
 
 
 def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
@@ -273,25 +299,25 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
     noiseless solves of the test suite (4,315 iterations), so those end on
     the gate as before; longer tails exist (README, "Numerical notes").
 
-    The default stop also runs the face polish (_Face, _polish) on G(V) =
-    0.5 ||q - f||^2: c = 0, a = q - f, b = 1.  An attempt ends at the first
-    step that does not cut the Newton decrement _DECREMENT_CUT-fold: on a
-    face wider than the optimum's rank (noiseless records) Newton shrinks
-    the surplus columns of V only geometrically, 4-5-fold per step, and
-    would certify a surplus eigenvalue of ~1e-9 that the clip sets to 0.
-    The gate is FISTA's in Newton terms, half the decrement <= tol G or a
-    Newton step that moves X by <= tol max(1, ||X||) (100x finer: it is
-    the whole estimated distance to the face minimum); then the
-    certificate must hold at X = VV^dag, whose objective must be no higher
-    than the iterate's.  Returns (X, iterations, objective_trace,
-    converged, stop_reason), Newton steps included.
+    Without a caller's stop, _fista also runs the face polish (_polish) on
+    G(V) = 0.5 ||q - f||^2: c = 0, a = q - f, b = 1.  An attempt ends at
+    the first step that does not cut the Newton decrement
+    _DECREMENT_CUT-fold: on a face wider than the optimum's rank (noiseless
+    records) Newton shrinks the surplus columns of V only geometrically,
+    4-5-fold per step, and would certify a surplus eigenvalue of ~1e-9 that
+    the clip sets to 0.  The gate is FISTA's in Newton terms, half the
+    decrement <= tol G or a Newton step that moves X by <= tol max(1, ||X||)
+    (100x finer: it is the whole estimated distance to the face minimum);
+    then the certificate must hold at X = VV^dag.  A caller's stop runs
+    gradient steps alone.  Returns _fista's (X, iterations,
+    objective_trace, converged, stop_reason).
     """
     tol = spec.tol("least_squares")
     lip = float(prob.povm.n_bases)
     lip0 = prob.povm.traceless_lipschitz
     weight = (lip / lip0 - 1.0) / prob.d
     f = prob.f
-    held_since, polished = None, None
+    held_since = None
 
     def phi(ax):
         return 0.5 * float(np.linalg.norm(dphi(ax))) ** 2
@@ -313,16 +339,13 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
         e = q - f
         if dec > tol * (e @ e) and _fro(vn @ vn.conj().T - x) > tol * max(1.0, _fro(x)):
             return None
-        return (x, q) if certified(x, q) else None
-
-    face = _Face(np.concatenate(prob.povm.basis_set.bases, axis=1), 0.0, loss, finish,
-                 _CG_STEPS, _DECREMENT_CUT)
+        return (x, q, "projected_gradient") if certified(x, q) else None
 
     def descend(p, g, l0):
-        return face.clip(p - g / l0, np.trace(p).real, weight)
+        return psd_clip(p - g / l0, np.trace(p).real, weight, True)
 
     def pg_stop(it, x, ax, fx, chg, move):
-        nonlocal held_since, polished
+        nonlocal held_since
         gate = (0 <= chg <= tol * max(fx, 1e-30)) or move <= 100 * tol * max(1.0, _fro(x))
         check = it % _HELD_CHECK_EVERY == 0
         if gate or check:
@@ -336,18 +359,13 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
                     held_since = it
                 elif it - held_since >= _HELD_WINDOW:
                     return True, "projected_gradient_held"
-        point = face.polish(it, x)
-        if point is not None and phi(point[1]) <= fx:
-            polished = point[0], phi(point[1])
-            return True, "projected_gradient"
         return None
 
-    x, it, trace, conv, reason = _fista(prob.d, spec.max_iterations, prob.apply, prob.adjoint,
-                                        phi, dphi, descend, lip0, stop or pg_stop)
-    if polished:
-        x = polished[0]
-        trace.append(polished[1])
-    return x, it + face.newton, trace, conv, reason
+    def polish(x, r):
+        return _polish(prob.povm._u, x, r, 0.0, loss, finish, _CG_STEPS, _DECREMENT_CUT)
+
+    return _fista(prob.d, spec.max_iterations, prob.apply, prob.adjoint, phi, dphi, descend,
+                  lip0, stop or pg_stop, None if stop else polish)
 
 
 def estimate_least_squares(
@@ -501,7 +519,8 @@ def _polish(u, x, r, c, loss, finish, max_cg, cut):
     From the second point on, an attempt ends when (cut > 0) the Newton
     decrement dec = -<grad G, dV> has not fallen cut-fold since the last
     step, and else returns finish(v, q, dV, dec) when that is not None:
-    the solver's point, where its gate and certificate hold at VV^dag.
+    the solver's point (X, A[X], stop_reason), where its gate and
+    certificate hold at VV^dag.
     Returns (point, steps), or (None, steps) when there is none within
     _NEWTON_STEPS steps or the line search finds no descent.
     """
@@ -550,42 +569,6 @@ def _polish(u, x, r, c, loss, finish, max_cg, cut):
     return None, steps
 
 
-class _Face:
-    """The face polish of one solve: when _polish runs, and its step count.
-
-    clip is the solver's projection, psd_clip with the kept rank recorded.
-    polish(it, x) runs _polish (from u and the loss arguments it was built
-    with) once r, the rank of the clip that gave x, has held for the
-    window; r is the clip's own count, never cut lower.  The window
-    doubles with each attempt, which bounds the share of a long solve
-    spent on failures (a success ends the solve).  Returns the point or
-    None; newton counts the Newton steps of all attempts.
-    """
-
-    def __init__(self, u, *polish_args):
-        self.u, self.args = u, polish_args
-        self.last = None  # (Z, rank) of the last clip
-        self.rank = self.since = self.newton = 0
-        self.window = _RANK_WINDOW
-
-    def clip(self, h, trace, weight):
-        self.last = psd_clip(h, trace, weight, True)
-        return self.last[0]
-
-    def polish(self, it, x):
-        if self.last is None or x is not self.last[0]:
-            return None  # I/d, or a kept iterate: its rank is unchanged
-        if self.last[1] != self.rank:
-            self.rank, self.since = self.last[1], it
-            return None
-        if not self.rank or it - self.since < self.window:
-            return None
-        self.since, self.window = it, 2 * self.window
-        point, steps = _polish(self.u, x, self.rank, *self.args)
-        self.newton += steps
-        return point
-
-
 def estimate_max_likelihood(
     povm: PovmMap, record: MeasurementRecord, spec: EstimatorSpec | None = None
 ) -> EstimateResult:
@@ -602,7 +585,7 @@ def estimate_max_likelihood(
     objective_trace holds ll, non-decreasing, accumulated from those changes.
 
     The iterates find the optimum's face long before the certificate, so
-    the face polish (_Face, _polish) runs on G(V) = -sum f log q(VV^dag) +
+    _fista runs the face polish (_polish) on G(V) = -sum f log q(VV^dag) +
     tr VV^dag over the observed outcomes: c = 1, a = -f/q, b = f/q^2.  For
     unit-sum f the minimiser of G over the PSD cone has trace 1 and is the
     MLE.  Its gate is the Newton decrement <= 1e-3 tol, so G is within
@@ -619,15 +602,13 @@ def estimate_max_likelihood(
     ft = prob.f / prob.f.sum()
     mask = ft > 0
     fm = ft[mask]
-    polished = None
 
     def dphi(ax):  # -f/q on observed outcomes: the gradient is -R
         w = np.zeros_like(ft)
         w[mask] = -fm / np.maximum(ax[mask], 1e-12)
         return w
 
-    u = np.concatenate(povm.basis_set.bases, axis=1)[:, mask]  # observed |b_mu>
-    uh = u.conj().T
+    u = povm._u[:, mask]  # observed |b_mu>
 
     def loss(q):
         if not q.min() > 0:
@@ -640,28 +621,22 @@ def estimate_max_likelihood(
         if dec > 1e-3 * tol:
             return None
         t = np.vdot(v, v).real
-        if t * np.linalg.eigvalsh((u * (fm / q)) @ uh)[-1] - 1.0 <= tol:
-            return hermitize(v @ v.conj().T) / t, q / t
+        if t * np.linalg.eigvalsh((u * (fm / q)) @ u.conj().T)[-1] - 1.0 <= tol:
+            aq = np.zeros_like(ft)  # the image on every outcome, 0 where unobserved
+            aq[mask] = q / t
+            return hermitize(v @ v.conj().T) / t, aq, "duality_gap"
         return None
-
-    face = _Face(u, 1.0, loss, finish, None, 0)
 
     def descend(p, g, lip):
-        return face.clip(p - g / lip, 1.0, np.inf)
+        return psd_clip(p - g / lip, 1.0, np.inf, True)
 
     def gap_stop(it, x, ax, fx, chg, move):
-        nonlocal polished
         if np.linalg.eigvalsh(-prob.adjoint(dphi(ax)))[-1] - 1.0 <= tol:
             return True, "duality_gap"
-        point = face.polish(it, x)
-        if point is not None:
-            aq = np.zeros_like(ax)
-            aq[mask] = point[1]
-            up = change(ax, aq - ax)
-            if up <= 0:
-                polished = point[0], fx + up
-                return True, "duality_gap"
         return None
+
+    def polish(x, r):
+        return _polish(u, x, r, 1.0, loss, finish, None, 0)
 
     def change(a, delta):  # phi(a + delta) - phi(a), floors included
         a, delta = a[mask], delta[mask]
@@ -671,9 +646,6 @@ def estimate_max_likelihood(
     x, it, trace, conv, reason = _fista(
         prob.d, spec.max_iterations, prob.apply, prob.adjoint,
         lambda ax: -float(fm @ np.log(np.maximum(ax[mask], 1e-12))), dphi,
-        descend, 1.0, gap_stop, change,
+        descend, 1.0, gap_stop, polish, change,
     )
-    if polished:
-        x = polished[0]
-        trace.append(polished[1])
-    return _result("max_likelihood", prob, x, it + face.newton, conv, -np.asarray(trace), reason)
+    return _result("max_likelihood", prob, x, it, conv, -np.asarray(trace), reason)

@@ -191,6 +191,14 @@ class TestEstimate:
         rho_hat = ser.matrix_from_json(load(out)["rho_hat"])
         assert np.allclose(rho_hat, np.eye(4) / 4, atol=1e-8)
 
+    def test_tracemin_without_noise_bound_exits_2(self, tmp_path, noiseless_setup):
+        # a noiseless record carries no noise bound, and no --epsilon is given
+        bases, _, rec = noiseless_setup
+        out = tmp_path / "x.json"
+        assert run(["estimate", "--record", rec, "--bases", bases, "--method", "tracemin",
+                    "--out", out]) == 2
+        assert not out.exists()
+
     def test_dimension_mismatch_exits_4(self, tmp_path, noiseless_setup):
         _, _, rec = noiseless_setup
         other = tmp_path / "other.json"

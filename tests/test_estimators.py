@@ -161,7 +161,7 @@ class TestLeastSquares:
         # iterate's trace is off 1, so the gradient has a trace
         steps = []
 
-        def capture(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop):
+        def capture(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, polish):
             steps.append((descend, lip))
             return np.eye(d) / d, 0, [0.0], True, ""
 
@@ -180,7 +180,7 @@ class TestLeastSquares:
             for scale in (1e-3, 1.0, 30.0):
                 g = scale * povm.adjoint_projectors(povm.projector_values(p) - rec.values)
                 want = shifted_ls_step(p, g, k, lip0)
-                got = descend(p, g, lip0)
+                got, _ = descend(p, g, lip0)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -192,7 +192,6 @@ class TestHeldCertificateExit:
 
         def capture(*args, **kw):
             captured.append(args[8])
-            return np.eye(povm.dim) / povm.dim, 0, [0.0], False, ""
 
         monkeypatch.setattr(estimators, "_fista", capture)
         estimators._least_squares(estimators._Problem(povm, rec), EstimatorSpec())
@@ -630,6 +629,51 @@ class TestFeasibility:
         rec = sample_record(povm, random_pure_state(d, rng), 500, rng)
         with pytest.raises(Infeasible):
             feasibility(povm, rec, EstimatorSpec(noise_bound=0.0))
+
+    def test_never_attempts_a_polish(self, monkeypatch):
+        # least squares on the same noiseless record attempts a polish; the
+        # feasibility solve, longer than the rank window, attempts none
+        _, povm, rec = make_noiseless_problem(5, 3, seed=1)
+        attempts = track_polish(monkeypatch)
+        estimate_least_squares(povm, rec)
+        assert attempts
+        attempts.clear()
+        res = feasibility(povm, rec)
+        assert res.stop_reason == "target_residual"
+        assert res.iterations > estimators._RANK_WINDOW and not attempts
+        assert res.iterations == len(res.objective_trace) - 1
+
+
+class TestPolishAcceptance:
+    @pytest.mark.parametrize("solve", [estimate_least_squares, estimate_max_likelihood])
+    def test_core_refuses_a_point_above_the_iterate(self, solve):
+        # every attempt returns X = 0 after 0 Newton steps: its least-squares
+        # objective 0.5 ||f||^2 and its floored -ll both lie above every
+        # iterate's, so the core refuses each point and the solve is the
+        # gradient-only solve, bit for bit
+        attempts = []
+
+        def worse(u, x, r, *args):
+            attempts.append(r)
+            return (np.zeros_like(x), np.zeros(povm.n_bases * povm.dim), "refused"), 0
+
+        for seed in range(3):
+            gen = np.random.default_rng(seed)
+            d, k = int(gen.integers(2, 9)), int(gen.integers(1, 7))
+            state = random_pure_state(d, gen)
+            povm = povm_from_bases(global_random_bases(d, k, gen))
+            for rec in (sample_record(povm, state, 300, gen), noiseless_record(povm, state)):
+                attempts.clear()
+                with no_polish():
+                    ref = solve(povm, rec)
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(estimators, "_polish", worse)
+                    res = solve(povm, rec)
+                assert attempts
+                assert (res.iterations, res.stop_reason, res.converged) == (
+                    ref.iterations, ref.stop_reason, ref.converged)
+                assert np.array_equal(res.X_hat, ref.X_hat)
+                assert np.array_equal(res.objective_trace, ref.objective_trace)
 
 
 class TestProgramEquivalence:
