@@ -18,7 +18,8 @@ Four programs over the cone of (unnormalized) PSD matrices:
   face polish below can end a solve sooner, on the same certificate.
 * ``estimate_trace_min``      - min Tr X  s.t. ||A[X] - f||_2 <= eps, X >= 0,
   by a primal-dual splitting that alternates an l2-ball projection of the
-  residual with a PSD eigenvalue clip plus dual updates.
+  residual with a PSD eigenvalue clip plus dual updates; for eps > 0 the
+  face polish below ends it on a certified duality gap.
 * ``estimate_max_likelihood`` - max sum_mu f_mu log q_mu(rho) over unit-trace
   PSD rho, by the same accelerated projected gradient with a backtracking
   step whose tests compare log-likelihoods in difference form, stopped
@@ -27,11 +28,12 @@ Four programs over the cone of (unnormalized) PSD matrices:
   as least squares with an early exit at the target residual (no polish).
 
 Least squares and maximum likelihood share one accelerated projected
-gradient core (_fista), and it runs their one face polish (_polish): the
-iterates settle on a low-rank face long before the first-order stop, and
-damped Newton-CG on X = VV^dag at that rank (Burer-Monteiro, Math.
-Program. 95, 329 (2003)) reaches the program's own certificate; otherwise
-the gradient iteration goes on.
+gradient core (_fista), and it runs their face polish (_polish); the
+trace-min primal-dual loop runs the same polish on its penalised form.
+One polish serves all three programs: the iterates settle on a low-rank
+face long before the first-order stop, and damped Newton-CG on X = VV^dag
+at that rank (Burer-Monteiro, Math. Program. 95, 329 (2003)) reaches the
+program's own certificate; otherwise the first-order iteration goes on.
 
 The data map A and the record f live on the conditional scale (per-basis
 blocks of f sum to 1; rows of A are the unweighted projectors |b_i><b_i|),
@@ -113,7 +115,8 @@ class EstimateResult:
     residual is ||A[X_hat] - f||_2 on the record's (conditional) scale.
     objective_trace holds one objective value per accepted iteration; a
     polish adds one value for all its Newton steps.  iterations counts
-    gradient steps plus the Newton steps of every polish attempt.
+    gradient (or primal-dual) steps plus the Newton steps of every polish
+    attempt.
     """
 
     method: str
@@ -191,7 +194,9 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
     that raises it is replaced by a plain step from the last iterate.
     stop(it, x, ax, fx, chg, move) returns (converged, stop_reason) to end
     the run, or None; it is first asked before any step, with
-    chg = move = inf.
+    chg = move = inf.  change(a, 0) = inf marks an image outside phi's
+    domain: a momentum point there takes no step, and the loop restarts
+    from the last iterate, whose image is inside.
 
     When stop returns None, the face polish runs once r, descend's own rank
     for x (never cut lower; I/d and a kept iterate carry none), has held
@@ -206,6 +211,8 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
 
     def step(p, ap):
         nonlocal lip
+        if change and change(ap, 0.0 * ap) == np.inf:
+            return None  # p's image lies outside phi's domain
         g = adjoint(dphi(ap))
         if change:
             lip *= 0.5
@@ -234,9 +241,11 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
     window = _RANK_WINDOW
     while not done and it < max_iterations:
         it += 1
-        xn, axn, rn = step(y, ay)
-        fn, up = rise(axn)
-        if up > 0:
+        trial = step(y, ay)
+        if trial:
+            xn, axn, rn = trial
+            fn, up = rise(axn)
+        if not trial or up > 0:
             # restart: drop momentum, plain gradient step from x
             t = 1.0
             xn, axn, rn = step(x, ax)
@@ -424,7 +433,25 @@ def estimate_trace_min(
     Primal-dual splitting: the dual step projects the residual onto the
     eps-ball (via the Moreau identity), the primal step is a PSD eigenvalue
     clip shifted by the trace gradient.  Steps tau, sigma satisfy
-    tau * sigma * ||A||^2 < 1.
+    tau * sigma * ||A||^2 < 1.  The plain stop, "primal_dual_residual", is
+    on successive iterates no longer changing.
+
+    For eps > 0 the loop runs the face polish (_polish) under _fista's
+    trigger: the clip's rank r has held for the window, _RANK_WINDOW steps
+    doubled per attempt (r never lowered).  At the optimum the dual is
+    u = mu (A[X] - f) with mu = ||u|| / eps, so X also minimises
+    tr X + (mu/2) ||A[X] - f||^2: the polish's c = 1, a = mu (q - f), b = mu,
+    with mu from the current u and the gate a Newton decrement <= 1e-3 tol
+    max(1, tr X).  A secant on log mu against log ||q - f|| (first slope -1,
+    each point warm-started from the last, at most _NEWTON_STEPS points)
+    brings the residual to eps within 1e-10 relative; a secant step that
+    would change mu more than e-fold ends the attempt.  The scaled dual
+    u' = u / (1 + max(0, -lambda_min(I + A^dag u))) is dual-feasible, and X
+    ends the solve as "duality_gap" when tr X + <u', f> + eps ||u'|| <=
+    tol max(1, tr X), with one more objective_trace entry; iterations counts
+    primal-dual plus Newton steps.  A failed attempt leaves the iterate and
+    the dual as they were.  At eps = 0, mu is undefined and the loop runs
+    alone.
 
     Raises
     ------
@@ -451,16 +478,54 @@ def estimate_trace_min(
             return y
         return f + dev * (eps / n)
 
+    def loss(q):  # the data part of tr X + (mu/2) ||q - f||^2
+        e = q - f
+        return mu * e, lambda dq: mu * dq, lambda dq: mu * float(e @ dq + 0.5 * (dq @ dq))
+
+    def finish(v, q, dv, dec):
+        if dec > 1e-3 * tol * max(1.0, np.vdot(v, v).real):
+            return None
+        return hermitize(v @ v.conj().T), q, "duality_gap"
+
+    def polish(x, u, r):
+        nonlocal mu
+        mu, steps = float(np.linalg.norm(u)) / eps, 0
+        s0 = g0 = None
+        for _ in range(_NEWTON_STEPS):  # secant points
+            point, n = _polish(povm._u, x, r, 1.0, loss, finish, None, 0)
+            steps += n
+            if point is None:
+                return None, steps
+            x, q, _ = point
+            s, g = np.log(mu), np.log(float(np.linalg.norm(q - f)) / eps)
+            if abs(g) <= 1e-10:
+                break
+            slope = -1.0 if s0 is None else (g - g0) / (s - s0)
+            if not abs(g) <= abs(slope):
+                return None, steps  # a step in log mu beyond 1: no multiplier near
+            s0, g0, mu = s, g, float(np.exp(s - g / slope))
+        else:
+            return None, steps
+        u = mu * (q - f)
+        u = u / (1.0 + max(0.0, -np.linalg.eigvalsh(prob.adjoint(u) + eye)[0]))
+        tr = float(np.trace(x).real)
+        if tr + float(u @ f) + eps * float(np.linalg.norm(u)) > tol * max(1.0, tr):
+            return None, steps
+        return x, steps
+
     x = np.eye(d, dtype=complex) / d
     x_bar = x.copy()
     u = np.zeros(f.size)
     trace = [float(np.trace(x).real)]
-    converged = False
-    it = 0
-    for it in range(1, spec.max_iterations + 1):
+    reason = "max_iterations"
+    mu = 0.0
+    it = rank = since = newton = 0
+    window = _RANK_WINDOW
+    while reason == "max_iterations" and it < spec.max_iterations:
+        it += 1
         v = u + sigma * prob.apply(x_bar)
         u_new = v - sigma * ball_project(v / sigma)
-        xn = psd_clip(x - tau * (prob.adjoint(u_new) + eye))
+        xn, rn = psd_clip(x - tau * (prob.adjoint(u_new) + eye), rank=True)
         x_bar = 2.0 * xn - x
         rp = _fro(xn - x) / tau
         rd = float(np.linalg.norm(u_new - u)) / sigma
@@ -469,13 +534,20 @@ def estimate_trace_min(
         if np.linalg.norm(u) > 1e12:
             raise Infeasible("dual variable diverged; data ball unreachable from the PSD cone")
         if max(rp, rd) < tol * max(1.0, _fro(x)) * norm_a:
-            converged = True
-            break
+            reason = "primal_dual_residual"
+        elif eps > 0 and rn != rank:
+            rank, since = rn, it
+        elif eps > 0 and rank and it - since >= window and u.any():
+            since, window = it, 2 * window
+            point, steps = polish(x, u, rank)
+            newton += steps
+            if point is not None:
+                x, reason = point, "duality_gap"
+                trace.append(float(np.trace(x).real))
     gap = prob.residual(x) - eps
     if gap > max(1e-7, 1e-6 * float(np.linalg.norm(f))):
         raise Infeasible(f"ball constraint violated by {gap:.3e} at termination")
-    return _result("trace_min", prob, x, it, converged, trace,
-                   "primal_dual_residual" if converged else "max_iterations")
+    return _result("trace_min", prob, x, it + newton, reason != "max_iterations", trace, reason)
 
 
 def _newton_cg(hess, g, max_cg):
@@ -576,12 +648,15 @@ def estimate_max_likelihood(
 
     Accelerated projected gradient (Shang, Zhang and Ng, PRA 95, 062336
     (2017)) with a backtracking step on -ll(rho) = -sum_mu f_mu log q_mu
-    for unit-sum frequencies f; q_mu of observed outcomes is floored at
-    1e-12.  ll has gradient R = sum_mu (f_mu / q_mu) Pi_mu, and concavity
-    gives ll* - ll(rho) <= lambda_max(R) - 1: the solver stops when that
-    gap is at most tol.  The backtracking and restart tests take each change
-    of ll as -sum_mu f_mu log1p(delta_mu / q_mu), delta being the mapped
-    step, so they stay exact where ll itself stops changing in float64.
+    for unit-sum frequencies f, whose domain is q_mu > 0 on the observed
+    outcomes: a change that leaves it counts as +inf, so the backtracking
+    never crosses its boundary, and a momentum point outside it restarts
+    from the iterate.  ll has gradient R = sum_mu (f_mu / q_mu) Pi_mu, and
+    concavity gives ll* - ll(rho) <= lambda_max(R) - 1: the solver stops
+    when that gap is at most tol.  The backtracking and restart tests take
+    each change of ll as -sum_mu f_mu log1p(delta_mu / q_mu), delta being
+    the mapped step, so they stay exact where ll itself stops changing in
+    float64.
     objective_trace holds ll, non-decreasing, accumulated from those changes.
 
     The iterates find the optimum's face long before the certificate, so
@@ -605,7 +680,7 @@ def estimate_max_likelihood(
 
     def dphi(ax):  # -f/q on observed outcomes: the gradient is -R
         w = np.zeros_like(ft)
-        w[mask] = -fm / np.maximum(ax[mask], 1e-12)
+        w[mask] = -fm / ax[mask]
         return w
 
     u = povm._u[:, mask]  # observed |b_mu>
@@ -638,14 +713,15 @@ def estimate_max_likelihood(
     def polish(x, r):
         return _polish(u, x, r, 1.0, loss, finish, None, 0)
 
-    def change(a, delta):  # phi(a + delta) - phi(a), floors included
+    def change(a, delta):  # phi(a + delta) - phi(a), inf outside phi's domain
         a, delta = a[mask], delta[mask]
-        af = np.maximum(a, 1e-12)
-        return -float(fm @ np.log1p(np.maximum(a - af + delta, 1e-12 - af) / af))
+        if not (a.min() > 0 and np.all(delta > -a)):
+            return np.inf
+        return -float(fm @ np.log1p(delta / a))
 
     x, it, trace, conv, reason = _fista(
         prob.d, spec.max_iterations, prob.apply, prob.adjoint,
-        lambda ax: -float(fm @ np.log(np.maximum(ax[mask], 1e-12))), dphi,
+        lambda ax: -float(fm @ np.log(ax[mask])), dphi,
         descend, 1.0, gap_stop, polish, change,
     )
     return _result("max_likelihood", prob, x, it, conv, -np.asarray(trace), reason)

@@ -383,6 +383,65 @@ class TestTraceMin:
         res = estimate_trace_min(povm, rec)  # bound comes from the record
         assert res.residual <= rec.noise_bound + 1e-7
 
+    def test_sampled_record_certifies_on_the_duality_gap(self, monkeypatch):
+        # the face polish ends each solve: the trace is the oracle's within
+        # the certified gap, the residual sits on the ball, and iterations
+        # count the primal-dual steps plus every Newton step, with one more
+        # objective entry for the polished point.  d=3, where the penalty
+        # oracle reaches the ball (at d=4 it can stall 0.5% inside it)
+        attempts = track_polish(monkeypatch)
+        tol = EstimatorSpec().tol("trace_min")
+        for seed in (0, 2, 4):
+            gen = np.random.default_rng(seed)
+            state = random_pure_state(3, gen)
+            povm = povm_from_bases(global_random_bases(3, 3, gen))
+            rec = sample_record(povm, state, 1000, gen)
+            attempts.clear()
+            res = estimate_trace_min(povm, rec)
+            tr = np.trace(res.X_hat).real
+            assert res.converged and res.stop_reason == "duality_gap"
+            assert res.residual <= rec.noise_bound * (1 + 1e-9)
+            assert res.objective_trace[-1] == tr
+            newton = sum(steps for _, steps, _ in attempts)
+            assert newton and res.iterations == len(res.objective_trace) - 2 + newton
+            oracle = trace_min_oracle(povm, rec.values, rec.noise_bound, seed=seed)
+            assert abs(tr - np.trace(oracle).real) <= tol * max(1.0, tr)
+
+    def test_failed_attempts_leave_the_primal_dual_solve_unchanged(self):
+        # every polish fails at once: the solve is the primal-dual solve
+        # without a rank window, bit for bit
+        attempts = []
+
+        def failing(u, x, r, *args):
+            attempts.append(r)
+            return None, 0
+
+        for seed in range(4):
+            gen = np.random.default_rng(seed)
+            d, k = int(gen.integers(2, 7)), int(gen.integers(1, 5))
+            state = random_pure_state(d, gen)
+            povm = povm_from_bases(global_random_bases(d, k, gen))
+            rec = sample_record(povm, state, 300, gen)
+            attempts.clear()
+            with no_polish():
+                ref = estimate_trace_min(povm, rec)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(estimators, "_polish", failing)
+                res = estimate_trace_min(povm, rec)
+            assert attempts and ref.stop_reason == "primal_dual_residual"
+            assert (res.iterations, res.stop_reason, res.converged) == (
+                ref.iterations, ref.stop_reason, ref.converged)
+            assert np.array_equal(res.X_hat, ref.X_hat)
+            assert np.array_equal(res.objective_trace, ref.objective_trace)
+
+    def test_zero_noise_bound_stays_on_primal_dual(self, monkeypatch):
+        # mu = ||u|| / eps is undefined at eps = 0: no attempt is made
+        attempts = track_polish(monkeypatch)
+        state, povm, rec = make_noiseless_problem(4, 5, seed=3)
+        res = estimate_trace_min(povm, rec, EstimatorSpec(noise_bound=0.0))
+        assert res.stop_reason == "primal_dual_residual"
+        assert res.iterations > 4 * estimators._RANK_WINDOW and not attempts
+
     def test_infeasible_on_inconsistent_equality(self, rng):
         # sampled frequencies are almost surely outside the map range, so
         # eps = 0 leaves an empty feasible set
@@ -545,9 +604,23 @@ class TestMaxLikelihood:
         res = estimate_max_likelihood(povm, rec)
         assert abs(np.trace(res.X_hat).real - 1.0) <= 1e-10
 
+    def test_rare_outcome_does_not_pin_the_step(self):
+        # one outcome observed 2 times in 3,300: no step may drive its q to
+        # 0 or to rounding level (~1e-18), where the backtracking would pin
+        # the step until max_iterations; a momentum point whose image leaves
+        # the log-likelihood's domain restarts from the iterate.  With one
+        # basis the MLE's image is f itself
+        counts = np.array([2, 79, 110, 551, 767, 212, 84, 336, 353, 719, 87])
+        for seed in range(8):
+            povm = povm_from_bases(global_random_bases(11, 1, np.random.default_rng(seed)))
+            rec = MeasurementRecord(dim=11, n_bases=1, values=counts / 3300, kind="sampled")
+            res = estimate_max_likelihood(povm, rec)
+            assert res.converged and res.stop_reason == "duality_gap"
+            assert res.residual <= 1e-6
+
     def test_zero_probability_outcomes_survive(self):
-        # a basis-eigenstate record has exact zeros; the model floor keeps
-        # the iteration finite
+        # a basis-eigenstate record has exact zeros; unobserved outcomes
+        # drop out of the likelihood, so the iteration stays finite
         gen = np.random.default_rng(3)
         d = 3
         basis = global_random_bases(d, 1, gen)
