@@ -76,7 +76,9 @@ _HELD_WINDOW = 7000
 # _RANK_WINDOW steps before an attempt of at most _NEWTON_STEPS Newton steps;
 # each failed attempt doubles the window.  Least squares caps each Newton
 # system at _CG_STEPS CG products and ends an attempt at the first step that
-# does not cut the Newton decrement _DECREMENT_CUT-fold (see _least_squares)
+# does not cut the Newton decrement _DECREMENT_CUT-fold (see _least_squares).
+# A face V with V.size <= _CG_STEPS solves on a dense Hessian, which costs
+# less to form than one capped CG solve does in matrix-free products
 _RANK_WINDOW = 20
 _NEWTON_STEPS = 30
 _CG_STEPS = 60
@@ -340,7 +342,7 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
 
     def loss(q):
         e = q - f
-        return e, lambda dq: dq, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
+        return e, 1.0, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
 
     def finish(v, q, dv, dec):
         x = hermitize(v @ v.conj().T)
@@ -480,7 +482,7 @@ def estimate_trace_min(
 
     def loss(q):  # the data part of tr X + (mu/2) ||q - f||^2
         e = q - f
-        return mu * e, lambda dq: mu * dq, lambda dq: mu * float(e @ dq + 0.5 * (dq @ dq))
+        return mu * e, mu, lambda dq: mu * float(e @ dq + 0.5 * (dq @ dq))
 
     def finish(v, q, dv, dec):
         if dec > 1e-3 * tol * max(1.0, np.vdot(v, v).real):
@@ -574,19 +576,49 @@ def _newton_cg(hess, g, max_cg):
     return d
 
 
+def _hess_product(u, w, c, a, b):
+    """Half the Hessian of _polish's G at V, W = U^dag V, as a product on
+    Delta in C^{d x r}: c Delta + U(a Z + b dq W), Z = U^dag Delta and
+    dq = 2 Re sum_j conj(W) Z, two matrix products per call."""
+    uh = u.conj().T
+
+    def hess(dv):
+        z = uh @ dv
+        dq = 2.0 * (w.real * z.real + w.imag * z.imag).sum(axis=1)
+        return c * dv + u @ (a[:, None] * z + (b * dq)[:, None] * w)
+
+    return hess
+
+
+def _hess_matrix(u, w, c, a, b):
+    """_hess_product as a dense real symmetric matrix on Delta.view(float),
+    flattened: the real form of (c I + U diag(a) U^dag) (x) I_r plus
+    2 B^T diag(b) B, row mu of B the real view of vec(u_mu w_mu^T)."""
+    d, r = u.shape[0], w.shape[1]
+    rows = (u.T[:, :, None] * w[:, None, :]).view(float).reshape(len(w), -1)
+    h = 2.0 * (rows.T * b) @ rows
+    m = (u * a) @ u.conj().T + c * np.eye(d)
+    blocks = np.einsum("ijskjt->jiskt", h.reshape(d, r, 2, d, r, 2))  # a view: column j on column j
+    blocks += np.stack([np.stack([m.real, -m.imag], -1), np.stack([m.imag, m.real], -1)], 1)
+    return h
+
+
 def _polish(u, x, r, c, loss, finish, max_cg, cut):
     """Damped Newton-CG on the face of rank r, from the top-r eigenpairs of x.
 
     Minimises a loss G(V) of q = A[VV^dag] = |U^dag V|^2 summed over
     columns (U: one basis vector per outcome) plus c tr VV^dag, over V in
-    C^{d x r}.  loss(q) returns (a, curv, change), or None outside G's
-    domain.  With W = U^dag V, half the gradient is c V + U(a W) and half
-    the Hessian on Delta is c Delta + U(a Z + curv(dq) W), Z = U^dag Delta,
-    dq = 2 Re sum_j conj(W) Z and curv(dq) = b dq: two matrix products per
-    Hessian-vector product, solved by truncated CG (_newton_cg, at most
-    max_cg products, or 2 V.size for None).  The step length halves until G
-    falls by an Armijo fraction, its data part taken as change(dq) in
-    difference form (inf outside the domain).
+    C^{d x r}.  loss(q) returns (a, b, change), or None outside G's domain.
+    With W = U^dag V, half the gradient is c V + U(a W), and half the
+    Hessian on Delta is c Delta + U(a Z + b dq W), Z = U^dag Delta and
+    dq = 2 Re sum_j conj(W) Z, the change of q along Delta.  Truncated CG
+    (_newton_cg, at most max_cg products, or 2 V.size for None) solves the
+    Newton system: on faces with V.size <= _CG_STEPS on the dense real
+    Hessian (_hess_matrix, one matrix-vector product per CG product; it
+    costs about V.size matrix-free products to form), else matrix-free
+    (_hess_product).  The step length halves until G falls by an Armijo
+    fraction, its data part taken as change(dq) in difference form (inf
+    outside the domain).
 
     From the second point on, an attempt ends when (cut > 0) the Newton
     decrement dec = -<grad G, dV> has not fallen cut-fold since the last
@@ -599,6 +631,7 @@ def _polish(u, x, r, c, loss, finish, max_cg, cut):
     lam, vecs = np.linalg.eigh(x)
     v = vecs[:, -r:] * np.sqrt(np.maximum(lam[-r:], 0.0))
     uh = u.conj().T
+    max_cg = max_cg or 2 * v.size
     steps, last = 0, np.inf
     while True:
         w = uh @ v
@@ -606,15 +639,13 @@ def _polish(u, x, r, c, loss, finish, max_cg, cut):
         model = loss(q)
         if model is None:
             break
-        a, curv, change = model
+        a, b, change = model
         g = c * v + u @ (a[:, None] * w)  # half the gradient
-
-        def hess(dv):  # half the Hessian on dv
-            z = uh @ dv
-            dq = 2.0 * (w.real * z.real + w.imag * z.imag).sum(axis=1)
-            return c * dv + u @ (a[:, None] * z + curv(dq)[:, None] * w)
-
-        dv = _newton_cg(hess, g, max_cg or 2 * v.size)
+        if v.size <= _CG_STEPS:
+            h = _hess_matrix(u, w, c, a, b)
+            dv = _newton_cg(h.dot, g.view(float).ravel(), max_cg).view(complex).reshape(v.shape)
+        else:
+            dv = _newton_cg(_hess_product(u, w, c, a, b), g, max_cg)
         dec = -2.0 * np.vdot(g, dv).real
         if steps:
             if cut * dec > last:
@@ -689,7 +720,7 @@ def estimate_max_likelihood(
         if not q.min() > 0:
             return None
         s = fm / q
-        return -s, lambda dq: s * dq / q, lambda dq: (
+        return -s, s / q, lambda dq: (
             -float(fm @ np.log1p(dq / q)) if np.all(dq > -q) else np.inf)
 
     def finish(v, q, dv, dec):

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: eigenvalues
 come from characteristic-polynomial companion roots, optima from scipy
-descent on a Cholesky parameterization, Kronecker products from explicit
+descent on a Cholesky parameterization (trace-min: bisection on a
+penalty multiplier, BFGS on a full factor), Kronecker products from explicit
 index loops, the map and its adjoint from per-basis loops, finite-shot
 frequencies from one multinomial draw per basis, the map matrix and
 kernel basis from per-column and per-vector loops, the simplex shift by
@@ -254,34 +255,52 @@ def mle_oracle(povm, f: np.ndarray, seed: int = 0, n_starts: int = 4) -> float:
 
 
 def trace_min_oracle(povm, f: np.ndarray, eps: float, seed: int = 0) -> np.ndarray:
-    """Trace minimizer on the data ball via increasing quadratic penalties."""
-    opt = CholeskyDescent(povm.dim)
-    eye = np.eye(povm.dim, dtype=complex)
-    z = opt.pack(np.eye(povm.dim) / np.sqrt(povm.dim))
-    for penalty in [1e2, 1e4, 1e6, 1e8, 1e10]:
+    """Trace minimizer on the data ball, for 0 < eps < ||f||.
 
-        def objective(x, _l, pen=penalty):
-            r_vec = povm.projector_values(x) - f
-            r = float(np.linalg.norm(r_vec))
-            excess = max(0.0, r - eps)
-            grad = eye.copy()
-            if excess > 0 and r > 0:
-                grad = grad + pen * 2.0 * excess * povm.adjoint_projectors(r_vec) / r
-            return float(np.trace(x).real) + pen * excess**2, grad
+    At its multiplier mu the minimizer also minimizes the smooth penalised
+    objective tr X + (mu/2) ||A[X] - f||^2, whose residual falls as mu
+    grows, so bisection on mu brings the residual to eps from inside the
+    ball.  Each penalised problem is solved by scipy BFGS over X = L L^dag
+    with L a full complex d x d factor, every time from the same random
+    start: a start warm from the last, rank-deficient solution sits near a
+    saddle and can stall there, as fixed penalties on a triangular factor
+    did (0.5% inside the ball at d=4).
+    """
+    d = povm.dim
+    eye = np.eye(d, dtype=complex)
+    z0 = 0.3 * np.random.default_rng(seed).standard_normal(2 * d * d)
 
-        def fun(zv):
-            l_mat = opt.unpack(zv)
-            x = l_mat @ l_mat.conj().T
-            val, grad_x = objective(x, l_mat)
-            return val, opt.pack(2.0 * (grad_x @ l_mat))
+    def unpack(z):
+        l_mat = (z[: d * d] + 1j * z[d * d :]).reshape(d, d)
+        return l_mat @ l_mat.conj().T, l_mat
+
+    def solve(mu):
+        def fun(z):
+            x, l_mat = unpack(z)
+            r = povm.projector_values(x) - f
+            g = 2.0 * (eye + mu * povm.adjoint_projectors(r)) @ l_mat
+            val = float(np.trace(x).real) + 0.5 * mu * float(r @ r)
+            return val, np.concatenate([g.real.ravel(), g.imag.ravel()])
 
         res = scipy.optimize.minimize(
-            fun, z, jac=True, method="L-BFGS-B",
-            options={"maxiter": 100000, "ftol": 1e-20, "gtol": 1e-16},
+            fun, z0, jac=True, method="BFGS", options={"gtol": 1e-14, "maxiter": 100000}
         )
-        z = res.x
-    l_mat = opt.unpack(z)
-    return l_mat @ l_mat.conj().T
+        x = unpack(res.x)[0]
+        return x, float(np.linalg.norm(povm.projector_values(x) - f))
+
+    lo, hi = 0.0, 1.0
+    x, r = solve(hi)
+    while r > eps:
+        lo, hi = hi, 2.0 * hi
+        x, r = solve(hi)
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        x_mid, r_mid = solve(mid)
+        if r_mid > eps:
+            lo = mid
+        else:
+            hi, x = mid, x_mid
+    return x
 
 
 def random_hermitian(d: int, rng: np.random.Generator, traceless: bool = False) -> np.ndarray:

@@ -77,6 +77,7 @@ def protocol_result():
     )
 
 
+@pytest.mark.slow
 def test_criterion_1_rank1_onsets(rank1_sweep_global, rank1_sweep_local):
     """Minimal basis counts for rank-1 reconstruction match the reference
     value 6 within one basis, for unary and qubit systems."""
@@ -92,6 +93,7 @@ def test_criterion_1_rank1_onsets(rank1_sweep_global, rank1_sweep_local):
     assert held_exits(rank1_sweep_global) == held_exits(rank1_sweep_local) == 0
 
 
+@pytest.mark.slow
 def test_criterion_2_higher_rank_onsets():
     """Rank-2 and rank-3 onsets at d=11 match 7 and 9 within one basis."""
     result = run_completeness_sweep(
@@ -108,6 +110,7 @@ def test_criterion_2_higher_rank_onsets():
     assert held_exits(result) == 0
 
 
+@pytest.mark.slow
 def test_criterion_3_program_equivalence(d11_onset):
     """On noiseless strictly-complete data every convex program returns the
     same state: mutual Frobenius distance <= 1e-4 over 10 random states."""
@@ -132,6 +135,7 @@ def test_criterion_3_program_equivalence(d11_onset):
     assert report("3 (program equivalence)", ok, f"worst mutual Frobenius distance {worst:.2e} (tol 1e-4)")
 
 
+@pytest.mark.slow
 def test_criterion_4a_curve_shape(protocol_result, d11_onset):
     """Mean infidelity decreases with basis count up to the onset and
     plateaus beyond it, for every estimator."""
@@ -160,6 +164,7 @@ def test_criterion_4a_curve_shape(protocol_result, d11_onset):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4b_estimator_agreement(protocol_result, d11_onset):
     """At and beyond the onset the three estimator curves agree within two
     standard errors of each other."""

@@ -387,14 +387,14 @@ class TestTraceMin:
         # the face polish ends each solve: the trace is the oracle's within
         # the certified gap, the residual sits on the ball, and iterations
         # count the primal-dual steps plus every Newton step, with one more
-        # objective entry for the polished point.  d=3, where the penalty
-        # oracle reaches the ball (at d=4 it can stall 0.5% inside it)
+        # objective entry for the polished point.  The d=4 seeds are those
+        # where an oracle on fixed penalties stalled 0.5% inside the ball
         attempts = track_polish(monkeypatch)
         tol = EstimatorSpec().tol("trace_min")
-        for seed in (0, 2, 4):
+        for d, seed in ((3, 0), (3, 2), (3, 4), (4, 1), (4, 5)):
             gen = np.random.default_rng(seed)
-            state = random_pure_state(3, gen)
-            povm = povm_from_bases(global_random_bases(3, 3, gen))
+            state = random_pure_state(d, gen)
+            povm = povm_from_bases(global_random_bases(d, 3, gen))
             rec = sample_record(povm, state, 1000, gen)
             attempts.clear()
             res = estimate_trace_min(povm, rec)
@@ -525,6 +525,7 @@ class TestMaxLikelihood:
         ll = float(ft[ft > 0] @ np.log(np.maximum(q[ft > 0], 1e-12)))
         return ll, np.linalg.eigvalsh(povm.adjoint_projectors(w))[-1] - 1.0
 
+    @pytest.mark.slow
     def test_polish_certified_and_no_worse_than_gradient_only(self, monkeypatch):
         # seeded survey, d 2-8, k 1-6, sampled and noiseless records: every
         # solve that the polish ends meets the certificate, and its ll is at
@@ -715,6 +716,87 @@ class TestFeasibility:
         assert res.stop_reason == "target_residual"
         assert res.iterations > estimators._RANK_WINDOW and not attempts
         assert res.iterations == len(res.objective_trace) - 1
+
+
+class TestFaceHessian:
+    """The polish's half Hessian, dense (_hess_matrix on real views) and
+    matrix-free (_hess_product on complex V-shaped arrays), for each loss."""
+
+    @staticmethod
+    def face(d, r, seed):
+        # (u, v, w, q, f): a random face of rank r and a sampled record
+        gen = np.random.default_rng(seed)
+        povm = povm_from_bases(global_random_bases(d, 3, gen))
+        rec = sample_record(povm, random_pure_state(d, gen), 1000, gen)
+        v = gen.standard_normal((d, r)) + 1j * gen.standard_normal((d, r))
+        v /= np.linalg.norm(v)
+        w = povm._u.conj().T @ v
+        return povm._u, v, w, (w.real**2 + w.imag**2).sum(axis=1), rec.values
+
+    @staticmethod
+    def models(q, f):
+        # (c, a, b) of least squares, trace-min at mu = 5 and maximum likelihood
+        mu = 5.0
+        return {
+            "least_squares": (0.0, q - f, 1.0),
+            "trace_min": (1.0, mu * (q - f), mu),
+            "max_likelihood": (1.0, -f / q, f / q**2),
+        }
+
+    def cases(self):
+        # r = 1..3 at d = 6 (every face dense) and d = 31 (dense only at r = 1)
+        for d in (6, 31):
+            for r in (1, 2, 3):
+                u, v, w, q, f = self.face(d, r, seed=10 * d + r)
+                for name, (c, a, b) in self.models(q, f).items():
+                    yield name, u, v, w, c, a, b
+
+    def test_dense_matrix_equals_matrix_free_product(self):
+        sides = set()
+        for name, u, v, w, c, a, b in self.cases():
+            h = estimators._hess_matrix(u, w, c, a, b)
+            product = estimators._hess_product(u, w, c, a, b)
+            n = 2 * v.size
+            cols = np.eye(n)
+            mf = np.stack(
+                [product(cols[i].view(complex).reshape(v.shape)).view(float).ravel() for i in range(n)], 1
+            )
+            scale = np.linalg.norm(mf)
+            assert np.linalg.norm(h - mf) <= 1e-12 * scale, name
+            assert np.linalg.norm(h - h.T) <= 1e-12 * scale, name
+            sides.add(v.size <= estimators._CG_STEPS)
+        assert sides == {True, False}
+
+    def test_one_newton_cg_solve_gives_the_same_step(self):
+        for name, u, v, w, c, a, b in self.cases():
+            g = c * v + u @ (a[:, None] * w)
+            h = estimators._hess_matrix(u, w, c, a, b)
+            dense = estimators._newton_cg(h.dot, g.view(float).ravel(), 2 * v.size)
+            free = estimators._newton_cg(estimators._hess_product(u, w, c, a, b), g, 2 * v.size)
+            dense = dense.view(complex).reshape(v.shape)
+            assert np.linalg.norm(dense - free) <= 1e-10 * np.linalg.norm(free), name
+
+    def test_polish_dispatch_reads_only_the_face_size(self, monkeypatch):
+        # an attempt that finishes at its second point solves two Newton
+        # systems, both dense when V has at most _CG_STEPS entries
+        used = []
+        for fn in ("_hess_matrix", "_hess_product"):
+            original = getattr(estimators, fn)
+            monkeypatch.setattr(estimators, fn, lambda *args, fn=fn, original=original: (
+                used.append(fn) or original(*args)))
+        for d, r in ((6, 3), (30, 2), (31, 2), (31, 3)):
+            u, v, w, q, f = self.face(d, r, seed=d + r)
+
+            def loss(q, f=f):  # least squares' model
+                e = q - f
+                return e, 1.0, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
+
+            used.clear()
+            point, steps = estimators._polish(u, v @ v.conj().T, r, 0.0, loss,
+                                              lambda *args: "point", None, 0)
+            dense = v.size <= estimators._CG_STEPS
+            assert (point, steps) == ("point", 1)
+            assert used == ["_hess_matrix" if dense else "_hess_product"] * 2
 
 
 class TestPolishAcceptance:
