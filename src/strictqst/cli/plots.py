@@ -36,12 +36,12 @@ def line_plot(
     y_label: str,
     title: str = "",
     log_x: bool = False,
-    log_y: bool = True,
 ) -> str:
-    """Render named (x, y) series as an SVG line chart.
+    """Render named (x, y) series as an SVG line chart on a logarithmic y
+    axis (and x axis with log_x).
 
-    Nonpositive values are clipped to the smallest positive value present
-    when the corresponding axis is logarithmic.
+    Nonpositive values on a logarithmic axis are clipped to the smallest
+    positive value present.
     """
     pts = [p for s in series.values() for p in s]
     if not pts:
@@ -49,13 +49,13 @@ def line_plot(
     floor_x = min((x for x, _ in pts if x > 0), default=1.0)
     floor_y = min((y for _, y in pts if y > 0), default=1.0)
     xs = [max(x, floor_x) if log_x else x for x, _ in pts]
-    ys = [max(y, floor_y) if log_y else y for _, y in pts]
+    ys = [max(y, floor_y) for _, y in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_lo == x_hi:
         x_hi = x_lo + 1
     if y_lo == y_hi:
-        y_hi = y_lo * 10 if log_y else y_lo + 1
+        y_hi = y_lo * 10
 
     def sx(x):
         x = max(x, floor_x) if log_x else x
@@ -66,11 +66,8 @@ def line_plot(
         return _ML + t * (_W - _ML - _MR)
 
     def sy(y):
-        y = max(y, floor_y) if log_y else y
-        if log_y:
-            t = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        else:
-            t = (y - y_lo) / (y_hi - y_lo)
+        y = max(y, floor_y)
+        t = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
         return _H - _MB - t * (_H - _MT - _MB)
 
     parts = [
@@ -90,8 +87,8 @@ def line_plot(
         px = sx(xt)
         parts.append(f'<line x1="{px:.1f}" y1="{_H - _MB}" x2="{px:.1f}" y2="{_H - _MB + 5}" stroke="black"/>')
         parts.append(f'<text x="{px:.1f}" y="{_H - _MB + 18}" text-anchor="middle">{_fmt(float(xt))}</text>')
-    for yt in (_log_ticks(y_lo, y_hi) if log_y else [y_lo + i * (y_hi - y_lo) / 4 for i in range(5)]):
-        if log_y and not (y_lo / 1.001 <= yt <= y_hi * 1.001):
+    for yt in _log_ticks(y_lo, y_hi):
+        if not (y_lo / 1.001 <= yt <= y_hi * 1.001):
             continue
         py = sy(yt)
         parts.append(f'<line x1="{_ML - 5}" y1="{py:.1f}" x2="{_ML}" y2="{py:.1f}" stroke="black"/>')
@@ -120,7 +117,7 @@ def line_plot(
     return "\n".join(parts)
 
 
-def onset_table_svg(rows: list[dict], title: str = "Strict-completeness onset") -> str:
+def onset_table_svg(rows: list[dict]) -> str:
     """Render onset-sweep cells as a small SVG table."""
     header = ["dim", "rank", "basis_type", "onset", "n_states"]
     cell_w, cell_h = 90, 24
@@ -130,7 +127,7 @@ def onset_table_svg(rows: list[dict], title: str = "Strict-completeness onset") 
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">Strict-completeness onset</text>',
     ]
     for j, name in enumerate(header):
         parts.append(

@@ -14,8 +14,10 @@ Four programs over the cone of (unnormalized) PSD matrices:
   noiseless solves stop early at 30-50x higher infidelities.  A second
   exit ends a solve once the certificate, checked every 100 iterations,
   has held across 7,000: on noiseless data f can fall towards 0 so slowly
-  that the relative-change gate does not open within the budget.  The
-  face polish below can end a solve sooner, on the same certificate.
+  that the relative-change gate does not open within the budget.  On
+  sampled and synthetic records the face polish below can end a solve
+  sooner, on the same certificate; noiseless records run gradient steps
+  alone.
 * ``estimate_trace_min``      - min Tr X  s.t. ||A[X] - f||_2 <= eps, X >= 0,
   by a primal-dual splitting that alternates an l2-ball projection of the
   residual with a PSD eigenvalue clip plus dual updates; for eps > 0 the
@@ -74,15 +76,15 @@ _HELD_WINDOW = 7000
 
 # the face polish (see _fista, _polish): the clip's rank must hold for
 # _RANK_WINDOW steps before an attempt of at most _NEWTON_STEPS Newton steps;
-# each failed attempt doubles the window.  Least squares caps each Newton
-# system at _CG_STEPS CG products and ends an attempt at the first step that
-# does not cut the Newton decrement _DECREMENT_CUT-fold (see _least_squares).
-# A face V with V.size <= _CG_STEPS solves on a dense Hessian, which costs
-# less to form than one capped CG solve does in matrix-free products
+# each failed attempt doubles the window.  A face V with V.size <=
+# _DENSE_SIZE solves on a dense Hessian.  Forming it costs about V.size
+# matrix-free products in flops, but on faces this small a product is
+# mostly per-call overhead: forming measured 3-5 products at d = 11,
+# r <= 3, against up to 2 V.size products per Newton system.  Larger faces
+# are flop-bound (d = 32, r = 6: tens of products) and stay matrix-free
 _RANK_WINDOW = 20
 _NEWTON_STEPS = 30
-_CG_STEPS = 60
-_DECREMENT_CUT = 8.0
+_DENSE_SIZE = 60
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,7 @@ class _Problem:
             )
         self.d = povm.dim
         self.f = np.asarray(record.values, dtype=float)
+        self.noiseless = record.kind == "noiseless"
         self.apply = povm.projector_values
         self.adjoint = povm.adjoint_projectors
         self.povm = povm
@@ -310,17 +313,15 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
     noiseless solves of the test suite (4,315 iterations), so those end on
     the gate as before; longer tails exist (README, "Numerical notes").
 
-    Without a caller's stop, _fista also runs the face polish (_polish) on
-    G(V) = 0.5 ||q - f||^2: c = 0, a = q - f, b = 1.  An attempt ends at
-    the first step that does not cut the Newton decrement
-    _DECREMENT_CUT-fold: on a face wider than the optimum's rank (noiseless
-    records) Newton shrinks the surplus columns of V only geometrically,
-    4-5-fold per step, and would certify a surplus eigenvalue of ~1e-9 that
-    the clip sets to 0.  The gate is FISTA's in Newton terms, half the
+    _fista also runs the face polish (_polish) on G(V) = 0.5 ||q - f||^2:
+    c = 0, a = q - f, b = 1.  The gate is FISTA's in Newton terms, half the
     decrement <= tol G or a Newton step that moves X by <= tol max(1, ||X||)
     (100x finer: it is the whole estimated distance to the face minimum);
-    then the certificate must hold at X = VV^dag.  A caller's stop runs
-    gradient steps alone.  Returns _fista's (X, iterations,
+    then the certificate must hold at X = VV^dag.  A caller's stop, or a
+    noiseless record, runs gradient steps alone: there the clip keeps a face
+    wider than the optimum's rank, Newton shrinks the surplus columns of V
+    only geometrically, and a polish would certify a surplus eigenvalue of
+    ~1e-9 that the clip sets to 0.  Returns _fista's (X, iterations,
     objective_trace, converged, stop_reason).
     """
     tol = spec.tol("least_squares")
@@ -373,10 +374,10 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
         return None
 
     def polish(x, r):
-        return _polish(prob.povm._u, x, r, 0.0, loss, finish, _CG_STEPS, _DECREMENT_CUT)
+        return _polish(prob.povm._u, x, r, 0.0, loss, finish)
 
     return _fista(prob.d, spec.max_iterations, prob.apply, prob.adjoint, phi, dphi, descend,
-                  lip0, stop or pg_stop, None if stop else polish)
+                  lip0, stop or pg_stop, None if stop or prob.noiseless else polish)
 
 
 def estimate_least_squares(
@@ -384,8 +385,8 @@ def estimate_least_squares(
 ) -> EstimateResult:
     """Constrained least squares over the PSD cone (accelerated projected
     gradient, step 1/k on the identity and 1/L0 on traceless matrices, and
-    a certified Newton polish on the face its iterates identify; see
-    _least_squares)."""
+    a certified Newton polish on the face its iterates identify unless the
+    record is noiseless; see _least_squares)."""
     prob = _Problem(povm, record)
     x, it, trace, conv, reason = _least_squares(prob, spec or EstimatorSpec())
     return _result("least_squares", prob, x, it, conv, trace, reason)
@@ -494,7 +495,7 @@ def estimate_trace_min(
         mu, steps = float(np.linalg.norm(u)) / eps, 0
         s0 = g0 = None
         for _ in range(_NEWTON_STEPS):  # secant points
-            point, n = _polish(povm._u, x, r, 1.0, loss, finish, None, 0)
+            point, n = _polish(povm._u, x, r, 1.0, loss, finish)
             steps += n
             if point is None:
                 return None, steps
@@ -552,16 +553,17 @@ def estimate_trace_min(
     return _result("trace_min", prob, x, it + newton, reason != "max_iterations", trace, reason)
 
 
-def _newton_cg(hess, g, max_cg):
+def _newton_cg(hess, g):
     """Truncated CG on hess(d) = -g from d = 0, to a residual of
-    min(0.5, sqrt(||g||)) ||g||; at a direction of nonpositive curvature it
-    returns the step so far, or -g if there is none."""
+    min(0.5, sqrt(||g||)) ||g|| or for at most the system's real dimension
+    in products; at a direction of nonpositive curvature it returns the
+    step so far, or -g if there is none."""
     d = np.zeros_like(g)
     res = -g
     p = res.copy()
     rr = np.vdot(res, res).real
     stop = rr * min(0.25, np.sqrt(rr))
-    for _ in range(max_cg):
+    for _ in range(g.view(float).size):
         hp = hess(p)
         curv = np.vdot(p, hp).real
         if curv <= 0:
@@ -603,7 +605,7 @@ def _hess_matrix(u, w, c, a, b):
     return h
 
 
-def _polish(u, x, r, c, loss, finish, max_cg, cut):
+def _polish(u, x, r, c, loss, finish):
     """Damped Newton-CG on the face of rank r, from the top-r eigenpairs of x.
 
     Minimises a loss G(V) of q = A[VV^dag] = |U^dag V|^2 summed over
@@ -612,18 +614,16 @@ def _polish(u, x, r, c, loss, finish, max_cg, cut):
     With W = U^dag V, half the gradient is c V + U(a W), and half the
     Hessian on Delta is c Delta + U(a Z + b dq W), Z = U^dag Delta and
     dq = 2 Re sum_j conj(W) Z, the change of q along Delta.  Truncated CG
-    (_newton_cg, at most max_cg products, or 2 V.size for None) solves the
-    Newton system: on faces with V.size <= _CG_STEPS on the dense real
-    Hessian (_hess_matrix, one matrix-vector product per CG product; it
-    costs about V.size matrix-free products to form), else matrix-free
-    (_hess_product).  The step length halves until G falls by an Armijo
-    fraction, its data part taken as change(dq) in difference form (inf
-    outside the domain).
+    (_newton_cg, at most 2 V.size products, the system's real dimension)
+    solves the Newton system: on faces with V.size <= _DENSE_SIZE on the
+    dense real Hessian (_hess_matrix, one matrix-vector product per CG
+    product), else matrix-free (_hess_product).  The step length halves
+    until G falls by an Armijo fraction, its data part taken as change(dq)
+    in difference form (inf outside the domain).
 
-    From the second point on, an attempt ends when (cut > 0) the Newton
-    decrement dec = -<grad G, dV> has not fallen cut-fold since the last
-    step, and else returns finish(v, q, dV, dec) when that is not None:
-    the solver's point (X, A[X], stop_reason), where its gate and
+    From the second point on, with dec = -<grad G, dV> the Newton
+    decrement, an attempt returns finish(v, q, dV, dec) when that is not
+    None: the solver's point (X, A[X], stop_reason), where its gate and
     certificate hold at VV^dag.
     Returns (point, steps), or (None, steps) when there is none within
     _NEWTON_STEPS steps or the line search finds no descent.
@@ -631,8 +631,7 @@ def _polish(u, x, r, c, loss, finish, max_cg, cut):
     lam, vecs = np.linalg.eigh(x)
     v = vecs[:, -r:] * np.sqrt(np.maximum(lam[-r:], 0.0))
     uh = u.conj().T
-    max_cg = max_cg or 2 * v.size
-    steps, last = 0, np.inf
+    steps = 0
     while True:
         w = uh @ v
         q = (w.real**2 + w.imag**2).sum(axis=1)
@@ -641,19 +640,16 @@ def _polish(u, x, r, c, loss, finish, max_cg, cut):
             break
         a, b, change = model
         g = c * v + u @ (a[:, None] * w)  # half the gradient
-        if v.size <= _CG_STEPS:
+        if v.size <= _DENSE_SIZE:
             h = _hess_matrix(u, w, c, a, b)
-            dv = _newton_cg(h.dot, g.view(float).ravel(), max_cg).view(complex).reshape(v.shape)
+            dv = _newton_cg(h.dot, g.view(float).ravel()).view(complex).reshape(v.shape)
         else:
-            dv = _newton_cg(_hess_product(u, w, c, a, b), g, max_cg)
+            dv = _newton_cg(_hess_product(u, w, c, a, b), g)
         dec = -2.0 * np.vdot(g, dv).real
         if steps:
-            if cut * dec > last:
-                break  # a stalled decrement: an over-parameterised face
             point = finish(v, q, dv, dec)
             if point is not None:
                 return point, steps
-        last = dec
         if steps == _NEWTON_STEPS:
             break
         z = uh @ dv
@@ -742,7 +738,7 @@ def estimate_max_likelihood(
         return None
 
     def polish(x, r):
-        return _polish(u, x, r, 1.0, loss, finish, None, 0)
+        return _polish(u, x, r, 1.0, loss, finish)
 
     def change(a, delta):  # phi(a + delta) - phi(a), inf outside phi's domain
         a, delta = a[mask], delta[mask]

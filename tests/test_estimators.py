@@ -41,14 +41,14 @@ def track_polish(monkeypatch, rank=None):
     attempts, products = [], []
     polish, newton_cg = estimators._polish, estimators._newton_cg
 
-    def counted_cg(hess, g, max_cg):
+    def counted_cg(hess, g):
         products.append(0)
 
         def counted(p):
             products[-1] += 1
             return hess(p)
 
-        return newton_cg(counted, g, max_cg)
+        return newton_cg(counted, g)
 
     def tracked(u, x, r, *args):
         products.clear()
@@ -265,32 +265,27 @@ class TestLeastSquaresPolish:
 
     def test_polish_certified_and_no_worse_than_gradient_only(self, monkeypatch):
         # seeded survey, d 2-8, k 1-6, states of random rank, sampled and
-        # noiseless records: every solve that the polish ends meets the
-        # certificate, and its objective is at most that of a gradient-only
-        # solve (no rank window opens within its 150,000-step budget) plus
-        # 1e-12.  On noiseless records that the gradient-only solve recovers
-        # (the sweep's pass metric, infidelity for a pure state and Frobenius
-        # distance otherwise, at most 1e-5) the polished estimate is no
-        # farther from the state
+        # noiseless records: every attempt on a sampled record certifies,
+        # and the solve it ends meets the certificate with an objective at
+        # most that of a gradient-only solve (no rank window opens within
+        # its 150,000-step budget) plus 1e-12.  Noiseless records run
+        # gradient steps alone and make no attempt
         ended = track_polish(monkeypatch)
-        polished = recovered = 0
+        polished = 0
         for seed in range(60):
             gen = np.random.default_rng(seed)
             d, k = int(gen.integers(2, 9)), int(gen.integers(1, 7))
             rank = int(gen.integers(1, d + 1))
             state = random_pure_state(d, gen) if rank == 1 else random_rank_r_state(d, rank, gen)
             povm = povm_from_bases(global_random_bases(d, k, gen))
-
-            def error(res):
-                if rank == 1:
-                    return infidelity(state, res.rho_hat)
-                return float(np.linalg.norm(res.rho_hat.rho - state.rho))
-
-            for noiseless, rec in ((False, sample_record(povm, state, 300, gen)),
-                                   (True, noiseless_record(povm, state))):
+            for rec in (sample_record(povm, state, 300, gen), noiseless_record(povm, state)):
                 ended.clear()
                 res = estimate_least_squares(povm, rec)
-                if not (ended and ended[-1][0]):
+                if rec.kind == "noiseless":
+                    assert not ended
+                    continue
+                assert all(certified for certified, _, _ in ended)
+                if not ended:
                     continue
                 polished += 1
                 assert res.converged and res.stop_reason == "projected_gradient"
@@ -303,23 +298,18 @@ class TestLeastSquaresPolish:
                 with no_polish():
                     ref = estimate_least_squares(povm, rec, EstimatorSpec(max_iterations=150000))
                 assert obj <= self.objective_and_certificate(povm, rec, ref.X_hat)[0] + 1e-12
-                if noiseless and error(ref) <= 1e-5:
-                    recovered += 1
-                    assert error(res) <= error(ref)
-        assert polished >= 60 and recovered >= 5
+        assert polished >= 47
 
     def test_failed_attempts_leave_the_gradient_solve_unchanged(self, monkeypatch):
         # noiseless pure states whose clip keeps a wider face than the
-        # state's rank 1 (the over-parameterised case): Newton on such a face
-        # converges only linearly, and each attempt ends on the stalled
-        # decrement within a few steps and the CG cap.  The solve is then the
-        # gradient-only solve, bit for bit, with the Newton steps added to
-        # its iterations.  State 3 at k=5 of the benchmark sweep cell (d=32,
-        # seed 7, drawn as _run_sweep_cell draws it) keeps rank 5-7; survey
-        # seeds 23 and 141 (drawn as the likelihood survey draws them) keep
-        # rank 2, and there a 4-fold decrement rule (23) or a move gate of
-        # 100 tol (141) certified a surplus eigenvalue above the
-        # gradient-only solve's infidelity
+        # state's rank 1 (the over-parameterised case), where Newton
+        # converges only linearly: noiseless records make no attempt, so
+        # each solve is the gradient-only solve, bit for bit.  State 3 at
+        # k=5 of the benchmark sweep cell (d=32, seed 7, drawn as
+        # _run_sweep_cell draws it) keeps rank 5-7; survey seeds 23 and 141
+        # (drawn as the likelihood survey draws them) keep rank 2, and there
+        # a polish certified a surplus eigenvalue above the gradient-only
+        # solve's infidelity
         cell_seq = np.random.SeedSequence(7).spawn(1)[0]
         bases_rng = np.random.default_rng(cell_seq)
         state = random_pure_state(32, np.random.default_rng(cell_seq.spawn(4)[3]))
@@ -336,14 +326,31 @@ class TestLeastSquaresPolish:
             res = estimate_least_squares(povm, rec)
             with no_polish():
                 ref = estimate_least_squares(povm, rec)
-            assert attempts and not any(certified for certified, _, _ in attempts)
-            for _, steps, products in attempts:
-                assert steps <= 3 and products <= estimators._CG_STEPS
-            assert res.iterations == ref.iterations + sum(steps for _, steps, _ in attempts)
+            assert not attempts
+            assert res.iterations == ref.iterations
             assert np.array_equal(res.X_hat, ref.X_hat)
             assert np.array_equal(res.objective_trace, ref.objective_trace)
             assert (res.stop_reason, res.residual) == (ref.stop_reason, ref.residual)
             assert infidelity(state, res.rho_hat) <= 1e-5
+
+    def test_protocol_k3_solve_ends_on_its_first_attempt(self, monkeypatch):
+        # the k=3 solve of the bundled d=11 protocol config (seed 11), drawn
+        # as _run_protocol_target draws it: the first Newton step from the
+        # eigenpair start is still damped, and the attempt certifies later
+        rng = np.random.default_rng(np.random.SeedSequence(11).spawn(1)[0])
+        target = random_pure_state(11, rng)
+        tau = random_full_rank_state(11, rng)
+        sigma = StateModel(target, 1e-3, tau).realize()
+        mats = []
+        for _ in range(3):
+            mats.append(global_random_bases(11, 1, rng).bases[0])
+            povm = povm_from_bases(BasisSet(dim=11, bases=tuple(mats), kind="global"))
+            rec = sample_record(povm, sigma, 3300, rng)
+        attempts = track_polish(monkeypatch)
+        res = estimate_least_squares(povm, rec)
+        assert len(attempts) == 1 and attempts[0][0]
+        assert res.converged and res.stop_reason == "projected_gradient"
+        assert res.iterations < 100
 
 
 class TestTraceMin:
@@ -705,11 +712,12 @@ class TestFeasibility:
             feasibility(povm, rec, EstimatorSpec(noise_bound=0.0))
 
     def test_never_attempts_a_polish(self, monkeypatch):
-        # least squares on the same noiseless record attempts a polish; the
-        # feasibility solve, longer than the rank window, attempts none
-        _, povm, rec = make_noiseless_problem(5, 3, seed=1)
+        # least squares on a sampled record of the same state attempts a
+        # polish; the feasibility solve, longer than the rank window,
+        # attempts none
+        state, povm, rec = make_noiseless_problem(5, 3, seed=1)
         attempts = track_polish(monkeypatch)
-        estimate_least_squares(povm, rec)
+        estimate_least_squares(povm, sample_record(povm, state, 500, np.random.default_rng(1)))
         assert attempts
         attempts.clear()
         res = feasibility(povm, rec)
@@ -764,21 +772,21 @@ class TestFaceHessian:
             scale = np.linalg.norm(mf)
             assert np.linalg.norm(h - mf) <= 1e-12 * scale, name
             assert np.linalg.norm(h - h.T) <= 1e-12 * scale, name
-            sides.add(v.size <= estimators._CG_STEPS)
+            sides.add(v.size <= estimators._DENSE_SIZE)
         assert sides == {True, False}
 
     def test_one_newton_cg_solve_gives_the_same_step(self):
         for name, u, v, w, c, a, b in self.cases():
             g = c * v + u @ (a[:, None] * w)
             h = estimators._hess_matrix(u, w, c, a, b)
-            dense = estimators._newton_cg(h.dot, g.view(float).ravel(), 2 * v.size)
-            free = estimators._newton_cg(estimators._hess_product(u, w, c, a, b), g, 2 * v.size)
+            dense = estimators._newton_cg(h.dot, g.view(float).ravel())
+            free = estimators._newton_cg(estimators._hess_product(u, w, c, a, b), g)
             dense = dense.view(complex).reshape(v.shape)
             assert np.linalg.norm(dense - free) <= 1e-10 * np.linalg.norm(free), name
 
     def test_polish_dispatch_reads_only_the_face_size(self, monkeypatch):
         # an attempt that finishes at its second point solves two Newton
-        # systems, both dense when V has at most _CG_STEPS entries
+        # systems, both dense when V has at most _DENSE_SIZE entries
         used = []
         for fn in ("_hess_matrix", "_hess_product"):
             original = getattr(estimators, fn)
@@ -792,9 +800,8 @@ class TestFaceHessian:
                 return e, 1.0, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
 
             used.clear()
-            point, steps = estimators._polish(u, v @ v.conj().T, r, 0.0, loss,
-                                              lambda *args: "point", None, 0)
-            dense = v.size <= estimators._CG_STEPS
+            point, steps = estimators._polish(u, v @ v.conj().T, r, 0.0, loss, lambda *args: "point")
+            dense = v.size <= estimators._DENSE_SIZE
             assert (point, steps) == ("point", 1)
             assert used == ["_hess_matrix" if dense else "_hess_product"] * 2
 
@@ -805,7 +812,8 @@ class TestPolishAcceptance:
         # every attempt returns X = 0 after 0 Newton steps: its least-squares
         # objective 0.5 ||f||^2 and its floored -ll both lie above every
         # iterate's, so the core refuses each point and the solve is the
-        # gradient-only solve, bit for bit
+        # gradient-only solve, bit for bit.  Least squares makes attempts on
+        # sampled records only
         attempts = []
 
         def worse(u, x, r, *args):
@@ -817,7 +825,8 @@ class TestPolishAcceptance:
             d, k = int(gen.integers(2, 9)), int(gen.integers(1, 7))
             state = random_pure_state(d, gen)
             povm = povm_from_bases(global_random_bases(d, k, gen))
-            for rec in (sample_record(povm, state, 300, gen), noiseless_record(povm, state)):
+            records = (sample_record(povm, state, 300, gen), noiseless_record(povm, state))
+            for rec in records[:1] if solve is estimate_least_squares else records:
                 attempts.clear()
                 with no_polish():
                     ref = solve(povm, rec)
