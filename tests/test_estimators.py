@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from strictqst import estimators
+from strictqst import estimators, experiments
 from strictqst.errors import Infeasible
 from strictqst.linalg import psd_clip
 from strictqst.estimators import (
@@ -11,6 +11,7 @@ from strictqst.estimators import (
     estimate_trace_min,
     feasibility,
 )
+from strictqst.experiments import NoisyProtocolConfig, run_noisy_protocol
 from strictqst.measurement import (
     BasisSet,
     MeasurementRecord,
@@ -532,12 +533,13 @@ class TestMaxLikelihood:
         ll = float(ft[ft > 0] @ np.log(np.maximum(q[ft > 0], 1e-12)))
         return ll, np.linalg.eigvalsh(povm.adjoint_projectors(w))[-1] - 1.0
 
-    @pytest.mark.slow
     def test_polish_certified_and_no_worse_than_gradient_only(self, monkeypatch):
         # seeded survey, d 2-8, k 1-6, sampled and noiseless records: every
         # solve that the polish ends meets the certificate, and its ll is at
-        # least that of a gradient-only solve (no rank window opens within
-        # its 150,000-step budget) minus 1e-9
+        # least that of a gradient-only solve (no rank window opens) minus
+        # 1e-9.  Every gradient-only solve certifies within its 150,000-step
+        # budget; with lip halved before each step, seed 8's noiseless one
+        # (d=7, k=2) ran to the cap
         tol = EstimatorSpec().tol("max_likelihood")
         ended = track_polish(monkeypatch)
         polished = 0
@@ -561,6 +563,7 @@ class TestMaxLikelihood:
                 assert abs(res.objective_trace[-1] - ll) <= 1e-9
                 with no_polish():
                     ref = estimate_max_likelihood(povm, rec, EstimatorSpec(max_iterations=150000))
+                assert ref.converged
                 assert ll >= self.loglik_and_gap(povm, rec, ref.X_hat)[0] - 1e-9
         assert polished >= 30
 
@@ -594,6 +597,44 @@ class TestMaxLikelihood:
         rec = sample_record(povm, sigma, 3300, rng)
         res = estimate_max_likelihood(povm, rec)
         assert res.converged and res.stop_reason == "duality_gap"
+
+    @staticmethod
+    def protocol_solves(monkeypatch, seed):
+        """The maximum-likelihood solves of one d=11 protocol target (global
+        bases, k=1..10, 300 * d shots), as the bundled protocol config draws
+        them, and the psd_clip calls they make."""
+        solves, clips = [], [0]
+
+        def counted_clip(*args, **kwargs):
+            clips[0] += 1
+            return psd_clip(*args, **kwargs)
+
+        def solve(*args):
+            solves.append(estimate_max_likelihood(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(estimators, "psd_clip", counted_clip)
+        monkeypatch.setattr(experiments, "estimate_max_likelihood", solve)
+        run_noisy_protocol(
+            NoisyProtocolConfig(dim=11, n_targets=1, estimators=("max_likelihood",), seed=seed)
+        )
+        return solves, clips[0]
+
+    def test_backtracking_clips_about_once_per_step(self, monkeypatch):
+        # lip falls 0.9-fold before each step, so most steps pass the
+        # sufficient-decrease test at their first clip.  Halving it there
+        # made 1,147 clips in 569 iterations on this target (2.02 per
+        # iteration); 0.9 makes 535 in 468
+        solves, clips = self.protocol_solves(monkeypatch, 11)
+        assert all(res.stop_reason == "duality_gap" for res in solves)
+        assert clips <= 1.3 * sum(res.iterations for res in solves)
+
+    def test_every_solve_of_the_seed13_target_certifies(self, monkeypatch):
+        # with lip never lowered, the k=2 solve of this target runs to
+        # max_iterations: lip climbs to 64 in the first steps and stays there
+        solves, _ = self.protocol_solves(monkeypatch, 13)
+        assert len(solves) == 10
+        assert all(res.converged and res.stop_reason == "duality_gap" for res in solves)
 
     def test_monotone_objective(self, rng):
         d = 3
