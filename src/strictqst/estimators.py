@@ -33,7 +33,7 @@ Least squares and maximum likelihood share one accelerated projected
 gradient core (_fista), and it runs their face polish (_polish); the
 trace-min primal-dual loop runs the same polish on its penalised form.
 One polish serves all three programs: the iterates settle on a low-rank
-face long before the first-order stop, and damped Newton-CG on X = VV^dag
+face long before the first-order stop, and damped Newton on X = VV^dag
 at that rank (Burer-Monteiro, Math. Program. 95, 329 (2003)) reaches the
 program's own certificate; otherwise the first-order iteration goes on.
 
@@ -77,11 +77,14 @@ _HELD_WINDOW = 7000
 # the face polish (see _fista, _polish): the clip's rank must hold for
 # _RANK_WINDOW steps before an attempt of at most _NEWTON_STEPS Newton steps;
 # each failed attempt doubles the window.  A face V with V.size <=
-# _DENSE_SIZE solves on a dense Hessian.  Forming it costs about V.size
+# _DENSE_SIZE forms its dense real Hessian and takes the exact Newton step
+# from one LAPACK solve (_dense_newton).  Forming costs about V.size
 # matrix-free products in flops, but on faces this small a product is
 # mostly per-call overhead: forming measured 3-5 products at d = 11,
-# r <= 3, against up to 2 V.size products per Newton system.  Larger faces
-# are flop-bound (d = 32, r = 6: tens of products) and stay matrix-free
+# r <= 3, and a solve 11-117 us at real dimension 22-110, against up to
+# that dimension in CG products of 8-17 us each per system.  Larger faces are flop-bound
+# (d = 32, r = 6: tens of products) and stay matrix-free; a limit of 130
+# measured no better
 _RANK_WINDOW = 20
 _NEWTON_STEPS = 30
 _DENSE_SIZE = 60
@@ -200,9 +203,9 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
     replaced by a plain step from the last iterate.
     stop(it, x, ax, fx, chg, move) returns (converged, stop_reason) to end
     the run, or None; it is first asked before any step, with
-    chg = move = inf.  change(a, 0) = inf marks an image outside phi's
-    domain: a momentum point there takes no step, and the loop restarts
-    from the last iterate, whose image is inside.
+    chg = move = inf.  dphi(a) = None marks an image outside phi's domain:
+    a momentum point there takes no step, and the loop restarts from the
+    last iterate, whose image is inside.
 
     When stop returns None, the face polish runs once r, descend's own rank
     for x (never cut lower; I/d and a kept iterate carry none), has held
@@ -217,9 +220,10 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
 
     def step(p, ap):
         nonlocal lip
-        if change and change(ap, 0.0 * ap) == np.inf:
+        grad = dphi(ap)
+        if grad is None:
             return None  # p's image lies outside phi's domain
-        g = adjoint(dphi(ap))
+        g = adjoint(grad)
         if change:
             lip *= 0.9
         while True:
@@ -558,7 +562,8 @@ def _newton_cg(hess, g):
     """Truncated CG on hess(d) = -g from d = 0, to a residual of
     min(0.5, sqrt(||g||)) ||g|| or for at most the system's real dimension
     in products; at a direction of nonpositive curvature it returns the
-    step so far, or -g if there is none."""
+    step so far, or -g if there is none.  The Newton step of matrix-free
+    faces, and of dense ones where _dense_newton refuses the exact step."""
     d = np.zeros_like(g)
     res = -g
     p = res.copy()
@@ -577,6 +582,19 @@ def _newton_cg(hess, g):
             break
         p = res + (rr / rr_old) * p
     return d
+
+
+def _dense_newton(h, g):
+    """The exact Newton step d = -h^-1 g on a dense real h, one LAPACK
+    solve.  Face Hessians are near-singular along the gauge V -> VQ and at
+    times slightly indefinite, so a singular h, or a step that is not a
+    descent direction (not <g, d> < 0, NaN included), gets _newton_cg's
+    step on the same h instead."""
+    try:
+        d = np.linalg.solve(h, -g)
+    except np.linalg.LinAlgError:
+        return _newton_cg(h.dot, g)
+    return d if g @ d < 0 else _newton_cg(h.dot, g)
 
 
 def _hess_product(u, w, c, a, b):
@@ -607,20 +625,22 @@ def _hess_matrix(u, w, c, a, b):
 
 
 def _polish(u, x, r, c, loss, finish):
-    """Damped Newton-CG on the face of rank r, from the top-r eigenpairs of x.
+    """Damped Newton on the face of rank r, from the top-r eigenpairs of x.
 
     Minimises a loss G(V) of q = A[VV^dag] = |U^dag V|^2 summed over
     columns (U: one basis vector per outcome) plus c tr VV^dag, over V in
     C^{d x r}.  loss(q) returns (a, b, change), or None outside G's domain.
     With W = U^dag V, half the gradient is c V + U(a W), and half the
     Hessian on Delta is c Delta + U(a Z + b dq W), Z = U^dag Delta and
-    dq = 2 Re sum_j conj(W) Z, the change of q along Delta.  Truncated CG
-    (_newton_cg, at most 2 V.size products, the system's real dimension)
-    solves the Newton system: on faces with V.size <= _DENSE_SIZE on the
-    dense real Hessian (_hess_matrix, one matrix-vector product per CG
-    product), else matrix-free (_hess_product).  The step length halves
-    until G falls by an Armijo fraction, its data part taken as change(dq)
-    in difference form (inf outside the domain).
+    dq = 2 Re sum_j conj(W) Z, the change of q along Delta.  On faces with
+    V.size <= _DENSE_SIZE the step is the exact Newton step on the dense
+    real Hessian (_hess_matrix), one LAPACK solve, with truncated CG on the
+    same matrix where that step is refused (_dense_newton); larger faces
+    take truncated CG on the matrix-free product (_newton_cg on
+    _hess_product, at most 2 V.size products, the system's real
+    dimension).  The step length halves until G falls by an Armijo
+    fraction, its data part taken as change(dq) in difference form (inf
+    outside the domain).
 
     From the second point on, with dec = -<grad G, dV> the Newton
     decrement, an attempt returns finish(v, q, dV, dec) when that is not
@@ -643,7 +663,7 @@ def _polish(u, x, r, c, loss, finish):
         g = c * v + u @ (a[:, None] * w)  # half the gradient
         if v.size <= _DENSE_SIZE:
             h = _hess_matrix(u, w, c, a, b)
-            dv = _newton_cg(h.dot, g.view(float).ravel()).view(complex).reshape(v.shape)
+            dv = _dense_newton(h, g.view(float).ravel()).view(complex).reshape(v.shape)
         else:
             dv = _newton_cg(_hess_product(u, w, c, a, b), g)
         dec = -2.0 * np.vdot(g, dv).real
@@ -681,11 +701,15 @@ def estimate_max_likelihood(
     never crosses its boundary, and a momentum point outside it restarts
     from the iterate.  ll has gradient R = sum_mu (f_mu / q_mu) Pi_mu, and
     concavity gives ll* - ll(rho) <= lambda_max(R) - 1: the solver stops
-    when that gap is at most tol.  The backtracking multiplies lip by 0.9
-    before each step and doubles it on a failed test.  Halving it each step
-    made most steps clip twice.  It must still fall: a lip that never does
-    keeps the value of a steep stretch, and the k=2 solve of the seed-13
-    d=11 protocol target then runs to max_iterations.  The backtracking and
+    when that gap is at most tol.  R is formed and its eigh taken only when
+    the Rayleigh quotient of the last top eigenvector v, sum_mu (f_mu / q_mu)
+    |<b_mu|v>|^2 <= lambda_max(R), does not already exceed 1 + tol; far from
+    the optimum it does, and that test costs one product with U.  The
+    backtracking multiplies lip by 0.9 before each step and doubles it on a
+    failed test.  Halving it each step made most steps clip twice.  It must
+    still fall: a lip that never does keeps the value of a steep stretch,
+    and the k=2 solve of the seed-13 d=11 protocol target then runs to
+    max_iterations.  The backtracking and
     restart tests take each change of ll as -sum_mu f_mu log1p(delta_mu /
     q_mu), delta being the mapped step, so they stay exact where ll itself
     stops changing in float64.
@@ -710,9 +734,12 @@ def estimate_max_likelihood(
     mask = ft > 0
     fm = ft[mask]
 
-    def dphi(ax):  # -f/q on observed outcomes: the gradient is -R
+    def dphi(ax):  # -f/q on observed outcomes (the gradient is -R), None outside the domain
+        a = ax[mask]
+        if not a.min() > 0:
+            return None
         w = np.zeros_like(ft)
-        w[mask] = -fm / ax[mask]
+        w[mask] = -fm / a
         return w
 
     u = povm._u[:, mask]  # observed |b_mu>
@@ -737,17 +764,26 @@ def estimate_max_likelihood(
     def descend(p, g, lip):
         return psd_clip(p - g / lip, 1.0, np.inf, True)
 
+    top = None  # top eigenvector of the last R formed
+
     def gap_stop(it, x, ax, fx, chg, move):
-        if np.linalg.eigvalsh(-prob.adjoint(dphi(ax)))[-1] - 1.0 <= tol:
+        nonlocal top
+        if top is not None:
+            z = top.conj() @ u
+            if (fm / ax[mask]) @ (z.real**2 + z.imag**2) - 1.0 > tol:
+                return None  # <top, R top> <= lambda_max(R): no certificate
+        lam, vecs = np.linalg.eigh(-prob.adjoint(dphi(ax)))
+        top = vecs[:, -1]
+        if lam[-1] - 1.0 <= tol:
             return True, "duality_gap"
         return None
 
     def polish(x, r):
         return _polish(u, x, r, 1.0, loss, finish)
 
-    def change(a, delta):  # phi(a + delta) - phi(a), inf outside phi's domain
+    def change(a, delta):  # phi(a + delta) - phi(a) from a in phi's domain; inf outside it
         a, delta = a[mask], delta[mask]
-        if not (a.min() > 0 and np.all(delta > -a)):
+        if not np.all(delta > -a):
             return np.inf
         return -float(fm @ np.log1p(delta / a))
 

@@ -36,29 +36,38 @@ import properties
 
 
 def track_polish(monkeypatch, rank=None):
-    """Wrap the face polish, optionally at a fixed rank, and count the CG
-    products of its Newton systems; the returned list collects (certified,
-    Newton steps, most CG products in one system) for each attempt."""
-    attempts, products = [], []
-    polish, newton_cg = estimators._polish, estimators._newton_cg
+    """Wrap the face polish, optionally at a fixed rank, and record its
+    Newton systems; the returned list collects (certified, Newton steps,
+    systems) for each attempt.  systems has one entry per solve: "solve"
+    for a dense LAPACK solve (_dense_newton), else the CG products that
+    _newton_cg took, so a dense system whose exact step is refused shows as
+    "solve" followed by the products of its CG fallback."""
+    attempts, systems = [], []
+    polish, newton_cg, dense_newton = estimators._polish, estimators._newton_cg, estimators._dense_newton
 
     def counted_cg(hess, g):
-        products.append(0)
+        systems.append(0)
+        at = len(systems) - 1
 
         def counted(p):
-            products[-1] += 1
+            systems[at] += 1
             return hess(p)
 
         return newton_cg(counted, g)
 
+    def counted_dense(h, g):
+        systems.append("solve")
+        return dense_newton(h, g)
+
     def tracked(u, x, r, *args):
-        products.clear()
+        systems.clear()
         point, steps = polish(u, x, rank or r, *args)
-        attempts.append((point is not None, steps, max(products, default=0)))
+        attempts.append((point is not None, steps, tuple(systems)))
         return point, steps
 
     monkeypatch.setattr(estimators, "_polish", tracked)
     monkeypatch.setattr(estimators, "_newton_cg", counted_cg)
+    monkeypatch.setattr(estimators, "_dense_newton", counted_dense)
     return attempts
 
 
@@ -586,6 +595,52 @@ class TestMaxLikelihood:
         ended = track_polish(monkeypatch)
         assert estimate_max_likelihood(povm, rec).converged and ended[-1][0]
 
+    def test_gap_gate_skips_only_checks_that_fail(self, monkeypatch):
+        # seeded survey, d 2-8, k 1-6, sampled and noiseless records: the
+        # stop skips its certificate check, forming no R and so calling no
+        # adjoint, only when the Rayleigh quotient of the last top
+        # eigenvector already exceeds 1 + tol; each skipped check is one that
+        # the full check fails, lambda_max(R) - 1 > tol at the iterate
+        tol = EstimatorSpec().tol("max_likelihood")
+        adjoint, fista = PovmMap.adjoint_projectors, estimators._fista
+        calls, skipped = [0], []
+
+        def counted_adjoint(self, y):
+            calls[0] += 1
+            return adjoint(self, y)
+
+        def spied(*args):
+            stop = args[8]
+
+            def watched(it, x, ax, *rest):
+                before = calls[0]
+                done = stop(it, x, ax, *rest)
+                if calls[0] == before:
+                    skipped.append(ax)
+                return done
+
+            return fista(*args[:8], watched, *args[9:])
+
+        monkeypatch.setattr(PovmMap, "adjoint_projectors", counted_adjoint)
+        monkeypatch.setattr(estimators, "_fista", spied)
+        checked = 0
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            d, k = int(gen.integers(2, 9)), int(gen.integers(1, 7))
+            state = random_pure_state(d, gen)
+            povm = povm_from_bases(global_random_bases(d, k, gen))
+            for rec in (sample_record(povm, state, 300, gen), noiseless_record(povm, state)):
+                skipped.clear()
+                assert estimate_max_likelihood(povm, rec).converged
+                ft = rec.values / rec.values.sum()
+                mask = ft > 0
+                for ax in skipped:
+                    w = np.zeros_like(ft)
+                    w[mask] = ft[mask] / ax[mask]
+                    assert np.linalg.eigvalsh(adjoint(povm, w))[-1] - 1.0 > tol
+                checked += len(skipped)
+        assert checked >= 1000
+
     def test_single_basis_protocol_target_converges(self):
         # the first target of the bundled d=11 protocol config (seed 11),
         # measured in one basis with 300 * d shots
@@ -824,6 +879,67 @@ class TestFaceHessian:
             free = estimators._newton_cg(estimators._hess_product(u, w, c, a, b), g)
             dense = dense.view(complex).reshape(v.shape)
             assert np.linalg.norm(dense - free) <= 1e-10 * np.linalg.norm(free), name
+
+    def dense_systems(self):
+        # (name, h, g) on the real views of every dense face
+        for name, u, v, w, c, a, b in self.cases():
+            if v.size <= estimators._DENSE_SIZE:
+                g = c * v + u @ (a[:, None] * w)
+                yield name, estimators._hess_matrix(u, w, c, a, b), g.view(float).ravel()
+
+    def test_dense_step_solves_the_newton_system(self):
+        # random faces are mostly indefinite, so each h is shifted to a
+        # smallest eigenvalue of at least 1: there the step is the exact
+        # Newton step, h d = -g to rounding
+        names = set()
+        for name, h, g in self.dense_systems():
+            h = h + (1.0 - min(np.linalg.eigvalsh(h)[0], 0.0)) * np.eye(len(g))
+            step = estimators._dense_newton(h, g)
+            assert np.linalg.norm(h @ step + g) <= 1e-10 * np.linalg.norm(g), name
+            names.add(name)
+        assert names == {"least_squares", "trace_min", "max_likelihood"}
+
+    def test_refused_dense_step_is_the_cg_step(self):
+        # a singular h (a zero column: LU raises), a negative definite one
+        # and a face Hessian whose exact step ascends all get _newton_cg's
+        # step on the same h, bit for bit
+        refused = 0
+        for name, h, g in self.dense_systems():
+            singular = h.copy()
+            singular[:, 0] = singular[0, :] = 0.0
+            cases = [singular, -(h + (1.0 - min(np.linalg.eigvalsh(h)[0], 0.0)) * np.eye(len(g)))]
+            if not g @ np.linalg.solve(h, -g) < 0:
+                cases.append(h)
+                refused += 1
+            for m in cases:
+                assert np.array_equal(estimators._dense_newton(m, g), estimators._newton_cg(m.dot, g)), name
+        assert refused
+
+    def test_track_polish_records_each_dense_solve(self, monkeypatch):
+        # an attempt that finishes at its second point solves two Newton
+        # systems: two "solve" entries on a dense face, two CG product
+        # counts on a matrix-free one.  With the dense Hessian negated every
+        # exact step ascends, and each system shows its solve and then the
+        # CG fallback, which stops at the first (negative) curvature
+        attempts = track_polish(monkeypatch)
+
+        def run(d, r):
+            u, v, w, q, f = self.face(d, r, seed=d + r)
+
+            def loss(q, f=f):  # least squares' model
+                e = q - f
+                return e, 1.0, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
+
+            attempts.clear()
+            estimators._polish(u, v @ v.conj().T, r, 0.0, loss, lambda *args: "point")
+            return attempts[-1]
+
+        assert run(6, 3) == (True, 1, ("solve", "solve"))
+        certified, steps, systems = run(31, 3)
+        assert (certified, steps, len(systems)) == (True, 1, 2) and all(isinstance(n, int) and n > 0 for n in systems)
+        hess_matrix = estimators._hess_matrix
+        monkeypatch.setattr(estimators, "_hess_matrix", lambda *args: -hess_matrix(*args))
+        assert run(6, 3)[2] == ("solve", 1, "solve", 1)
 
     def test_polish_dispatch_reads_only_the_face_size(self, monkeypatch):
         # an attempt that finishes at its second point solves two Newton
