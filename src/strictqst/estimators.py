@@ -76,7 +76,12 @@ _HELD_WINDOW = 7000
 
 # the face polish (see _fista, _polish): the clip's rank must hold for
 # _RANK_WINDOW steps before an attempt of at most _NEWTON_STEPS Newton steps;
-# each failed attempt doubles the window.  A face V with V.size <=
+# each failed attempt doubles the window.  One pass of the d = 11 protocol
+# target (three programs, k = 1..10, one BLAS thread, min of 7 in each of 3
+# rounds) took 0.24-0.26 s at a window of 20, 0.20 at 10, 0.19 at 5, 0.20-0.22
+# at 3 and 0.29-0.30 at 1: the steps held before a first attempt are mostly
+# wasted, but below 5 the extra failed attempts cost more than the gradient
+# steps they save.  A face V with V.size <=
 # _DENSE_SIZE forms its dense real Hessian and takes the exact Newton step
 # from one LAPACK solve (_dense_newton).  Forming costs about V.size
 # matrix-free products in flops, but on faces this small a product is
@@ -85,7 +90,7 @@ _HELD_WINDOW = 7000
 # that dimension in CG products of 8-17 us each per system.  Larger faces are flop-bound
 # (d = 32, r = 6: tens of products) and stay matrix-free; a limit of 130
 # measured no better
-_RANK_WINDOW = 20
+_RANK_WINDOW = 5
 _NEWTON_STEPS = 30
 _DENSE_SIZE = 60
 

@@ -600,7 +600,9 @@ class TestMaxLikelihood:
         # stop skips its certificate check, forming no R and so calling no
         # adjoint, only when the Rayleigh quotient of the last top
         # eigenvector already exceeds 1 + tol; each skipped check is one that
-        # the full check fails, lambda_max(R) - 1 > tol at the iterate
+        # the full check fails, lambda_max(R) - 1 > tol at the iterate.  60
+        # seeds: the polish ends most solves a few steps after the face is
+        # found, and 20 seeds checked only 403 skips at a 5-step rank window
         tol = EstimatorSpec().tol("max_likelihood")
         adjoint, fista = PovmMap.adjoint_projectors, estimators._fista
         calls, skipped = [0], []
@@ -624,7 +626,7 @@ class TestMaxLikelihood:
         monkeypatch.setattr(PovmMap, "adjoint_projectors", counted_adjoint)
         monkeypatch.setattr(estimators, "_fista", spied)
         checked = 0
-        for seed in range(20):
+        for seed in range(60):
             gen = np.random.default_rng(seed)
             d, k = int(gen.integers(2, 9)), int(gen.integers(1, 7))
             state = random_pure_state(d, gen)
@@ -995,6 +997,89 @@ class TestPolishAcceptance:
                     ref.iterations, ref.stop_reason, ref.converged)
                 assert np.array_equal(res.X_hat, ref.X_hat)
                 assert np.array_equal(res.objective_trace, ref.objective_trace)
+
+
+class TestPolishTrigger:
+    """An attempt starts once the rank of the clip each step kept has held
+    for the window, _RANK_WINDOW steps, doubled after each attempt."""
+
+    @staticmethod
+    def ranks_and_attempts(solve, povm, rec, polish):
+        """The solve's result, the clip rank kept at each step, in step
+        order, and for each step followed by an attempt the rank that
+        attempt was given; polish stands in for _polish.  _fista's
+        stop marks least-squares steps, since a restarted step clips twice
+        and keeps its second clip; trace-min clips once per step."""
+        events = []
+        clip, fista = estimators.psd_clip, estimators._fista
+
+        def spied_clip(*args, **kwargs):
+            out = clip(*args, **kwargs)
+            if isinstance(out, tuple):
+                events.append(("clip", out[1]))
+            return out
+
+        def spied_fista(*args):
+            stop = args[8]
+
+            def marked(it, *rest):
+                if it:
+                    events.append(("step", None))
+                return stop(it, *rest)
+
+            return fista(*args[:8], marked, *args[9:])
+
+        def spied_polish(u, x, r, *args):
+            events.append(("polish", r))
+            return polish(u, x, r, *args)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(estimators, "psd_clip", spied_clip)
+            m.setattr(estimators, "_fista", spied_fista)
+            m.setattr(estimators, "_polish", spied_polish)
+            res = solve(povm, rec)
+        ranks, attempts, kept = [], {}, None
+        for kind, r in events:
+            if kind == "clip":
+                kept = r
+                if solve is estimate_trace_min:
+                    ranks.append(r)
+            elif kind == "step":
+                ranks.append(kept)
+            else:  # trace-min calls _polish once per secant point
+                attempts.setdefault(len(ranks), r)
+        return res, ranks, attempts
+
+    @pytest.mark.parametrize("solve", [estimate_least_squares, estimate_trace_min])
+    def test_attempts_start_when_the_rank_has_held_for_the_window(self, solve):
+        # one sampled d=4 record in 3 bases, trace-min at the record's own
+        # noise bound; steps are numbered from 1, and the initial rank
+        # counts as a change at step 1
+        gen = np.random.default_rng(0)
+        state = random_pure_state(4, gen)
+        povm = povm_from_bases(global_random_bases(4, 3, gen))
+        rec = sample_record(povm, state, 1000, gen)
+        window = estimators._RANK_WINDOW
+        res, ranks, attempts = self.ranks_and_attempts(solve, povm, rec, estimators._polish)
+        first = min(attempts)
+        changed = max(it for it in range(1, first + 1) if it == 1 or ranks[it - 1] != ranks[it - 2])
+        assert first == changed + window and attempts[first] == ranks[first - 1]
+        assert res.converged and res.stop_reason in ("projected_gradient", "duality_gap")
+        # every attempt fails: each next one comes when the rank has held
+        # for twice the last window, counted from that attempt or from the
+        # last rank change, whichever is later, and not a step sooner
+        res, ranks, attempts = self.ranks_and_attempts(solve, povm, rec, lambda *args: (None, 0))
+        assert sorted(attempts)[:2] == [first, first + 2 * window]
+        since = rank = None
+        for it, kept in enumerate(ranks[:-1], 1):  # no attempt after the step that stops
+            if kept != rank:
+                rank, since = kept, it
+            if it in attempts:
+                assert (it - since, attempts[it]) == (window, rank)
+                since, window = it, 2 * window
+            else:
+                assert it - since < window
+        assert len(attempts) >= 4 and res.converged
 
 
 class TestProgramEquivalence:

@@ -159,6 +159,19 @@ class TestNoisyProtocol:
         assert [sum(r.values()) for r in reasons] == [20, 20]
         assert all(set(r) == {"duality_gap"} for r in reasons)
 
+    def test_every_solve_of_the_benchmark_target_certifies(self):
+        # the one target of the benchmark's protocol workload (d=11, seed
+        # 11, k=1..10, 300 * d shots): each of its 30 solves ends on its
+        # program's certificate
+        result = run_noisy_protocol(NoisyProtocolConfig(dim=11, n_targets=1, seed=11))
+        expected = {
+            "least_squares": "projected_gradient",
+            "trace_min": "duality_gap",
+            "max_likelihood": "duality_gap",
+        }
+        for est, reason in expected.items():
+            assert result.stop_reasons[est] == ({reason: 1},) * 10
+
     def test_noiseless_limit_reaches_uniqueness_floor(self):
         # q=0 with exact records reduces to the uniqueness regime
         config = NoisyProtocolConfig(
