@@ -73,11 +73,6 @@ def _resolve_config_path(name: str) -> Path:
     raise FileNotFoundError(f"config {name!r} not found on disk or among bundled configs")
 
 
-def bundled_config_names() -> list[str]:
-    root = resources.files("strictqst") / "configs"
-    return sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))
-
-
 def _load_experiment(name: str, kind: str, constructor) -> tuple[dict, dict]:
     """The raw JSON of an experiment config and the keyword arguments it
     gives constructor (a config dataclass or run_robustness_scan).

@@ -19,9 +19,9 @@ Four programs over the cone of (unnormalized) PSD matrices:
   sooner, on the same certificate; noiseless records run gradient steps
   alone.
 * ``estimate_trace_min``      - min Tr X  s.t. ||A[X] - f||_2 <= eps, X >= 0,
-  by a primal-dual splitting that alternates an l2-ball projection of the
-  residual with a PSD eigenvalue clip plus dual updates; for eps > 0 the
-  face polish below ends it on a certified duality gap.
+  as least squares on the lowered record f - s 1, the shift s set by a
+  secant so that the residual lands on eps; the face polish below ends it
+  on a certified duality gap.
 * ``estimate_max_likelihood`` - max sum_mu f_mu log q_mu(rho) over unit-trace
   PSD rho, by the same accelerated projected gradient with a backtracking
   step whose tests compare log-likelihoods in difference form, stopped
@@ -29,13 +29,13 @@ Four programs over the cone of (unnormalized) PSD matrices:
 * ``feasibility``             - find X >= 0 with ||A[X] - f|| <= eps,
   as least squares with an early exit at the target residual (no polish).
 
-Least squares and maximum likelihood share one accelerated projected
-gradient core (_fista), and it runs their face polish (_polish); the
-trace-min primal-dual loop runs the same polish on its penalised form.
-One polish serves all three programs: the iterates settle on a low-rank
-face long before the first-order stop, and damped Newton on X = VV^dag
-at that rank (Burer-Monteiro, Math. Program. 95, 329 (2003)) reaches the
-program's own certificate; otherwise the first-order iteration goes on.
+All four programs run on one accelerated projected gradient core
+(_fista), which also runs the face polish (_polish) of all but
+feasibility; trace-min polishes its penalised form.  The iterates settle
+on a low-rank face long before the first-order stop, and damped Newton on
+X = VV^dag at that rank (Burer-Monteiro, Math. Program. 95, 329 (2003))
+reaches the program's own certificate; otherwise the first-order
+iteration goes on.
 
 The data map A and the record f live on the conditional scale (per-basis
 blocks of f sum to 1; rows of A are the unweighted projectors |b_i><b_i|),
@@ -46,7 +46,8 @@ restored post hoc as rho_hat = X_hat / Tr X_hat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,8 +128,10 @@ class EstimateResult:
     residual is ||A[X_hat] - f||_2 on the record's (conditional) scale.
     objective_trace holds one objective value per accepted iteration; a
     polish adds one value for all its Newton steps.  iterations counts
-    gradient (or primal-dual) steps plus the Newton steps of every polish
-    attempt.
+    gradient steps plus the Newton steps of every polish attempt.
+    trace_min runs least squares at one or more shifts: its objective_trace
+    joins their traces, and iterations and max_iterations count the steps
+    of all of them (estimate_trace_min).
     """
 
     method: str
@@ -218,7 +221,10 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
     a bounded share of a long solve: polish(x, r) returns (point, Newton
     steps), point being (X, A[X], stop_reason) or None.  The point ends the
     run, converged and with one more objective entry, if its objective is
-    no higher than the iterate's.  polish=None runs gradient steps alone.
+    no higher than the iterate's.  A point with image None, trace-min's,
+    whose multiplier moved off the run's and so has no comparable
+    objective, ends the run on its certificate alone, its entry repeating
+    the iterate's objective.  polish=None runs gradient steps alone.
     Returns (X, iterations, objective_trace, converged, stop_reason),
     iterations counting gradient steps plus every attempt's Newton steps.
     """
@@ -285,15 +291,15 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
             point, steps = polish(x, rank)
             newton += steps
             if point is not None:
-                fn, up = rise(point[1])
+                fn, up = (fx, 0.0) if point[1] is None else rise(point[1])
                 if up <= 0:
                     x, done = point[0], (True, point[2])
                     trace.append(fn)
     return (x, it + newton, trace) + (done or (False, "max_iterations"))
 
 
-def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
-    """_fista on 0.5 ||A[X] - f||^2 over the PSD cone.
+def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None, shift=0.0, polish=None):
+    """_fista on 0.5 ||A[X] - (f - shift 1)||^2 over the PSD cone.
 
     A^dag A is L = ||A||^2 = k on the identity and at most L0 =
     PovmMap.traceless_lipschitz on traceless matrices, and L0 is well below
@@ -331,14 +337,16 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
     noiseless record, runs gradient steps alone: there the clip keeps a face
     wider than the optimum's rank, Newton shrinks the surplus columns of V
     only geometrically, and a polish would certify a surplus eigenvalue of
-    ~1e-9 that the clip sets to 0.  Returns _fista's (X, iterations,
-    objective_trace, converged, stop_reason).
+    ~1e-9 that the clip sets to 0.  A caller's polish(x, r) runs in place
+    of this one, whatever the record; with shift, the record is lowered to
+    f - shift 1 (both for estimate_trace_min).  Returns _fista's (X,
+    iterations, objective_trace, converged, stop_reason).
     """
     tol = spec.tol("least_squares")
     lip = float(prob.povm.n_bases)
     lip0 = prob.povm.traceless_lipschitz
     weight = (lip / lip0 - 1.0) / prob.d
-    f = prob.f
+    f = prob.f - shift
     held_since = None
 
     def phi(ax):
@@ -383,11 +391,11 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None):
                     return True, "projected_gradient_held"
         return None
 
-    def polish(x, r):
+    def face_polish(x, r):
         return _polish(prob.povm._u, x, r, 0.0, loss, finish)
 
     return _fista(prob.d, spec.max_iterations, prob.apply, prob.adjoint, phi, dphi, descend,
-                  lip0, stop or pg_stop, None if stop or prob.noiseless else polish)
+                  lip0, stop or pg_stop, polish or (None if stop or prob.noiseless else face_polish))
 
 
 def estimate_least_squares(
@@ -438,129 +446,152 @@ def feasibility(
     return res
 
 
+def _secant(g_at, t):
+    """A root of g(t) = g_at(t), increasing in t, by secant steps from t,
+    the first along slope 1 (and again after a point that repeats the last
+    t).  A step that leaves the bracket of the points seen so far, or
+    follows a slope that is not positive, bisects it; a step moves t by at
+    most 1, so while no point lies on one side it probes that side e-fold
+    in exp(t).  g_at returns g, or None to give up.  Returns t once |g| <=
+    1e-10, or None when g_at gives up, after _NEWTON_STEPS points, or at
+    the third point in a row that does not halve the least |g| so far.
+    Secant steps converge faster than that on a smooth g; g stalls where
+    its points are inexact (a polish on a face wider than the optimum's
+    rank settles 1e-8 to 1e-6 off eps) or has no root (eps below the
+    least-squares floor, where g levels off above 0)."""
+    lo, hi, best, stalls = -np.inf, np.inf, np.inf, 0
+    t0 = g0 = None
+    for _ in range(_NEWTON_STEPS):
+        g = g_at(t)
+        if g is None:
+            return None
+        if abs(g) <= 1e-10:
+            return t
+        stalls = 0 if abs(g) <= 0.5 * best else stalls + 1
+        best = min(best, abs(g))
+        if stalls == 3:
+            return None
+        slope = 1.0 if t0 is None or t == t0 else (g - g0) / (t - t0)
+        if g < 0:
+            lo = t
+        else:
+            hi = t
+        tn = t - g / slope if slope > 0 else np.nan
+        if not lo < tn < hi:
+            tn = 0.5 * (lo + hi)  # -inf or inf while one side is empty
+        t0, g0, t = t, g, min(max(tn, t - 1.0), t + 1.0)
+    return None
+
+
 def estimate_trace_min(
     povm: PovmMap, record: MeasurementRecord, spec: EstimatorSpec | None = None
 ) -> EstimateResult:
     """Trace minimization subject to an l2 data-ball constraint.
 
-    Primal-dual splitting: the dual step projects the residual onto the
-    eps-ball (via the Moreau identity), the primal step is a PSD eigenvalue
-    clip shifted by the trace gradient.  Steps tau, sigma satisfy
-    tau * sigma * ||A||^2 < 1.  The plain stop, "primal_dual_residual", is
-    on successive iterates no longer changing.
+    Every per-basis block of A[X] sums to tr X, so <1, A[X]> = k tr X for k
+    bases, and tr X + (mu/2) ||A[X] - f||^2 is, up to a constant, mu times
+    least squares on the lowered record f - s 1 with s = 1/(k mu).  So
+    trace-min is _least_squares at a shift s that puts the residual
+    ||A[X] - f|| on eps.  The first shift, s0 = eps / sqrt(kd), is where an
+    unconstrained fit lands on the ball.  When least squares ends without a
+    certificate, the shift takes a step of _secant on g = log(||A[X] - f|| /
+    eps) against log s, and least squares reruns from I/d.
 
-    For eps > 0 the loop runs the face polish (_polish) under _fista's
-    trigger: the clip's rank r has held for the window, _RANK_WINDOW steps
-    doubled per attempt (r never lowered).  At the optimum the dual is
-    u = mu (A[X] - f) with mu = ||u|| / eps, so X also minimises
-    tr X + (mu/2) ||A[X] - f||^2: the polish's c = 1, a = mu (q - f), b = mu,
-    with mu from the current u and the gate a Newton decrement <= 1e-3 tol
-    max(1, tr X).  A secant on log mu against log ||q - f|| (first slope -1,
-    each point warm-started from the last, at most _NEWTON_STEPS points)
-    brings the residual to eps within 1e-10 relative; a secant step that
-    would change mu more than e-fold ends the attempt.  The scaled dual
-    u' = u / (1 + max(0, -lambda_min(I + A^dag u))) is dual-feasible, and X
-    ends the solve as "duality_gap" when tr X + <u', f> + eps ||u'|| <=
-    tol max(1, tr X), with one more objective_trace entry; iterations counts
-    primal-dual plus Newton steps.  A failed attempt leaves the iterate and
-    the dual as they were.  At eps = 0, mu is undefined and the loop runs
-    alone.
+    Within each run _fista's rank trigger runs the face polish (_polish) on
+    the penalised form at mu = 1/(ks): c = 1, a = mu (q - f), b = mu, with
+    the gate a Newton decrement <= 1e-3 tol max(1, tr X).  The same secant,
+    each point warm-started from the last, moves mu until |g| <= 1e-10.
+    There the scaled dual u' = u / (1 + max(0, -lambda_min(I + A^dag u))),
+    u = mu (A[X] - f), is dual-feasible, and X ends the solve as
+    "duality_gap" when tr X + <u', f> + eps ||u'|| <= tol max(1, tr X).
+    A least-squares point with |g| <= 1e-10 ends it on the same
+    certificate; a point there that fails it ends the search.  The polished
+    point's multiplier has moved off the run's, so _fista takes it on the
+    certificate alone.
+
+    eps >= ||f|| returns X = 0, which is then optimal.  At eps = 0 every
+    feasible X has trace 1, and the program is least squares itself, with
+    its stop reasons.  Otherwise the stop reason is "duality_gap", or
+    "max_iterations" when the step budget or the secant gives out.
+    objective_trace joins the least-squares traces, 0.5 ||A[X] - f + s 1||^2,
+    of every shift point, a polish adding one entry as in _fista.
+    iterations counts gradient plus Newton steps over all shift points, and
+    the gradient steps are at most spec.max_iterations.
 
     Raises
     ------
     Infeasible
-        If no PSD matrix meets the ball constraint (diverging dual /
-        residual distance that cannot close).
+        If the solve ends outside the ball, as it does when eps is below
+        the least-squares residual floor: the secant then probes ever
+        smaller shifts until the residual stops falling.
     """
     spec = spec or EstimatorSpec()
     eps = spec.noise_bound if spec.noise_bound is not None else record.noise_bound
     if eps is None:
         raise ValueError("trace_min requires a noise bound (spec or record)")
     prob = _Problem(povm, record)
-    tol = spec.tol("trace_min")
-    d = prob.d
-    f = prob.f
-    norm_a = povm.operator_norm()
-    tau = sigma = 0.99 / norm_a
-    eye = np.eye(d)
+    f, k = prob.f, povm.n_bases
+    if eps >= np.linalg.norm(f):
+        return _result("trace_min", prob, np.zeros((prob.d, prob.d), complex), 0, True, [0.0], "duality_gap")
+    if eps == 0:
+        x, iterations, trace, conv, reason = _least_squares(prob, spec)
+    else:
+        tol = spec.tol("trace_min")
+        shift = eps / np.sqrt(f.size)
+        mu, iterations, trace = 1.0 / (k * shift), 0, []
 
-    def ball_project(y):
-        dev = y - f
-        n = float(np.linalg.norm(dev))
-        if n <= eps:
-            return y
-        return f + dev * (eps / n)
+        def measure(x, q):  # g, but 0.0 at a certified point and None at one that fails
+            g = math.log(np.linalg.norm(q - f) / eps)
+            if abs(g) > 1e-10:
+                return g
+            u = mu * (q - f)
+            u = u / (1.0 + max(0.0, -np.linalg.eigvalsh(prob.adjoint(u) + np.eye(prob.d))[0]))
+            tr = float(np.trace(x).real)
+            return 0.0 if tr + float(u @ f) + eps * float(np.linalg.norm(u)) <= tol * max(1.0, tr) else None
 
-    def loss(q):  # the data part of tr X + (mu/2) ||q - f||^2
-        e = q - f
-        return mu * e, mu, lambda dq: mu * float(e @ dq + 0.5 * (dq @ dq))
+        def loss(q):  # the data part of tr X + (mu/2) ||q - f||^2
+            e = q - f
+            return mu * e, mu, lambda dq: mu * float(e @ dq + 0.5 * (dq @ dq))
 
-    def finish(v, q, dv, dec):
-        if dec > 1e-3 * tol * max(1.0, np.vdot(v, v).real):
-            return None
-        return hermitize(v @ v.conj().T), q, "duality_gap"
+        def finish(v, q, dv, dec):
+            if dec > 1e-3 * tol * max(1.0, np.vdot(v, v).real):
+                return None
+            return hermitize(v @ v.conj().T), q, "duality_gap"
 
-    def polish(x, u, r):
-        nonlocal mu
-        mu, steps = float(np.linalg.norm(u)) / eps, 0
-        s0 = g0 = None
-        for _ in range(_NEWTON_STEPS):  # secant points
-            point, n = _polish(povm._u, x, r, 1.0, loss, finish)
-            steps += n
-            if point is None:
+        def polish(x, r):
+            steps, point = 0, (x, None)
+
+            def g_at(t):
+                nonlocal mu, steps, point
+                mu = math.exp(-t) / k
+                point, n = _polish(povm._u, point[0], r, 1.0, loss, finish)
+                steps += n
+                return None if point is None else measure(*point[:2])
+
+            if _secant(g_at, math.log(shift)) is None:
                 return None, steps
-            x, q, _ = point
-            s, g = np.log(mu), np.log(float(np.linalg.norm(q - f)) / eps)
-            if abs(g) <= 1e-10:
-                break
-            slope = -1.0 if s0 is None else (g - g0) / (s - s0)
-            if not abs(g) <= abs(slope):
-                return None, steps  # a step in log mu beyond 1: no multiplier near
-            s0, g0, mu = s, g, float(np.exp(s - g / slope))
-        else:
-            return None, steps
-        u = mu * (q - f)
-        u = u / (1.0 + max(0.0, -np.linalg.eigvalsh(prob.adjoint(u) + eye)[0]))
-        tr = float(np.trace(x).real)
-        if tr + float(u @ f) + eps * float(np.linalg.norm(u)) > tol * max(1.0, tr):
-            return None, steps
-        return x, steps
+            return (point[0], None, "duality_gap"), steps
 
-    x = np.eye(d, dtype=complex) / d
-    x_bar = x.copy()
-    u = np.zeros(f.size)
-    trace = [float(np.trace(x).real)]
-    reason = "max_iterations"
-    mu = 0.0
-    it = rank = since = newton = 0
-    window = _RANK_WINDOW
-    while reason == "max_iterations" and it < spec.max_iterations:
-        it += 1
-        v = u + sigma * prob.apply(x_bar)
-        u_new = v - sigma * ball_project(v / sigma)
-        xn, rn = psd_clip(x - tau * (prob.adjoint(u_new) + eye), rank=True)
-        x_bar = 2.0 * xn - x
-        rp = _fro(xn - x) / tau
-        rd = float(np.linalg.norm(u_new - u)) / sigma
-        x, u = xn, u_new
-        trace.append(float(np.trace(x).real))
-        if np.linalg.norm(u) > 1e12:
-            raise Infeasible("dual variable diverged; data ball unreachable from the PSD cone")
-        if max(rp, rd) < tol * max(1.0, _fro(x)) * norm_a:
-            reason = "primal_dual_residual"
-        elif eps > 0 and rn != rank:
-            rank, since = rn, it
-        elif eps > 0 and rank and it - since >= window and u.any():
-            since, window = it, 2 * window
-            point, steps = polish(x, u, rank)
-            newton += steps
-            if point is not None:
-                x, reason = point, "duality_gap"
-                trace.append(float(np.trace(x).real))
+        def g_at(t):
+            nonlocal x, iterations, shift, mu
+            if iterations >= spec.max_iterations:
+                return None
+            shift = math.exp(t)
+            budget = replace(spec, max_iterations=spec.max_iterations - iterations)
+            x, n, run, conv, reason = _least_squares(prob, budget, shift=shift, polish=polish)
+            iterations += n
+            trace.extend(run)
+            if reason == "duality_gap" or not conv:
+                return 0.0 if conv else None
+            mu = 1.0 / (k * shift)
+            return measure(x, prob.apply(x))
+
+        conv = _secant(g_at, math.log(shift)) is not None
+        reason = "duality_gap" if conv else "max_iterations"
     gap = prob.residual(x) - eps
     if gap > max(1e-7, 1e-6 * float(np.linalg.norm(f))):
         raise Infeasible(f"ball constraint violated by {gap:.3e} at termination")
-    return _result("trace_min", prob, x, it + newton, reason != "max_iterations", trace, reason)
+    return _result("trace_min", prob, x, iterations, conv, trace, reason)
 
 
 def _newton_cg(hess, g):

@@ -27,6 +27,11 @@ def load(path):
         return json.load(fh)
 
 
+def bundled_config_names() -> list[str]:
+    root = resources.files("strictqst") / "configs"
+    return sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))
+
+
 @pytest.fixture()
 def schema_validator():
     jsonschema = pytest.importorskip("jsonschema")
@@ -281,7 +286,7 @@ class TestExperimentCommands:
         assert run(["sweep", "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
 
     def test_bundled_configs_parse(self):
-        names = cli.bundled_config_names()
+        names = bundled_config_names()
         assert "onset_desk.json" in names and "protocol_desk.json" in names
         for name in names:
             path = cli._resolve_config_path(name)
@@ -375,7 +380,7 @@ class TestConfigContract:
         return rejects
 
     def test_bundled_configs_validate(self, schema_validator):
-        for name in cli.bundled_config_names():
+        for name in bundled_config_names():
             doc = load(cli._resolve_config_path(name))
             schema_validator(doc, f"{doc['experiment']}_config")
 

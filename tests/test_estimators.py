@@ -400,13 +400,29 @@ class TestTraceMin:
         res = estimate_trace_min(povm, rec)  # bound comes from the record
         assert res.residual <= rec.noise_bound + 1e-7
 
+    @staticmethod
+    def count_shift_points(monkeypatch):
+        """Wrap _least_squares; the returned list gets one entry per run,
+        the shift it was given."""
+        shifts, least_squares = [], estimators._least_squares
+
+        def counted(prob, spec, stop=None, shift=0.0, polish=None):
+            shifts.append(shift)
+            return least_squares(prob, spec, stop, shift, polish)
+
+        monkeypatch.setattr(estimators, "_least_squares", counted)
+        return shifts
+
     def test_sampled_record_certifies_on_the_duality_gap(self, monkeypatch):
         # the face polish ends each solve: the trace is the oracle's within
-        # the certified gap, the residual sits on the ball, and iterations
-        # count the primal-dual steps plus every Newton step, with one more
-        # objective entry for the polished point.  The d=4 seeds are those
-        # where an oracle on fixed penalties stalled 0.5% inside the ball
+        # the certified gap and the residual sits on the ball.  Each shift
+        # point's least-squares run adds its objective trace, initial value
+        # included, and iterations count its gradient steps plus every
+        # Newton step; the polished point adds one more objective entry.
+        # The d=4 seeds are those where an oracle on fixed penalties stalled
+        # 0.5% inside the ball
         attempts = track_polish(monkeypatch)
+        shifts = self.count_shift_points(monkeypatch)
         tol = EstimatorSpec().tol("trace_min")
         for d, seed in ((3, 0), (3, 2), (3, 4), (4, 1), (4, 5)):
             gen = np.random.default_rng(seed)
@@ -414,50 +430,98 @@ class TestTraceMin:
             povm = povm_from_bases(global_random_bases(d, 3, gen))
             rec = sample_record(povm, state, 1000, gen)
             attempts.clear()
+            shifts.clear()
             res = estimate_trace_min(povm, rec)
             tr = np.trace(res.X_hat).real
             assert res.converged and res.stop_reason == "duality_gap"
-            assert res.residual <= rec.noise_bound * (1 + 1e-9)
-            assert res.objective_trace[-1] == tr
+            assert abs(res.residual / rec.noise_bound - 1) <= 1e-9
+            assert shifts[0] == pytest.approx(rec.noise_bound / np.sqrt(3 * d), rel=1e-12)
             newton = sum(steps for _, steps, _ in attempts)
-            assert newton and res.iterations == len(res.objective_trace) - 2 + newton
+            assert newton and res.iterations == len(res.objective_trace) - len(shifts) - 1 + newton
             oracle = trace_min_oracle(povm, rec.values, rec.noise_bound, seed=seed)
             assert abs(tr - np.trace(oracle).real) <= tol * max(1.0, tr)
 
-    def test_failed_attempts_leave_the_primal_dual_solve_unchanged(self):
-        # every polish fails at once: the solve is the primal-dual solve
-        # without a rank window, bit for bit
+    def test_shift_loop_alone_certifies_when_every_polish_fails(self, monkeypatch):
+        # every attempt fails at once: the secant on the shift, each point a
+        # full least-squares run, still ends on the duality gap with the
+        # oracle's trace
         attempts = []
 
         def failing(u, x, r, *args):
             attempts.append(r)
             return None, 0
 
+        monkeypatch.setattr(estimators, "_polish", failing)
+        shifts = self.count_shift_points(monkeypatch)
+        tol = EstimatorSpec().tol("trace_min")
         for seed in range(4):
             gen = np.random.default_rng(seed)
             d, k = int(gen.integers(2, 7)), int(gen.integers(1, 5))
             state = random_pure_state(d, gen)
             povm = povm_from_bases(global_random_bases(d, k, gen))
             rec = sample_record(povm, state, 300, gen)
-            attempts.clear()
-            with no_polish():
-                ref = estimate_trace_min(povm, rec)
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(estimators, "_polish", failing)
-                res = estimate_trace_min(povm, rec)
-            assert attempts and ref.stop_reason == "primal_dual_residual"
-            assert (res.iterations, res.stop_reason, res.converged) == (
-                ref.iterations, ref.stop_reason, ref.converged)
-            assert np.array_equal(res.X_hat, ref.X_hat)
-            assert np.array_equal(res.objective_trace, ref.objective_trace)
+            shifts.clear()
+            res = estimate_trace_min(povm, rec)
+            tr = np.trace(res.X_hat).real
+            assert res.converged and res.stop_reason == "duality_gap"
+            assert len(shifts) > 1
+            oracle = trace_min_oracle(povm, rec.values, rec.noise_bound, seed=seed)
+            assert abs(tr - np.trace(oracle).real) <= tol * max(1.0, tr)
+        assert attempts
 
-    def test_zero_noise_bound_stays_on_primal_dual(self, monkeypatch):
-        # mu = ||u|| / eps is undefined at eps = 0: no attempt is made
+    def test_zero_noise_bound_is_least_squares(self, monkeypatch):
+        # at eps = 0 every feasible X has trace 1: the program is least
+        # squares, bit for bit, and a noiseless record makes no attempt
         attempts = track_polish(monkeypatch)
         state, povm, rec = make_noiseless_problem(4, 5, seed=3)
         res = estimate_trace_min(povm, rec, EstimatorSpec(noise_bound=0.0))
-        assert res.stop_reason == "primal_dual_residual"
-        assert res.iterations > 4 * estimators._RANK_WINDOW and not attempts
+        ref = estimate_least_squares(povm, rec)
+        assert np.array_equal(res.X_hat, ref.X_hat)
+        assert np.array_equal(res.objective_trace, ref.objective_trace)
+        assert (res.iterations, res.stop_reason, res.converged) == (
+            ref.iterations, ref.stop_reason, ref.converged)
+        assert res.stop_reason == "projected_gradient" and not attempts
+
+    @staticmethod
+    def problem(d, k, shots, seed):
+        # the bases, then a pure state, then the record, from one generator
+        gen = np.random.default_rng(seed)
+        povm = povm_from_bases(global_random_bases(d, k, gen))
+        state = random_pure_state(d, gen)
+        return povm, sample_record(povm, state, shots, gen)
+
+    def test_bound_beyond_the_record_returns_zero(self):
+        # eps >= ||f||: X = 0 is feasible, and no PSD matrix has less trace
+        povm, rec = self.problem(4, 3, 500, 3)
+        for eps in (np.linalg.norm(rec.values), 1.5 * np.linalg.norm(rec.values)):
+            res = estimate_trace_min(povm, rec, EstimatorSpec(noise_bound=eps))
+            assert res.converged and res.stop_reason == "duality_gap"
+            assert not res.X_hat.any() and res.iterations == 0
+
+    def test_bound_just_inside_the_record_certifies(self):
+        # eps = 0.999 ||f||: the optimum is a sliver of trace 9.4e-4 near
+        # the shift above which least squares returns X = 0, where the
+        # residual no longer depends on the shift; the bracketed secant
+        # certifies it
+        povm, rec = self.problem(4, 3, 500, 3)
+        eps = 0.999 * np.linalg.norm(rec.values)
+        res = estimate_trace_min(povm, rec, EstimatorSpec(noise_bound=eps))
+        assert res.converged and res.stop_reason == "duality_gap"
+        assert abs(np.trace(res.X_hat).real - 9.4148e-4) <= 1e-7
+
+    def test_bound_below_the_least_squares_floor(self):
+        # the least-squares residual floor here is 0.1401.  Below it the
+        # secant probes smaller shifts until the residual levels off, and
+        # the solve ends outside the ball; just above it the solve certifies
+        povm, rec = self.problem(3, 6, 100, 0)
+        floor = estimate_least_squares(povm, rec).residual
+        assert abs(floor - 0.14010) <= 1e-5
+        for scale in (0.5, 0.99):
+            with pytest.raises(Infeasible, match="ball constraint violated"):
+                estimate_trace_min(povm, rec, EstimatorSpec(noise_bound=scale * floor))
+        res = estimate_trace_min(povm, rec, EstimatorSpec(noise_bound=1.01 * floor))
+        assert res.converged and res.stop_reason == "duality_gap"
+        assert abs(np.trace(res.X_hat).real - 1.002475) <= 1e-6
 
     def test_infeasible_on_inconsistent_equality(self, rng):
         # sampled frequencies are almost surely outside the map range, so
@@ -1005,11 +1069,12 @@ class TestPolishTrigger:
 
     @staticmethod
     def ranks_and_attempts(solve, povm, rec, polish):
-        """The solve's result, the clip rank kept at each step, in step
-        order, and for each step followed by an attempt the rank that
-        attempt was given; polish stands in for _polish.  _fista's
-        stop marks least-squares steps, since a restarted step clips twice
-        and keeps its second clip; trace-min clips once per step."""
+        """The solve's result and, for each _fista run in order (trace-min
+        makes one per shift), the clip rank kept at each of its steps, in
+        step order, and for each step followed by an attempt the rank that
+        attempt was given; polish stands in for _polish.  _fista's stop
+        marks the steps, since a restarted step clips twice and keeps its
+        second clip."""
         events = []
         clip, fista = estimators.psd_clip, estimators._fista
 
@@ -1021,6 +1086,7 @@ class TestPolishTrigger:
 
         def spied_fista(*args):
             stop = args[8]
+            events.append(("run", None))
 
             def marked(it, *rest):
                 if it:
@@ -1038,48 +1104,52 @@ class TestPolishTrigger:
             m.setattr(estimators, "_fista", spied_fista)
             m.setattr(estimators, "_polish", spied_polish)
             res = solve(povm, rec)
-        ranks, attempts, kept = [], {}, None
+        runs, kept = [], None
         for kind, r in events:
-            if kind == "clip":
+            if kind == "run":
+                runs.append(([], {}))
+            elif kind == "clip":
                 kept = r
-                if solve is estimate_trace_min:
-                    ranks.append(r)
             elif kind == "step":
-                ranks.append(kept)
+                runs[-1][0].append(kept)
             else:  # trace-min calls _polish once per secant point
-                attempts.setdefault(len(ranks), r)
-        return res, ranks, attempts
+                runs[-1][1].setdefault(len(runs[-1][0]), r)
+        return res, runs
 
     @pytest.mark.parametrize("solve", [estimate_least_squares, estimate_trace_min])
     def test_attempts_start_when_the_rank_has_held_for_the_window(self, solve):
         # one sampled d=4 record in 3 bases, trace-min at the record's own
-        # noise bound; steps are numbered from 1, and the initial rank
-        # counts as a change at step 1
+        # noise bound; steps are numbered from 1 in each run, and the
+        # initial rank counts as a change at step 1
         gen = np.random.default_rng(0)
         state = random_pure_state(4, gen)
         povm = povm_from_bases(global_random_bases(4, 3, gen))
         rec = sample_record(povm, state, 1000, gen)
         window = estimators._RANK_WINDOW
-        res, ranks, attempts = self.ranks_and_attempts(solve, povm, rec, estimators._polish)
+        res, runs = self.ranks_and_attempts(solve, povm, rec, estimators._polish)
+        ranks, attempts = runs[0]
         first = min(attempts)
         changed = max(it for it in range(1, first + 1) if it == 1 or ranks[it - 1] != ranks[it - 2])
         assert first == changed + window and attempts[first] == ranks[first - 1]
         assert res.converged and res.stop_reason in ("projected_gradient", "duality_gap")
         # every attempt fails: each next one comes when the rank has held
         # for twice the last window, counted from that attempt or from the
-        # last rank change, whichever is later, and not a step sooner
-        res, ranks, attempts = self.ranks_and_attempts(solve, povm, rec, lambda *args: (None, 0))
-        assert sorted(attempts)[:2] == [first, first + 2 * window]
-        since = rank = None
-        for it, kept in enumerate(ranks[:-1], 1):  # no attempt after the step that stops
-            if kept != rank:
-                rank, since = kept, it
-            if it in attempts:
-                assert (it - since, attempts[it]) == (window, rank)
-                since, window = it, 2 * window
-            else:
-                assert it - since < window
-        assert len(attempts) >= 4 and res.converged
+        # last rank change, whichever is later, and not a step sooner; each
+        # run starts with a fresh window
+        res, runs = self.ranks_and_attempts(solve, povm, rec, lambda *args: (None, 0))
+        assert min(runs[0][1]) == first
+        for ranks, attempts in runs:
+            since = rank = None
+            window = estimators._RANK_WINDOW
+            for it, kept in enumerate(ranks[:-1], 1):  # no attempt after the step that stops
+                if kept != rank:
+                    rank, since = kept, it
+                if it in attempts:
+                    assert (it - since, attempts[it]) == (window, rank)
+                    since, window = it, 2 * window
+                else:
+                    assert it - since < window
+        assert sum(len(attempts) for _, attempts in runs) >= 4 and res.converged
 
 
 class TestProgramEquivalence:
