@@ -52,9 +52,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch, Infeasible
-from .linalg import hermitize, psd_clip
+from .linalg import hermitize, psd_clip, require_hermitian
 from .measurement import MeasurementRecord, PovmMap, _require_int, _require_real
 from .quantum import QuantumState
+from .tolerances import DEFAULT
 
 __all__ = [
     "EstimatorSpec",
@@ -191,9 +192,10 @@ def _fro(x: np.ndarray) -> float:
 
 
 def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, polish,
-           change=None):
-    """Accelerated projected gradient with function-value restart, from I/d,
-    on phi(A[X]): steps x+ = descend(p, adjoint(dphi(A[p])), lip), a
+           change=None, x0=None):
+    """Accelerated projected gradient with function-value restart on
+    phi(A[X]), from x0, or I/d when x0 is None; x0's image must lie in
+    phi's domain.  Steps x+ = descend(p, adjoint(dphi(A[p])), lip), a
     projected gradient step of length about 1/lip that returns (x+, rank
     of x+).
 
@@ -204,7 +206,7 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
     images.  Without change, lip is fixed and objective values are phi of
     each image.  With change(a, delta) = phi(a + delta) - phi(a), computed
     without the cancellation of two phi values, the recorded objective
-    follows the accepted changes from phi(A[I/d]), and lip backtracks: it is
+    follows the accepted changes from phi(A[x0]), and lip backtracks: it is
     multiplied by 0.9 before each step and doubled until change <= <g, dx>
     + lip/2 ||dx||^2, so most steps pass at their first descend.  The
     recorded objective is non-increasing: a momentum step that raises it is
@@ -216,7 +218,7 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
     last iterate, whose image is inside.
 
     When stop returns None, the face polish runs once r, descend's own rank
-    for x (never cut lower; I/d and a kept iterate carry none), has held
+    for x (never cut lower; x0 and a kept iterate carry none), has held
     for the window, _RANK_WINDOW steps doubled per attempt so failures take
     a bounded share of a long solve: polish(x, r) returns (point, Newton
     steps), point being (X, A[X], stop_reason) or None.  The point ends the
@@ -252,7 +254,7 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
         up = change(ax, axn - ax)
         return fx + up, up
 
-    y = x = np.eye(d, dtype=complex) / d
+    y = x = np.eye(d, dtype=complex) / d if x0 is None else x0
     ay = ax = apply(x)
     t = 1.0
     fx = phi(ax)
@@ -298,8 +300,10 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
     return (x, it + newton, trace) + (done or (False, "max_iterations"))
 
 
-def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None, shift=0.0, polish=None):
-    """_fista on 0.5 ||A[X] - (f - shift 1)||^2 over the PSD cone.
+def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None, shift=0.0, polish=None,
+                   x0=None):
+    """_fista on 0.5 ||A[X] - (f - shift 1)||^2 over the PSD cone, from x0
+    (I/d when None).
 
     A^dag A is L = ||A||^2 = k on the identity and at most L0 =
     PovmMap.traceless_lipschitz on traceless matrices, and L0 is well below
@@ -395,18 +399,52 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None, shift=0.0, po
         return _polish(prob.povm._u, x, r, 0.0, loss, finish)
 
     return _fista(prob.d, spec.max_iterations, prob.apply, prob.adjoint, phi, dphi, descend,
-                  lip0, stop or pg_stop, polish or (None if stop or prob.noiseless else face_polish))
+                  lip0, stop or pg_stop, polish or (None if stop or prob.noiseless else face_polish),
+                  x0=x0)
+
+
+def _start(start, d: int):
+    """A solve's start point: None, or start checked to be a d x d
+    Hermitian matrix that is PSD within DEFAULT.psd times its trace (the
+    state tolerance once normalised), returned as an exactly Hermitian copy.
+
+    Raises
+    ------
+    DimensionMismatch
+        If start is not d x d.
+    NotHermitian
+        If start has a non-finite entry or is not Hermitian.
+    ValueError
+        If start is not PSD.
+    """
+    if start is None:
+        return None
+    x = np.asarray(start, dtype=complex)
+    if x.shape != (d, d):
+        raise DimensionMismatch(f"start has shape {x.shape}, expected ({d}, {d})")
+    x = require_hermitian(x)
+    lam = np.linalg.eigvalsh(x)[0]
+    if lam < -DEFAULT.psd * max(float(np.trace(x).real), 0.0):
+        raise ValueError(f"start is not PSD: min eigenvalue {lam:.3e}")
+    return x
 
 
 def estimate_least_squares(
-    povm: PovmMap, record: MeasurementRecord, spec: EstimatorSpec | None = None
+    povm: PovmMap, record: MeasurementRecord, spec: EstimatorSpec | None = None, *, start=None
 ) -> EstimateResult:
     """Constrained least squares over the PSD cone (accelerated projected
     gradient, step 1/k on the identity and 1/L0 on traceless matrices, and
     a certified Newton polish on the face its iterates identify unless the
-    record is noiseless; see _least_squares)."""
+    record is noiseless; see _least_squares).
+
+    start, a Hermitian PSD d x d matrix (checked by _start), replaces I/d
+    as the first iterate, for example the estimate from a prefix of the
+    same bases.  Where the optimum is unique the solve ends on the same
+    certificate either way; where it is not, the estimate depends on the
+    start."""
     prob = _Problem(povm, record)
-    x, it, trace, conv, reason = _least_squares(prob, spec or EstimatorSpec())
+    x0 = _start(start, prob.d)
+    x, it, trace, conv, reason = _least_squares(prob, spec or EstimatorSpec(), x0=x0)
     return _result("least_squares", prob, x, it, conv, trace, reason)
 
 
@@ -484,7 +522,7 @@ def _secant(g_at, t):
 
 
 def estimate_trace_min(
-    povm: PovmMap, record: MeasurementRecord, spec: EstimatorSpec | None = None
+    povm: PovmMap, record: MeasurementRecord, spec: EstimatorSpec | None = None, *, start=None
 ) -> EstimateResult:
     """Trace minimization subject to an l2 data-ball constraint.
 
@@ -495,7 +533,10 @@ def estimate_trace_min(
     ||A[X] - f|| on eps.  The first shift, s0 = eps / sqrt(kd), is where an
     unconstrained fit lands on the ball.  When least squares ends without a
     certificate, the shift takes a step of _secant on g = log(||A[X] - f|| /
-    eps) against log s, and least squares reruns from I/d.
+    eps) against log s, and least squares reruns.  Every run starts from
+    start (checked by _start), or from I/d when it is None; a natural start
+    is the trace-min estimate from a prefix of the same bases.  Where the
+    optimum is not unique the estimate depends on the start.
 
     Within each run _fista's rank trigger runs the face polish (_polish) on
     the penalised form at mu = 1/(ks): c = 1, a = mu (q - f), b = mu, with
@@ -530,11 +571,12 @@ def estimate_trace_min(
     if eps is None:
         raise ValueError("trace_min requires a noise bound (spec or record)")
     prob = _Problem(povm, record)
+    x0 = _start(start, prob.d)
     f, k = prob.f, povm.n_bases
     if eps >= np.linalg.norm(f):
         return _result("trace_min", prob, np.zeros((prob.d, prob.d), complex), 0, True, [0.0], "duality_gap")
     if eps == 0:
-        x, iterations, trace, conv, reason = _least_squares(prob, spec)
+        x, iterations, trace, conv, reason = _least_squares(prob, spec, x0=x0)
     else:
         tol = spec.tol("trace_min")
         shift = eps / np.sqrt(f.size)
@@ -578,7 +620,7 @@ def estimate_trace_min(
                 return None
             shift = math.exp(t)
             budget = replace(spec, max_iterations=spec.max_iterations - iterations)
-            x, n, run, conv, reason = _least_squares(prob, budget, shift=shift, polish=polish)
+            x, n, run, conv, reason = _least_squares(prob, budget, shift=shift, polish=polish, x0=x0)
             iterations += n
             trace.extend(run)
             if reason == "duality_gap" or not conv:
@@ -726,7 +768,7 @@ def _polish(u, x, r, c, loss, finish):
 
 
 def estimate_max_likelihood(
-    povm: PovmMap, record: MeasurementRecord, spec: EstimatorSpec | None = None
+    povm: PovmMap, record: MeasurementRecord, spec: EstimatorSpec | None = None, *, start=None
 ) -> EstimateResult:
     """Maximum likelihood over unit-trace PSD matrices.
 
@@ -760,6 +802,12 @@ def estimate_max_likelihood(
     rho = VV^dag / tr; rho ends the solve, still as "duality_gap", when its
     ll is no lower than the iterate's (one more entry in objective_trace).
     iterations counts gradient steps plus Newton steps.
+
+    The iteration starts from start / tr start (start checked by _start),
+    for example the least-squares estimate of the same record, or from I/d
+    when start is None, has trace <= 0, or maps to q_mu <= 0 on an observed
+    outcome.  Where the maximiser is not unique (below completeness) the
+    estimate depends on the start.
     """
     spec = spec or EstimatorSpec()
     tol = spec.tol("max_likelihood")
@@ -779,6 +827,9 @@ def estimate_max_likelihood(
         return w
 
     u = povm._u[:, mask]  # observed |b_mu>
+    x0 = _start(start, prob.d)
+    tr = 0.0 if x0 is None else float(np.trace(x0).real)
+    x0 = x0 / tr if tr > 0 and prob.apply(x0)[mask].min() > 0 else None  # I/d outside ll's domain
 
     def loss(q):
         if not q.min() > 0:
@@ -826,6 +877,6 @@ def estimate_max_likelihood(
     x, it, trace, conv, reason = _fista(
         prob.d, spec.max_iterations, prob.apply, prob.adjoint,
         lambda ax: -float(fm @ np.log(ax[mask])), dphi,
-        descend, 1.0, gap_stop, polish, change,
+        descend, 1.0, gap_stop, polish, change, x0,
     )
     return _result("max_likelihood", prob, x, it, conv, -np.asarray(trace), reason)

@@ -287,7 +287,13 @@ class NoisyProtocolConfig:
     full-rank state.  shots_per_basis of None selects the reference scale
     300*dim; noiseless=True replaces sampling with exact records (the
     infinite-shot limit).  All configured estimators run on the same
-    record for each (target, basis count) pair.
+    record for each (target, basis count) pair, least squares first,
+    whatever the order of estimators.  Least squares and trace-min start
+    from their own converged estimate at the previous basis count, max
+    likelihood from this record's converged least-squares estimate; a solve
+    with no such estimate starts from I/d.  Where a program's optimum is
+    unique this changes only the solver's path; below completeness the
+    estimate depends on the start.
     """
 
     dim: int
@@ -376,20 +382,24 @@ def _run_protocol_target(args) -> tuple[dict[str, np.ndarray], dict[str, list[st
     ks = list(range(config.min_bases, config.max_bases + 1))
     out = {est: np.empty(len(ks)) for est in config.estimators}
     reasons = {est: [""] * len(ks) for est in config.estimators}
+    order = [est for est in PROTOCOL_ESTIMATORS if est in config.estimators]  # least squares first
+    converged: dict[str, np.ndarray | None] = {}  # each program's last estimate, None unless converged
     for k, povm in _nested_povms(d, config.basis_type, rng, config.max_bases, config.min_bases):
         if config.noiseless:
             record = noiseless_record(povm, sigma)
         else:
             record = sample_record(povm, sigma, config.resolved_shots, rng, config.noise_scale)
         idx = ks.index(k)
-        for est in config.estimators:
+        for est in order:
+            start = converged.get("least_squares" if est == "max_likelihood" else est)
             if est == "least_squares":
-                res = estimate_least_squares(povm, record)
+                res = estimate_least_squares(povm, record, start=start)
             elif est == "trace_min":
                 eps = record.noise_bound if record.noise_bound is not None else 0.0
-                res = estimate_trace_min(povm, record, EstimatorSpec(noise_bound=eps))
+                res = estimate_trace_min(povm, record, EstimatorSpec(noise_bound=eps), start=start)
             else:
-                res = estimate_max_likelihood(povm, record)
+                res = estimate_max_likelihood(povm, record, start=start)
+            converged[est] = res.X_hat if res.converged else None
             out[est][idx] = infidelity(target, res.rho_hat)
             reasons[est][idx] = res.stop_reason
     return out, reasons

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from strictqst import estimators, experiments
-from strictqst.errors import Infeasible
+from strictqst.errors import DimensionMismatch, Infeasible, NotHermitian
 from strictqst.linalg import psd_clip
 from strictqst.estimators import (
     EstimatorSpec,
@@ -171,7 +171,7 @@ class TestLeastSquares:
         # iterate's trace is off 1, so the gradient has a trace
         steps = []
 
-        def capture(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, polish):
+        def capture(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, polish, x0=None):
             steps.append((descend, lip))
             return np.eye(d) / d, 0, [0.0], True, ""
 
@@ -406,9 +406,9 @@ class TestTraceMin:
         the shift it was given."""
         shifts, least_squares = [], estimators._least_squares
 
-        def counted(prob, spec, stop=None, shift=0.0, polish=None):
+        def counted(prob, spec, stop=None, shift=0.0, polish=None, x0=None):
             shifts.append(shift)
-            return least_squares(prob, spec, stop, shift, polish)
+            return least_squares(prob, spec, stop, shift, polish, x0)
 
         monkeypatch.setattr(estimators, "_least_squares", counted)
         return shifts
@@ -730,8 +730,8 @@ class TestMaxLikelihood:
             clips[0] += 1
             return psd_clip(*args, **kwargs)
 
-        def solve(*args):
-            solves.append(estimate_max_likelihood(*args))
+        def solve(*args, **kwargs):
+            solves.append(estimate_max_likelihood(*args, **kwargs))
             return solves[-1]
 
         monkeypatch.setattr(estimators, "psd_clip", counted_clip)
@@ -1084,7 +1084,7 @@ class TestPolishTrigger:
                 events.append(("clip", out[1]))
             return out
 
-        def spied_fista(*args):
+        def spied_fista(*args, **kwargs):
             stop = args[8]
             events.append(("run", None))
 
@@ -1093,7 +1093,7 @@ class TestPolishTrigger:
                     events.append(("step", None))
                 return stop(it, *rest)
 
-            return fista(*args[:8], marked, *args[9:])
+            return fista(*args[:8], marked, *args[9:], **kwargs)
 
         def spied_polish(u, x, r, *args):
             events.append(("polish", r))
@@ -1167,3 +1167,105 @@ class TestProgramEquivalence:
         for i, a in enumerate(results):
             for b in results[i + 1 :]:
                 assert np.linalg.norm(a.X_hat - b.X_hat) <= 1e-4
+
+
+class TestStartPoint:
+    """A caller's start replaces I/d as the first iterate; the protocol
+    passes the estimate from the previous basis count, or max likelihood
+    this record's least-squares estimate."""
+
+    @staticmethod
+    def problem():
+        # the computational basis and one random basis at d = 3, so a start
+        # can map exactly to 0 on an outcome
+        gen = np.random.default_rng(5)
+        bases = (np.eye(3, dtype=complex), global_random_bases(3, 1, gen).bases[0])
+        povm = povm_from_bases(BasisSet(dim=3, bases=bases))
+        rec = sample_record(povm, random_pure_state(3, gen), 500, gen)
+        assert rec.values[0] > 0  # outcome |0> of the computational basis is observed
+        return povm, rec
+
+    @pytest.mark.parametrize(
+        "solve", [estimate_least_squares, estimate_trace_min, estimate_max_likelihood]
+    )
+    def test_start_is_validated(self, solve):
+        povm, rec = self.problem()
+        bad = [
+            (np.eye(4) / 4, DimensionMismatch),
+            (np.eye(3).ravel() / 3, DimensionMismatch),
+            (np.diag([1.0, np.nan, 0.0]), NotHermitian),
+            (np.diag([1.0, np.inf, 0.0]), NotHermitian),
+            (np.eye(3) / 3 + np.triu(np.full((3, 3), 0.1), 1), NotHermitian),
+            (np.diag([0.6, 0.5, -0.1]), ValueError),  # Hermitian, not PSD
+            (np.diag([0.0, 1e-12, -1e-12]), ValueError),  # not PSD relative to its trace
+        ]
+        for start, error in bad:
+            with pytest.raises(error):
+                solve(povm, rec, start=start)
+        for start in (np.zeros((3, 3)), np.diag([0.5, 0.5, -1e-11]), [[1, 0, 0], [0, 0, 0], [0, 0, 0]]):
+            assert solve(povm, rec, start=start).converged
+
+    def test_likelihood_falls_back_to_the_maximally_mixed_start(self):
+        # a start of trace 0 (trace-min's X = 0 for eps >= ||f||) has no
+        # normalised state, and |1><1| maps to q = 0 on the observed
+        # outcome |0>, outside ll's domain: both solves are the cold one
+        povm, rec = self.problem()
+        cold = estimate_max_likelihood(povm, rec)
+        for start in (np.zeros((3, 3)), np.diag([0.0, 1.0, 0.0])):
+            res = estimate_max_likelihood(povm, rec, start=start)
+            assert np.array_equal(res.X_hat, cold.X_hat)
+            assert np.array_equal(res.objective_trace, cold.objective_trace)
+            assert (res.iterations, res.stop_reason) == (cold.iterations, cold.stop_reason)
+        # a start inside the domain is taken: from the optimum itself the
+        # solve certifies in fewer steps
+        warm = estimate_max_likelihood(povm, rec, start=2.0 * cold.X_hat)
+        assert warm.stop_reason == cold.stop_reason and warm.iterations < cold.iterations
+
+    def test_every_least_squares_run_takes_the_start(self, monkeypatch):
+        # least squares from its own optimum certifies in fewer steps, and
+        # every least-squares run of a trace-min solve starts from the
+        # caller's point, shift reruns included (this record from this
+        # start takes two runs)
+        povm, rec = self.problem()
+        cold = estimate_least_squares(povm, rec)
+        warm = estimate_least_squares(povm, rec, start=cold.X_hat)
+        assert warm.stop_reason == cold.stop_reason and warm.iterations < cold.iterations
+        starts, least_squares = [], estimators._least_squares
+
+        def spied(prob, spec, stop=None, shift=0.0, polish=None, x0=None):
+            starts.append(x0)
+            return least_squares(prob, spec, stop, shift, polish, x0)
+
+        monkeypatch.setattr(estimators, "_least_squares", spied)
+        gen = np.random.default_rng(6)
+        povm = povm_from_bases(global_random_bases(3, 3, gen))
+        rec = sample_record(povm, random_pure_state(3, gen), 500, gen)
+        start = np.diag([3.0, 2.0, 1.0]) / 6
+        assert estimate_trace_min(povm, rec, start=start).converged
+        assert len(starts) >= 2 and all(np.array_equal(x0, start) for x0 in starts)
+
+    def test_warm_and_cold_solves_agree_where_the_optimum_is_unique(self, monkeypatch):
+        # at d = 11 each program's optimum is unique from k = 6 on (the
+        # acceptance fixture's onset is 5), so a warm and a cold solve of one
+        # record must end on the same certificate and nearly the same point.
+        # Each certificate puts its solve within about tol of the optimal
+        # objective; around a unique optimum of curvature of order 1 that is
+        # a distance of order sqrt(tol)
+        pairs = []
+        for name in ("estimate_least_squares", "estimate_trace_min", "estimate_max_likelihood"):
+
+            def spy(povm, record, spec=None, *, start=None, solve=getattr(experiments, name)):
+                warm = solve(povm, record, spec, start=start)
+                if povm.n_bases >= 6:
+                    assert start is not None
+                    pairs.append((warm, solve(povm, record, spec)))
+                return warm
+
+            monkeypatch.setattr(experiments, name, spy)
+        for seed in (11, 13, 23):
+            run_noisy_protocol(NoisyProtocolConfig(dim=11, n_targets=1, seed=seed))
+        assert len(pairs) == 3 * 3 * 5
+        for warm, cold in pairs:
+            assert warm.stop_reason == cold.stop_reason
+            tol = EstimatorSpec().tol(warm.method)
+            assert np.linalg.norm(warm.X_hat - cold.X_hat) <= np.sqrt(tol)

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from strictqst import experiments
 from strictqst.estimators import EstimatorSpec, estimate_least_squares
 from strictqst.experiments import (
     NoisyProtocolConfig,
@@ -208,6 +211,51 @@ class TestNoisyProtocol:
         assert set(result.infidelities) == {"least_squares", "trace_min", "max_likelihood"}
         for mat in result.infidelities.values():
             assert np.all(mat >= 0) and np.all(mat <= 1)
+
+    def test_only_converged_estimates_are_reused(self, monkeypatch):
+        # least squares starts from its own estimate at the previous basis
+        # count and max likelihood from this record's least-squares estimate,
+        # but only when that solve converged: a k=2 least-squares solve that
+        # ran out leaves least squares at k=3 and max likelihood at k=2 cold
+        starts = {"least_squares": [], "max_likelihood": []}
+        outputs = []
+        least_squares, max_likelihood = experiments.estimate_least_squares, experiments.estimate_max_likelihood
+
+        def ls(povm, record, spec=None, *, start=None):
+            starts["least_squares"].append(start)
+            res = least_squares(povm, record, spec, start=start)
+            outputs.append(replace(res, converged=False) if povm.n_bases == 2 else res)
+            return outputs[-1]
+
+        def mle(povm, record, spec=None, *, start=None):
+            starts["max_likelihood"].append(start)
+            return max_likelihood(povm, record, spec, start=start)
+
+        monkeypatch.setattr(experiments, "estimate_least_squares", ls)
+        monkeypatch.setattr(experiments, "estimate_max_likelihood", mle)
+        run_noisy_protocol(NoisyProtocolConfig(
+            dim=4, n_targets=1, shots_per_basis=400,
+            estimators=("max_likelihood", "least_squares"), max_bases=4, seed=8,
+        ))
+        x = [res.X_hat for res in outputs]
+        assert len(x) == 4
+        ls_starts, mle_starts = starts["least_squares"], starts["max_likelihood"]
+        assert ls_starts[0] is None and ls_starts[1] is x[0]
+        assert ls_starts[2] is None and ls_starts[3] is x[2]
+        assert mle_starts[0] is x[0] and mle_starts[1] is None
+        assert mle_starts[2] is x[2] and mle_starts[3] is x[3]
+
+    def test_estimator_order_leaves_every_result_unchanged(self):
+        # least squares runs first at each basis count whatever the
+        # configured order, so max likelihood always has its start
+        base = dict(dim=4, n_targets=2, shots_per_basis=500, max_bases=4, seed=2)
+        ref = run_noisy_protocol(NoisyProtocolConfig(**base))
+        for order in (("max_likelihood", "trace_min", "least_squares"),
+                      ("trace_min", "max_likelihood", "least_squares")):
+            res = run_noisy_protocol(NoisyProtocolConfig(**base, estimators=order))
+            for est in order:
+                assert np.array_equal(res.infidelities[est], ref.infidelities[est])
+                assert res.stop_reasons[est] == ref.stop_reasons[est]
 
     def test_trend_beyond_onset_confirmed_at_higher_shots(self):
         # the mean curve keeps (weakly) improving from the onset to onset+4;
