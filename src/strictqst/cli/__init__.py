@@ -39,6 +39,7 @@ from ..experiments import (
     NoisyProtocolConfig,
     SweepConfig,
     _require_power_of_two,
+    _stderr,
     run_completeness_sweep,
     run_noisy_protocol,
     run_robustness_scan,
@@ -97,61 +98,61 @@ def _load_experiment(name: str, kind: str, constructor) -> tuple[dict, dict]:
     return raw, fields
 
 
-def _manifest(command: str, config: dict, seed, out_dir: Path, outputs: list[Path], started: str) -> None:
-    doc = {
+def _experiment(args, constructor, outputs) -> int:
+    """The frame of the three experiment commands: load the config, run the
+    study, then write its CSV, its JSON document, the SVG rendered back from
+    that CSV alone, and last the manifest with the digest of each.
+
+    outputs(fields, jobs) runs the study and returns (CSV name, header,
+    rows), (JSON name, document) and (SVG name, renderer of the CSV file).
+    """
+    started = _utc_now()
+    raw, fields = _load_experiment(args.config, args.command, constructor)
+    (csv_name, header, rows), (json_name, doc), (svg_name, render) = outputs(fields, args.jobs)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path, json_path, svg_path = out_dir / csv_name, out_dir / json_name, out_dir / svg_name
+    ser.write_csv(csv_path, header, rows)
+    ser.dump_json(doc, json_path)
+    svg_path.write_text(render(csv_path) + "\n")
+    manifest = {
         "schema": "run_manifest",
-        "command": command,
-        "config": config,
-        "seed": seed,
+        "command": args.command,
+        "config": raw,
+        "seed": raw["seed"],
+        "jobs": args.jobs,
         "version": __version__,
         "started_utc": started,
         "finished_utc": _utc_now(),
-        "outputs": {p.name: ser.sha256_file(p) for p in outputs},
+        "outputs": {p.name: ser.sha256_file(p) for p in (csv_path, json_path, svg_path)},
     }
-    ser.dump_json(doc, out_dir / "manifest.json")
+    ser.dump_json(manifest, out_dir / "manifest.json")
+    return 0
 
 
-def _curves_svg_from_csv(csv_path: Path, title: str) -> str:
-    """Curves plot built only from the CSV contents (columns n_bases,
-    estimator, mean_infidelity, stderr)."""
-    header, rows = ser.read_csv(csv_path)
-    idx = {name: i for i, name in enumerate(header)}
+def _result_config(config) -> dict:
+    """The config as a result document embeds it: without jobs, which sets
+    only the worker count and never the results (it goes in the manifest)."""
+    return {key: value for key, value in asdict(config).items() if key != "jobs"}
+
+
+def _curves_svg_from_csv(csv_path: Path) -> str:
     series: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        est = row[idx["estimator"]]
-        series.setdefault(est, []).append(
-            (float(row[idx["n_bases"]]), float(row[idx["mean_infidelity"]]))
-        )
-    return plots.line_plot(series, "measured bases", "mean infidelity", title=title)
+    for row in ser.read_csv(csv_path):
+        series.setdefault(row["estimator"], []).append(
+            (float(row["n_bases"]), float(row["mean_infidelity"])))
+    return plots.line_plot(series, "measured bases", "mean infidelity",
+                           title="Estimation of near-pure states")
 
 
 def _robustness_svg_from_csv(csv_path: Path) -> str:
-    header, rows = ser.read_csv(csv_path)
-    idx = {name: i for i, name in enumerate(header)}
-    pts = [(float(r[idx["epsilon"]]), float(r[idx["mean_error"]])) for r in rows]
-    return plots.line_plot(
-        {"least_squares": pts},
-        "noise bound",
-        "reconstruction error",
-        title="Error scaling under injected noise",
-        log_x=True,
-    )
+    pts = [(float(row["epsilon"]), float(row["mean_error"])) for row in ser.read_csv(csv_path)]
+    return plots.line_plot({"least_squares": pts}, "noise bound", "reconstruction error",
+                           title="Error scaling under injected noise", log_x=True)
 
 
 def _onset_svg_from_csv(csv_path: Path) -> str:
-    header, rows = ser.read_csv(csv_path)
-    idx = {name: i for i, name in enumerate(header)}
-    table = [
-        {
-            "dim": int(r[idx["dim"]]),
-            "rank": int(r[idx["rank"]]),
-            "basis_type": r[idx["basis_type"]],
-            "onset": int(r[idx["onset"]]) if r[idx["onset"]] else None,
-            "n_states": int(r[idx["n_states"]]),
-        }
-        for r in rows
-    ]
-    return plots.onset_table_svg(table)
+    return plots.onset_table_svg(ser.read_csv(csv_path))
 
 
 # --------------------------------------------------------------------------
@@ -195,120 +196,96 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    started = _utc_now()
-    raw, fields = _load_experiment(args.config, "sweep", SweepConfig)
-    config = SweepConfig(jobs=args.jobs, **fields)
-    result = run_completeness_sweep(config)
+    return _experiment(args, SweepConfig, _sweep_outputs)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "onsets.csv"
-    ser.write_csv(
-        csv_path,
-        ["dim", "rank", "basis_type", "onset", "n_states", "threshold"],
-        [
-            [c.dim, c.rank, c.basis_type, "" if c.onset is None else c.onset,
-             c.errors.shape[1], c.threshold]
+
+def _sweep_outputs(fields: dict, jobs: int):
+    result = run_completeness_sweep(SweepConfig(jobs=jobs, **fields))
+    rows = [
+        [c.dim, c.rank, c.basis_type, "" if c.onset is None else c.onset, c.errors.shape[1], c.threshold]
+        for c in result.cells
+    ]
+    doc = {
+        "schema": "sweep_result",
+        "config": _result_config(result.config),
+        "cells": [
+            {
+                "dim": c.dim,
+                "rank": c.rank,
+                "basis_type": c.basis_type,
+                "threshold": c.threshold,
+                "onset": c.onset,
+                "failure_counts": [int(v) for v in c.failure_counts],
+                "failure_log": [list(entry) for entry in c.failure_log],
+                "state_seed_keys": list(c.state_seed_keys),
+                "errors": [[float(v) for v in row] for row in c.errors],
+                "stop_reasons": list(c.stop_reasons),
+            }
             for c in result.cells
         ],
+    }
+    return (
+        ("onsets.csv", ["dim", "rank", "basis_type", "onset", "n_states", "threshold"], rows),
+        ("sweep_result.json", doc),
+        ("onsets.svg", _onset_svg_from_csv),
     )
-    json_path = out_dir / "sweep_result.json"
-    ser.dump_json(
-        {
-            "schema": "sweep_result",
-            "config": asdict(config),
-            "cells": [
-                {
-                    "dim": c.dim,
-                    "rank": c.rank,
-                    "basis_type": c.basis_type,
-                    "threshold": c.threshold,
-                    "onset": c.onset,
-                    "failure_counts": [int(v) for v in c.failure_counts],
-                    "failure_log": [list(entry) for entry in c.failure_log],
-                    "state_seed_keys": list(c.state_seed_keys),
-                    "errors": [[float(v) for v in row] for row in c.errors],
-                    "stop_reasons": list(c.stop_reasons),
-                }
-                for c in result.cells
-            ],
-        },
-        json_path,
-    )
-    svg_path = out_dir / "onsets.svg"
-    svg_path.write_text(_onset_svg_from_csv(csv_path) + "\n")
-    _manifest("sweep", raw, raw["seed"], out_dir, [csv_path, json_path, svg_path], started)
-    return 0
 
 
 def _cmd_noisy(args) -> int:
-    started = _utc_now()
-    raw, fields = _load_experiment(args.config, "noisy", NoisyProtocolConfig)
-    config = NoisyProtocolConfig(jobs=args.jobs, **fields)
-    result = run_noisy_protocol(config)
+    return _experiment(args, NoisyProtocolConfig, _noisy_outputs)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "curves.csv"
-    ser.write_csv(
-        csv_path,
-        ["n_bases", "estimator", "mean_infidelity", "stderr"],
-        [[r["n_bases"], r["estimator"], r["mean_infidelity"], r["stderr"]] for r in result.rows()],
-    )
-    json_path = out_dir / "protocol_result.json"
-    ser.dump_json(
-        {
-            "schema": "protocol_result",
-            "config": asdict(config),
-            "basis_counts": list(result.basis_counts),
-            "infidelities": {
-                est: [[float(v) for v in row] for row in mat]
-                for est, mat in result.infidelities.items()
-            },
-            "stop_reasons": {est: list(counts) for est, counts in result.stop_reasons.items()},
+
+def _noisy_outputs(fields: dict, jobs: int):
+    result = run_noisy_protocol(NoisyProtocolConfig(jobs=jobs, **fields))
+    rows = [
+        [k, est, float(mean), float(err)]
+        for est in result.config.estimators
+        for k, mean, err in zip(result.basis_counts, result.mean_curve(est), result.stderr_curve(est))
+    ]
+    doc = {
+        "schema": "protocol_result",
+        "config": _result_config(result.config),
+        "basis_counts": list(result.basis_counts),
+        "infidelities": {
+            est: [[float(v) for v in row] for row in mat] for est, mat in result.infidelities.items()
         },
-        json_path,
+        "stop_reasons": {est: list(counts) for est, counts in result.stop_reasons.items()},
+    }
+    return (
+        ("curves.csv", ["n_bases", "estimator", "mean_infidelity", "stderr"], rows),
+        ("protocol_result.json", doc),
+        ("curves.svg", _curves_svg_from_csv),
     )
-    svg_path = out_dir / "curves.svg"
-    svg_path.write_text(_curves_svg_from_csv(csv_path, "Estimation of near-pure states") + "\n")
-    _manifest("noisy", raw, raw["seed"], out_dir, [csv_path, json_path, svg_path], started)
-    return 0
 
 
 def _cmd_robustness(args) -> int:
-    started = _utc_now()
-    raw, fields = _load_experiment(args.config, "robustness", run_robustness_scan)
+    return _experiment(args, run_robustness_scan, _robustness_outputs)
+
+
+def _robustness_outputs(fields: dict, jobs: int):
     scan = run_robustness_scan(**fields)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "robustness.csv"
-    stderr = scan.errors.std(axis=1, ddof=1) / np.sqrt(scan.errors.shape[1]) if scan.errors.shape[1] > 1 else np.zeros(scan.epsilons.size)
-    ser.write_csv(
-        csv_path,
-        ["epsilon", "mean_error", "stderr"],
-        [[float(e), float(m), float(s)] for e, m, s in zip(scan.epsilons, scan.mean_errors, stderr)],
+    rows = [
+        [float(e), float(m), float(s)]
+        for e, m, s in zip(scan.epsilons, scan.mean_errors, _stderr(scan.errors))
+    ]
+    doc = {
+        "schema": "robustness_result",
+        "dim": scan.dim,
+        "rank": scan.rank,
+        "n_bases": scan.n_bases,
+        "seed": scan.seed,
+        "epsilons": [float(v) for v in scan.epsilons],
+        "errors": [[float(v) for v in row] for row in scan.errors],
+        "mean_errors": [float(v) for v in scan.mean_errors],
+        "slope": scan.slope,
+        "c_hat": scan.c_hat,
+        "zero_noise_error": scan.zero_noise_error,
+    }
+    return (
+        ("robustness.csv", ["epsilon", "mean_error", "stderr"], rows),
+        ("robustness_result.json", doc),
+        ("robustness.svg", _robustness_svg_from_csv),
     )
-    json_path = out_dir / "robustness_result.json"
-    ser.dump_json(
-        {
-            "schema": "robustness_result",
-            "dim": scan.dim,
-            "rank": scan.rank,
-            "n_bases": scan.n_bases,
-            "seed": scan.seed,
-            "epsilons": [float(v) for v in scan.epsilons],
-            "errors": [[float(v) for v in row] for row in scan.errors],
-            "mean_errors": [float(v) for v in scan.mean_errors],
-            "slope": scan.slope,
-            "c_hat": scan.c_hat,
-            "zero_noise_error": scan.zero_noise_error,
-        },
-        json_path,
-    )
-    svg_path = out_dir / "robustness.svg"
-    svg_path.write_text(_robustness_svg_from_csv(csv_path) + "\n")
-    _manifest("robustness", raw, raw["seed"], out_dir, [csv_path, json_path, svg_path], started)
-    return 0
 
 
 # --------------------------------------------------------------------------

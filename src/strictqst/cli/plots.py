@@ -117,8 +117,9 @@ def line_plot(
     return "\n".join(parts)
 
 
-def onset_table_svg(rows: list[dict]) -> str:
-    """Render onset-sweep cells as a small SVG table."""
+def onset_table_svg(rows: list[dict[str, str]]) -> str:
+    """Render onset-sweep CSV rows as a small SVG table; an empty onset
+    (none reached) shows as "-"."""
     header = ["dim", "rank", "basis_type", "onset", "n_states"]
     cell_w, cell_h = 90, 24
     width = cell_w * len(header) + 40
@@ -137,10 +138,9 @@ def onset_table_svg(rows: list[dict]) -> str:
     for i, row in enumerate(rows):
         y = 48 + (i + 1) * cell_h
         for j, name in enumerate(header):
-            val = row.get(name)
             parts.append(
                 f'<text x="{40 + j * cell_w + cell_w / 2}" y="{y}" text-anchor="middle">'
-                f'{"-" if val is None else val}</text>'
+                f'{row[name] or "-"}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts)

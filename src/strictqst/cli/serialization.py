@@ -178,7 +178,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+def read_csv(path: Path) -> list[dict[str, str]]:
+    """The rows of a CSV written by write_csv, keyed by its header."""
+    header, *lines = Path(path).read_text().strip().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]

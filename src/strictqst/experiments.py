@@ -116,6 +116,15 @@ def _fan_out(fn, tasks: list, jobs: int) -> list:
     return [fn(t) for t in tasks]
 
 
+def _stderr(samples: np.ndarray) -> np.ndarray:
+    """Standard error of the mean of each row of samples; 0 for a row of
+    one sample."""
+    n = samples.shape[1]
+    if n < 2:
+        return np.zeros(samples.shape[0])
+    return samples.std(axis=1, ddof=1) / np.sqrt(n)
+
+
 def _pass_cut(rank: int, threshold: float) -> float:
     """Pass cut: infidelity threshold at rank 1, Frobenius sqrt(2 * threshold) above."""
     return threshold if rank == 1 else float(np.sqrt(2.0 * threshold))
@@ -348,28 +357,7 @@ class NoisyProtocolResult:
         return self.infidelities[estimator].mean(axis=1)
 
     def stderr_curve(self, estimator: str) -> np.ndarray:
-        vals = self.infidelities[estimator]
-        n = vals.shape[1]
-        if n < 2:
-            return np.zeros(vals.shape[0])
-        return vals.std(axis=1, ddof=1) / np.sqrt(n)
-
-    def rows(self) -> list[dict]:
-        """Flat curve rows: one per (basis count, estimator)."""
-        out = []
-        for est in self.config.estimators:
-            means = self.mean_curve(est)
-            errs = self.stderr_curve(est)
-            for i, k in enumerate(self.basis_counts):
-                out.append(
-                    {
-                        "n_bases": k,
-                        "estimator": est,
-                        "mean_infidelity": float(means[i]),
-                        "stderr": float(errs[i]),
-                    }
-                )
-        return out
+        return _stderr(self.infidelities[estimator])
 
 
 def _run_protocol_target(args) -> tuple[dict[str, np.ndarray], dict[str, list[str]]]:

@@ -27,6 +27,12 @@ def load(path):
         return json.load(fh)
 
 
+def _write_config(tmp_path, doc) -> Path:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def bundled_config_names() -> list[str]:
     root = resources.files("strictqst") / "configs"
     return sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))
@@ -250,7 +256,7 @@ class TestExperimentCommands:
         for counts in doc["stop_reasons"].values():
             assert len(counts) == len(doc["basis_counts"])
             assert all(sum(c.values()) == config["n_targets"] for c in counts)
-        rendered = cli._curves_svg_from_csv(out / "curves.csv", "Estimation of near-pure states")
+        rendered = cli._curves_svg_from_csv(out / "curves.csv")
         assert rendered + "\n" == (out / "curves.svg").read_text()
 
     def test_robustness_outputs(self, tmp_path, schema_validator):
@@ -259,6 +265,65 @@ class TestExperimentCommands:
         schema_validator(load(out / "robustness_result.json"), "robustness_result")
         header = (out / "robustness.csv").read_text().splitlines()[0]
         assert header == "epsilon,mean_error,stderr"
+
+    def test_sweep_without_onset(self, tmp_path):
+        # two bases are too few for either cell: the onset is an empty CSV
+        # field, null in the JSON and "-" in the plot
+        cfg = _write_config(tmp_path, {"experiment": "sweep", "dims": [5], "ranks": [1, 2],
+                                       "states_per_cell": 2, "max_bases": 2, "seed": 3})
+        out = tmp_path / "o"
+        assert run(["sweep", "--config", cfg, "--out-dir", out]) == 0
+        rows = ser.read_csv(out / "onsets.csv")
+        assert [(row["rank"], row["onset"]) for row in rows] == [("1", ""), ("2", "")]
+        assert [cell["onset"] for cell in load(out / "sweep_result.json")["cells"]] == [None, None]
+        assert (out / "onsets.svg").read_text().count('text-anchor="middle">-</text>') == 2
+
+    def test_curves_table_follows_config_order(self, tmp_path):
+        # one row per (estimator in config order, basis count), with the
+        # mean over targets; one target has a standard error of 0
+        estimators = ["max_likelihood", "least_squares"]
+        cfg = _write_config(tmp_path, {"experiment": "noisy", "dim": 4, "n_targets": 1,
+                                       "shots_per_basis": 400, "estimators": estimators,
+                                       "max_bases": 3, "seed": 8})
+        out = tmp_path / "o"
+        assert run(["noisy", "--config", cfg, "--out-dir", out]) == 0
+        rows = ser.read_csv(out / "curves.csv")
+        assert [(row["estimator"], row["n_bases"]) for row in rows] == [
+            (est, str(k)) for est in estimators for k in (1, 2, 3)
+        ]
+        infidelities = load(out / "protocol_result.json")["infidelities"]
+        for i, row in enumerate(rows):
+            assert float(row["mean_infidelity"]) == infidelities[row["estimator"]][i % 3][0]
+            assert row["stderr"] == "0.0"
+
+    def test_robustness_table_single_repeat(self, tmp_path):
+        # one noise direction per epsilon has a standard error of 0
+        cfg = _write_config(tmp_path, {"experiment": "robustness", "dim": 5, "rank": 1,
+                                       "n_bases": 5, "epsilons": [0.01, 0.001], "repeats": 1,
+                                       "seed": 3})
+        out = tmp_path / "o"
+        assert run(["robustness", "--config", cfg, "--out-dir", out]) == 0
+        rows = ser.read_csv(out / "robustness.csv")
+        doc = load(out / "robustness_result.json")
+        assert [float(row["epsilon"]) for row in rows] == doc["epsilons"] == [0.001, 0.01]
+        assert [float(row["mean_error"]) for row in rows] == doc["mean_errors"]
+        assert [row["stderr"] for row in rows] == ["0.0", "0.0"]
+
+    @pytest.mark.parametrize("command, config", [("sweep", "onset_tiny.json"),
+                                                 ("noisy", "protocol_tiny.json")])
+    def test_jobs_leaves_data_files_unchanged(self, tmp_path, command, config, schema_validator):
+        # --jobs sets only the worker count: the manifest records it, and
+        # the CSV, JSON and SVG are the same bytes for any value
+        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+        for jobs, out in outs.items():
+            assert run([command, "--config", config, "--out-dir", out, "--jobs", jobs]) == 0
+            manifest = load(out / "manifest.json")
+            schema_validator(manifest, "run_manifest")
+            assert manifest["jobs"] == jobs
+        names = sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
+        assert len(names) == 3
+        for name in names:
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
     def test_manifest_digests_match_outputs(self, tmp_path):
         out = tmp_path / "sweep"

@@ -184,17 +184,18 @@ class TestNoisyProtocol:
         result = run_noisy_protocol(config)
         assert result.mean_curve("least_squares")[0] <= 1e-5
 
-    def test_curves_shape_and_rows(self):
+    def test_curves_shape_and_stderr(self):
+        # the curve tables are the CLI's (test_cli.py); here the arrays
+        # behind them
         config = NoisyProtocolConfig(
             dim=4, n_targets=3, shots_per_basis=400,
             estimators=("least_squares", "max_likelihood"), max_bases=3, seed=8,
         )
         result = run_noisy_protocol(config)
         assert result.basis_counts == (1, 2, 3)
-        assert result.infidelities["least_squares"].shape == (3, 3)
-        rows = result.rows()
-        assert len(rows) == 6
-        assert set(rows[0]) == {"n_bases", "estimator", "mean_infidelity", "stderr"}
+        vals = result.infidelities["least_squares"]
+        assert vals.shape == (3, 3)
+        assert np.array_equal(result.stderr_curve("least_squares"), vals.std(axis=1, ddof=1) / np.sqrt(3))
 
     def test_deterministic_and_pool_invariant(self):
         base = dict(dim=4, n_targets=3, shots_per_basis=300,
