@@ -259,6 +259,8 @@ def _noisy_outputs(fields: dict, jobs: int):
 
 
 def _cmd_robustness(args) -> int:
+    if args.jobs != 1:  # the scan has no worker pool
+        raise ValueError(f"robustness runs in one process: --jobs must be 1, got {args.jobs}")
     return _experiment(args, run_robustness_scan, _robustness_outputs)
 
 

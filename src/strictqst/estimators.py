@@ -192,7 +192,7 @@ def _fro(x: np.ndarray) -> float:
 
 
 def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, polish,
-           change=None, x0=None):
+           change=None, x0=None, r0=0):
     """Accelerated projected gradient with function-value restart on
     phi(A[X]), from x0, or I/d when x0 is None; x0's image must lie in
     phi's domain.  Steps x+ = descend(p, adjoint(dphi(A[p])), lip), a
@@ -218,17 +218,21 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
     last iterate, whose image is inside.
 
     When stop returns None, the face polish runs once r, descend's own rank
-    for x (never cut lower; x0 and a kept iterate carry none), has held
-    for the window, _RANK_WINDOW steps doubled per attempt so failures take
-    a bounded share of a long solve: polish(x, r) returns (point, Newton
+    for x (never cut lower; a kept iterate carries none), has held for the
+    window, _RANK_WINDOW steps doubled per attempt so failures take a
+    bounded share of a long solve: polish(x, r) returns (point, Newton
     steps), point being (X, A[X], stop_reason) or None.  The point ends the
     run, converged and with one more objective entry, if its objective is
     no higher than the iterate's.  A point with image None, trace-min's,
     whose multiplier moved off the run's and so has no comparable
     objective, ends the run on its certificate alone, its entry repeating
-    the iterate's objective.  polish=None runs gradient steps alone.
-    Returns (X, iterations, objective_trace, converged, stop_reason),
-    iterations counting gradient steps plus every attempt's Newton steps.
+    the iterate's objective.  x0 carries rank r0 when r0 > 0: then, unless
+    stop's first check already ends the run, one attempt at r0 comes
+    before any step, and the run goes on from x0 as above if that attempt
+    does not end it.
+    polish=None runs gradient steps alone.  Returns (X, iterations,
+    objective_trace, converged, stop_reason), iterations counting gradient
+    steps plus every attempt's Newton steps.
     """
 
     def step(p, ap):
@@ -254,13 +258,25 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
         up = change(ax, axn - ax)
         return fx + up, up
 
+    def attempt(r):  # a polish at x's face of rank r: (True, stop_reason) if its point ends the run
+        nonlocal x, newton
+        point, steps = polish(x, r)
+        newton += steps
+        if point is not None:
+            fn, up = (fx, 0.0) if point[1] is None else rise(point[1])
+            if up <= 0:
+                x = point[0]
+                trace.append(fn)
+                return True, point[2]
+        return None
+
     y = x = np.eye(d, dtype=complex) / d if x0 is None else x0
     ay = ax = apply(x)
     t = 1.0
     fx = phi(ax)
     trace = [fx]
-    done = stop(0, x, ax, fx, np.inf, np.inf)
     it = rank = since = newton = 0
+    done = stop(0, x, ax, fx, np.inf, np.inf) or (attempt(r0) if polish and r0 else None)
     window = _RANK_WINDOW
     while not done and it < max_iterations:
         it += 1
@@ -290,13 +306,7 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
             rank, since = rn, it
         elif rank and it - since >= window:
             since, window = it, 2 * window
-            point, steps = polish(x, rank)
-            newton += steps
-            if point is not None:
-                fn, up = (fx, 0.0) if point[1] is None else rise(point[1])
-                if up <= 0:
-                    x, done = point[0], (True, point[2])
-                    trace.append(fn)
+            done = attempt(rank)
     return (x, it + newton, trace) + (done or (False, "max_iterations"))
 
 
@@ -337,7 +347,8 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None, shift=0.0, po
     c = 0, a = q - f, b = 1.  The gate is FISTA's in Newton terms, half the
     decrement <= tol G or a Newton step that moves X by <= tol max(1, ||X||)
     (100x finer: it is the whole estimated distance to the face minimum);
-    then the certificate must hold at X = VV^dag.  A caller's stop, or a
+    then the certificate must hold at the Newton point X = VV^dag, V the
+    Newton-updated factor (_polish).  A caller's stop, or a
     noiseless record, runs gradient steps alone: there the clip keeps a face
     wider than the optimum's rank, Newton shrinks the surplus columns of V
     only geometrically, and a polish would certify a surplus eigenvalue of
@@ -367,11 +378,10 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None, shift=0.0, po
         e = q - f
         return e, 1.0, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
 
-    def finish(v, q, dv, dec):
+    def finish(v, q, dv, dec, newton):
         x = hermitize(v @ v.conj().T)
-        vn = v + dv
         e = q - f
-        if dec > tol * (e @ e) and _fro(vn @ vn.conj().T - x) > tol * max(1.0, _fro(x)):
+        if dec > tol * (e @ e) and _fro(x - (v - dv) @ (v - dv).conj().T) > tol * max(1.0, _fro(x)):
             return None
         return (x, q, "projected_gradient") if certified(x, q) else None
 
@@ -485,31 +495,35 @@ def feasibility(
 
 
 def _secant(g_at, t):
-    """A root of g(t) = g_at(t), increasing in t, by secant steps from t,
-    the first along slope 1 (and again after a point that repeats the last
-    t).  A step that leaves the bracket of the points seen so far, or
-    follows a slope that is not positive, bisects it; a step moves t by at
-    most 1, so while no point lies on one side it probes that side e-fold
-    in exp(t).  g_at returns g, or None to give up.  Returns t once |g| <=
-    1e-10, or None when g_at gives up, after _NEWTON_STEPS points, or at
-    the third point in a row that does not halve the least |g| so far.
-    Secant steps converge faster than that on a smooth g; g stalls where
-    its points are inexact (a polish on a face wider than the optimum's
-    rank settles 1e-8 to 1e-6 off eps) or has no root (eps below the
-    least-squares floor, where g levels off above 0)."""
+    """A root of g(t) = g_at(t), increasing in t, by Newton or secant steps
+    from t.  g_at returns (g, slope), slope being dg/dt where g_at knows it
+    and None where it does not, or None to give up.  A step without a slope
+    follows the secant through the last two points, or slope 1 from the
+    first point (and from a point that repeats the last t).  A step that
+    leaves the bracket of the points seen so far, or follows a slope that
+    is not positive, bisects it; a step moves t by at most 1, so while no
+    point lies on one side it probes that side e-fold in exp(t).  Returns t
+    once |g| <= 1e-10, or None when g_at gives up, after _NEWTON_STEPS
+    points, or at the third point in a row that does not halve the least
+    |g| so far.  Newton and secant steps converge faster than that on a
+    smooth g; g stalls where its points are inexact (a polish on a face
+    wider than the optimum's rank settles 1e-8 to 1e-6 off eps) or has no
+    root (eps below the least-squares floor, where g levels off above 0)."""
     lo, hi, best, stalls = -np.inf, np.inf, np.inf, 0
     t0 = g0 = None
     for _ in range(_NEWTON_STEPS):
-        g = g_at(t)
-        if g is None:
+        point = g_at(t)
+        if point is None:
             return None
+        g, slope = point
         if abs(g) <= 1e-10:
             return t
         stalls = 0 if abs(g) <= 0.5 * best else stalls + 1
         best = min(best, abs(g))
         if stalls == 3:
             return None
-        slope = 1.0 if t0 is None or t == t0 else (g - g0) / (t - t0)
+        if slope is None:
+            slope = 1.0 if t0 is None or t == t0 else (g - g0) / (t - t0)
         if g < 0:
             lo = t
         else:
@@ -540,8 +554,12 @@ def estimate_trace_min(
 
     Within each run _fista's rank trigger runs the face polish (_polish) on
     the penalised form at mu = 1/(ks): c = 1, a = mu (q - f), b = mu, with
-    the gate a Newton decrement <= 1e-3 tol max(1, tr X).  The same secant,
-    each point warm-started from the last, moves mu until |g| <= 1e-10.
+    the gate a Newton decrement <= 1e-3 tol max(1, tr X).  The same
+    _secant, each point a polish warm-started from the last, moves mu until
+    |g| <= 1e-10, but by Newton steps in t = -log(k mu): each polished point
+    carries the exact slope dg/dt = -mu <q - f, dq/dmu> / ||q - f||^2, with
+    dq/dmu the image of dV/dmu = -H^-1 U((q - f) W), one more solve with
+    the face Hessian H of the attempt's last step.
     There the scaled dual u' = u / (1 + max(0, -lambda_min(I + A^dag u))),
     u = mu (A[X] - f), is dual-feasible, and X ends the solve as
     "duality_gap" when tr X + <u', f> + eps ||u'|| <= tol max(1, tr X).
@@ -579,6 +597,8 @@ def estimate_trace_min(
         x, iterations, trace, conv, reason = _least_squares(prob, spec, x0=x0)
     else:
         tol = spec.tol("trace_min")
+        u = povm._u
+        uh = u.conj().T
         shift = eps / np.sqrt(f.size)
         mu, iterations, trace = 1.0 / (k * shift), 0, []
 
@@ -595,10 +615,16 @@ def estimate_trace_min(
             e = q - f
             return mu * e, mu, lambda dq: mu * float(e @ dq + 0.5 * (dq @ dq))
 
-        def finish(v, q, dv, dec):
+        def finish(v, q, dv, dec, newton):
             if dec > 1e-3 * tol * max(1.0, np.vdot(v, v).real):
                 return None
-            return hermitize(v @ v.conj().T), q, "duality_gap"
+            return hermitize(v @ v.conj().T), q, "duality_gap", lambda: slope(v, q, newton)
+
+        def slope(v, q, newton):  # dg/dt at the face minimum: dV/dmu = -H^-1 U((q - f) W), dmu/dt = -mu
+            e = q - f
+            w = uh @ v
+            z = uh @ newton(u @ (e[:, None] * w))
+            return -2.0 * mu * float(e @ (w.real * z.real + w.imag * z.imag).sum(axis=1)) / float(e @ e)
 
         def polish(x, r):
             steps, point = 0, (x, None)
@@ -606,9 +632,10 @@ def estimate_trace_min(
             def g_at(t):
                 nonlocal mu, steps, point
                 mu = math.exp(-t) / k
-                point, n = _polish(povm._u, point[0], r, 1.0, loss, finish)
+                point, n = _polish(u, point[0], r, 1.0, loss, finish)
                 steps += n
-                return None if point is None else measure(*point[:2])
+                g = None if point is None else measure(*point[:2])
+                return None if g is None else (g, point[3]() if g else None)
 
             if _secant(g_at, math.log(shift)) is None:
                 return None, steps
@@ -624,9 +651,10 @@ def estimate_trace_min(
             iterations += n
             trace.extend(run)
             if reason == "duality_gap" or not conv:
-                return 0.0 if conv else None
+                return (0.0, None) if conv else None
             mu = 1.0 / (k * shift)
-            return measure(x, prob.apply(x))
+            g = measure(x, prob.apply(x))
+            return None if g is None else (g, None)
 
         conv = _secant(g_at, math.log(shift)) is not None
         reason = "duality_gap" if conv else "max_iterations"
@@ -720,11 +748,15 @@ def _polish(u, x, r, c, loss, finish):
     fraction, its data part taken as change(dq) in difference form (inf
     outside the domain).
 
-    From the second point on, with dec = -<grad G, dV> the Newton
-    decrement, an attempt returns finish(v, q, dV, dec) when that is not
-    None: the solver's point (X, A[X], stop_reason), where its gate and
-    certificate hold at VV^dag.
-    Returns (point, steps), or (None, steps) when there is none within
+    At every point V, the first included, with dV its Newton step and
+    dec = -<grad G, dV> the Newton decrement, the attempt ends on
+    finish(V + dV, q(V + dV), dV, dec, newton) when that is not None:
+    finish tests its gate on dV and dec, at V, and its certificate at the
+    Newton point V + dV, and returns the solver's point (X, A[X],
+    stop_reason, ...).  No Hessian is formed at the Newton point itself.
+    newton(rhs) solves the system that gave dV for another right-hand side
+    by the same method, -H^-1 rhs.  Returns (point, steps), steps counting the step to
+    the Newton point, or (None, steps) when there is none within
     _NEWTON_STEPS steps or the line search finds no descent.
     """
     lam, vecs = np.linalg.eigh(x)
@@ -741,17 +773,23 @@ def _polish(u, x, r, c, loss, finish):
         g = c * v + u @ (a[:, None] * w)  # half the gradient
         if v.size <= _DENSE_SIZE:
             h = _hess_matrix(u, w, c, a, b)
-            dv = _dense_newton(h, g.view(float).ravel()).view(complex).reshape(v.shape)
+
+            def newton(rhs, h=h):
+                return _dense_newton(h, rhs.view(float).ravel()).view(complex).reshape(rhs.shape)
         else:
-            dv = _newton_cg(_hess_product(u, w, c, a, b), g)
+            hess = _hess_product(u, w, c, a, b)
+
+            def newton(rhs, hess=hess):
+                return _newton_cg(hess, rhs)
+        dv = newton(g)
         dec = -2.0 * np.vdot(g, dv).real
-        if steps:
-            point = finish(v, q, dv, dec)
-            if point is not None:
-                return point, steps
+        z = uh @ dv
+        wn = w + z
+        point = finish(v + dv, (wn.real**2 + wn.imag**2).sum(axis=1), dv, dec, newton)
+        if point is not None:
+            return point, steps + 1
         if steps == _NEWTON_STEPS:
             break
-        z = uh @ dv
         wz = 2.0 * (w.real * z.real + w.imag * z.imag).sum(axis=1)
         zz = (z.real**2 + z.imag**2).sum(axis=1)
         vd, dd = 2.0 * np.vdot(v, dv).real, np.vdot(dv, dv).real
@@ -799,15 +837,19 @@ def estimate_max_likelihood(
     unit-sum f the minimiser of G over the PSD cone has trace 1 and is the
     MLE.  Its gate is the Newton decrement <= 1e-3 tol, so G is within
     about 1e-3 tol of its face minimum, then the certificate must hold at
-    rho = VV^dag / tr; rho ends the solve, still as "duality_gap", when its
+    rho = VV^dag / tr, V the Newton-updated factor (_polish); rho ends the
+    solve, still as "duality_gap", when its
     ll is no lower than the iterate's (one more entry in objective_trace).
     iterations counts gradient steps plus Newton steps.
 
     The iteration starts from start / tr start (start checked by _start),
     for example the least-squares estimate of the same record, or from I/d
     when start is None, has trace <= 0, or maps to q_mu <= 0 on an observed
-    outcome.  Where the maximiser is not unique (below completeness) the
-    estimate depends on the start.
+    outcome.  A start is polished before any gradient step: one attempt on
+    its face, at the rank QuantumState.rank counts (eigenvalues above
+    DEFAULT.rank_cut), and if that attempt does not end the solve the
+    iteration runs from the same start.  Where the maximiser is not unique
+    (below completeness) the estimate depends on the start.
     """
     spec = spec or EstimatorSpec()
     tol = spec.tol("max_likelihood")
@@ -830,6 +872,7 @@ def estimate_max_likelihood(
     x0 = _start(start, prob.d)
     tr = 0.0 if x0 is None else float(np.trace(x0).real)
     x0 = x0 / tr if tr > 0 and prob.apply(x0)[mask].min() > 0 else None  # I/d outside ll's domain
+    r0 = 0 if x0 is None else int(np.sum(np.linalg.eigvalsh(x0) > DEFAULT.rank_cut))  # QuantumState.rank
 
     def loss(q):
         if not q.min() > 0:
@@ -838,8 +881,8 @@ def estimate_max_likelihood(
         return -s, s / q, lambda dq: (
             -float(fm @ np.log1p(dq / q)) if np.all(dq > -q) else np.inf)
 
-    def finish(v, q, dv, dec):
-        if dec > 1e-3 * tol:
+    def finish(v, q, dv, dec, newton):
+        if dec > 1e-3 * tol or not q.min() > 0:
             return None
         t = np.vdot(v, v).real
         if t * np.linalg.eigvalsh((u * (fm / q)) @ u.conj().T)[-1] - 1.0 <= tol:
@@ -877,6 +920,6 @@ def estimate_max_likelihood(
     x, it, trace, conv, reason = _fista(
         prob.d, spec.max_iterations, prob.apply, prob.adjoint,
         lambda ax: -float(fm @ np.log(ax[mask])), dphi,
-        descend, 1.0, gap_stop, polish, change, x0,
+        descend, 1.0, gap_stop, polish, change, x0, r0,
     )
     return _result("max_likelihood", prob, x, it, conv, -np.asarray(trace), reason)

@@ -325,6 +325,19 @@ class TestExperimentCommands:
         for name in names:
             assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
 
+    @pytest.mark.parametrize("command, config, jobs", [
+        ("sweep", "onset_tiny.json", 0), ("noisy", "protocol_tiny.json", 0),
+        ("robustness", "robustness_tiny.json", 0), ("noisy", "protocol_tiny.json", -3),
+        ("robustness", "robustness_tiny.json", -3), ("robustness", "robustness_tiny.json", 2),
+    ])
+    def test_jobs_out_of_range_is_a_usage_error(self, tmp_path, command, config, jobs, capsys):
+        # sweep and noisy need jobs >= 1; the robustness scan has no worker
+        # pool, so it takes only --jobs 1.  Nothing is written
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--out-dir", out, "--jobs", jobs]) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_digests_match_outputs(self, tmp_path):
         out = tmp_path / "sweep"
         run(["sweep", "--config", "onset_tiny.json", "--out-dir", out])

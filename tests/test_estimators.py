@@ -469,6 +469,42 @@ class TestTraceMin:
             assert abs(tr - np.trace(oracle).real) <= tol * max(1.0, tr)
         assert attempts
 
+    def test_mu_search_takes_newton_steps(self, monkeypatch):
+        # the seed-11 d=11 protocol target: every trace-min solve ends on
+        # the duality gap, and from k = 6 on each mu search (a _secant
+        # whose points are polishes) takes at most 4 polishes, where secant
+        # steps from slope 1 took 6-7
+        searches, stack = [], []
+        secant, polish = estimators._secant, estimators._polish
+
+        def spied_secant(g_at, t):
+            stack.append(0)
+            try:
+                return secant(g_at, t)
+            finally:
+                n = stack.pop()
+                if n:
+                    searches[-1][1].append(n)
+
+        def spied_polish(*args):
+            if stack:  # least squares and likelihood polish outside any search
+                stack[-1] += 1
+            return polish(*args)
+
+        def spied_solve(povm, record, spec=None, *, start=None, solve=experiments.estimate_trace_min):
+            searches.append((povm.n_bases, []))
+            res = solve(povm, record, spec, start=start)
+            assert res.converged and res.stop_reason == "duality_gap"
+            return res
+
+        monkeypatch.setattr(estimators, "_secant", spied_secant)
+        monkeypatch.setattr(estimators, "_polish", spied_polish)
+        monkeypatch.setattr(experiments, "estimate_trace_min", spied_solve)
+        run_noisy_protocol(NoisyProtocolConfig(dim=11, n_targets=1, seed=11))
+        assert [k for k, _ in searches] == list(range(1, 11))
+        for k, counts in searches[5:]:
+            assert counts and max(counts) <= 4, (k, counts)
+
     def test_zero_noise_bound_is_least_squares(self, monkeypatch):
         # at eps = 0 every feasible X has trace 1: the program is least
         # squares, bit for bit, and a noiseless record makes no attempt
@@ -981,15 +1017,28 @@ class TestFaceHessian:
                 assert np.array_equal(estimators._dense_newton(m, g), estimators._newton_cg(m.dot, g)), name
         assert refused
 
+    @staticmethod
+    def finish_at(n):
+        # a finish that refuses the first n - 1 points and takes the n-th
+        calls = []
+
+        def finish(*args):
+            calls.append(args)
+            return "point" if len(calls) == n else None
+
+        return finish
+
     def test_track_polish_records_each_dense_solve(self, monkeypatch):
-        # an attempt that finishes at its second point solves two Newton
-        # systems: two "solve" entries on a dense face, two CG product
-        # counts on a matrix-free one.  With the dense Hessian negated every
-        # exact step ascends, and each system shows its solve and then the
-        # CG fallback, which stops at the first (negative) curvature
+        # an attempt solves one Newton system per point and forms no
+        # Hessian at its Newton point: finishing at its first point it
+        # solves one system, at its second two, "solve" entries on a dense
+        # face and CG product counts on a matrix-free one.  With the dense
+        # Hessian negated every exact step ascends, and each system shows
+        # its solve and then the CG fallback, which stops at the first
+        # (negative) curvature
         attempts = track_polish(monkeypatch)
 
-        def run(d, r):
+        def run(d, r, n):
             u, v, w, q, f = self.face(d, r, seed=d + r)
 
             def loss(q, f=f):  # least squares' model
@@ -997,19 +1046,23 @@ class TestFaceHessian:
                 return e, 1.0, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
 
             attempts.clear()
-            estimators._polish(u, v @ v.conj().T, r, 0.0, loss, lambda *args: "point")
+            estimators._polish(u, v @ v.conj().T, r, 0.0, loss, self.finish_at(n))
             return attempts[-1]
 
-        assert run(6, 3) == (True, 1, ("solve", "solve"))
-        certified, steps, systems = run(31, 3)
-        assert (certified, steps, len(systems)) == (True, 1, 2) and all(isinstance(n, int) and n > 0 for n in systems)
+        assert run(6, 3, 1) == (True, 1, ("solve",))
+        assert run(6, 3, 2) == (True, 2, ("solve", "solve"))
+        for n in (1, 2):
+            certified, steps, systems = run(31, 3, n)
+            assert (certified, steps, len(systems)) == (True, n, n)
+            assert all(isinstance(k, int) and k > 0 for k in systems)
         hess_matrix = estimators._hess_matrix
         monkeypatch.setattr(estimators, "_hess_matrix", lambda *args: -hess_matrix(*args))
-        assert run(6, 3)[2] == ("solve", 1, "solve", 1)
+        assert run(6, 3, 1)[2] == ("solve", 1)
+        assert run(6, 3, 2)[2] == ("solve", 1, "solve", 1)
 
     def test_polish_dispatch_reads_only_the_face_size(self, monkeypatch):
-        # an attempt that finishes at its second point solves two Newton
-        # systems, both dense when V has at most _DENSE_SIZE entries
+        # an attempt that finishes at its first point forms one Hessian,
+        # dense when V has at most _DENSE_SIZE entries
         used = []
         for fn in ("_hess_matrix", "_hess_product"):
             original = getattr(estimators, fn)
@@ -1023,10 +1076,77 @@ class TestFaceHessian:
                 return e, 1.0, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
 
             used.clear()
-            point, steps = estimators._polish(u, v @ v.conj().T, r, 0.0, loss, lambda *args: "point")
+            point, steps = estimators._polish(u, v @ v.conj().T, r, 0.0, loss, self.finish_at(1))
             dense = v.size <= estimators._DENSE_SIZE
             assert (point, steps) == ("point", 1)
-            assert used == ["_hess_matrix" if dense else "_hess_product"] * 2
+            assert used == ["_hess_matrix" if dense else "_hess_product"]
+
+
+class TestNewtonPoint:
+    """An attempt ends at its Newton point: where the gate holds at V, the
+    program's certificate is tested at V + dV, and that point is the
+    estimate."""
+
+    @staticmethod
+    def spy_finish(monkeypatch):
+        """Wrap _polish; the returned list gets (u, c, loss, V + dV, its
+        image, dV) for every point that a finish takes."""
+        ends, polish = [], estimators._polish
+
+        def spied(u, x, r, c, loss, finish):
+            def watched(v, q, dv, dec, newton):
+                point = finish(v, q, dv, dec, newton)
+                if point is not None:
+                    ends.append((u, c, loss, v, q, dv))
+                return point
+
+            return polish(u, x, r, c, loss, watched)
+
+        monkeypatch.setattr(estimators, "_polish", spied)
+        return ends
+
+    @pytest.mark.parametrize(
+        "solve", [estimate_least_squares, estimate_trace_min, estimate_max_likelihood]
+    )
+    def test_the_estimate_is_the_certified_newton_point(self, monkeypatch, solve):
+        # seeded sampled records at d = 3, 4 in three bases, as in
+        # TestTraceMin: dV solves the dense Newton system at V = (V + dV) -
+        # dV, the estimate is (V + dV)(V + dV)^dag (over its trace for
+        # maximum likelihood) bit for bit, and the program's own
+        # certificate holds there
+        ends = self.spy_finish(monkeypatch)
+        for d, seed in ((3, 0), (3, 2), (4, 1), (4, 5)):
+            gen = np.random.default_rng(seed)
+            state = random_pure_state(d, gen)
+            povm = povm_from_bases(global_random_bases(d, 3, gen))
+            rec = sample_record(povm, state, 1000, gen)
+            ends.clear()
+            res = solve(povm, rec)
+            assert res.converged and ends
+            u, c, loss, vn, qn, dv = ends[-1]
+            v = vn - dv
+            w = u.conj().T @ v
+            a, b, _ = loss((w.real**2 + w.imag**2).sum(axis=1))
+            g = (c * v + u @ (a[:, None] * w)).view(float).ravel()
+            h = estimators._hess_matrix(u, w, c, a, b)
+            assert np.linalg.norm(h @ dv.view(float).ravel() + g) <= 1e-8 * np.linalg.norm(g)
+            x = estimators.hermitize(vn @ vn.conj().T)
+            tol = EstimatorSpec().tol(res.method)
+            if solve is estimate_max_likelihood:
+                assert np.array_equal(res.X_hat, x / np.vdot(vn, vn).real)
+                assert TestMaxLikelihood.loglik_and_gap(povm, rec, res.X_hat)[1] <= tol
+                continue
+            assert np.array_equal(res.X_hat, x)
+            if solve is estimate_least_squares:
+                assert res.stop_reason == "projected_gradient"
+                assert TestLeastSquaresPolish.objective_and_certificate(povm, rec, x)[1]
+                continue
+            # trace-min's duality gap at the multiplier mu = b of the last attempt
+            assert res.stop_reason == "duality_gap"
+            f, eps, tr = rec.values, rec.noise_bound, np.trace(x).real
+            y = b * (povm.projector_values(x) - f)
+            y /= 1.0 + max(0.0, -np.linalg.eigvalsh(povm.adjoint_projectors(y) + np.eye(d))[0])
+            assert tr + y @ f + eps * np.linalg.norm(y) <= tol * max(1.0, tr)
 
 
 class TestPolishAcceptance:
@@ -1221,11 +1341,86 @@ class TestStartPoint:
         warm = estimate_max_likelihood(povm, rec, start=2.0 * cold.X_hat)
         assert warm.stop_reason == cold.stop_reason and warm.iterations < cold.iterations
 
+    def test_likelihood_polishes_its_least_squares_start(self, monkeypatch):
+        # the seed-11 d=11 protocol target: each maximum-likelihood solve
+        # starts from this record's least-squares estimate and takes no
+        # gradient step.  At k = 1 and 2 the least-squares estimate fits
+        # the record exactly, so it is a maximiser: the first certificate
+        # check ends the solve and no polish runs.  From k = 3 one polish
+        # of the start ends it (two objective entries: the start's and the
+        # polished point's); from k = 6, where the maximiser is unique, a
+        # cold solve ends on the same certificate, within tol in ll and
+        # sqrt(tol) in X
+        attempts = track_polish(monkeypatch)
+        solves = []
+
+        def spy(povm, record, spec=None, *, start=None, solve=experiments.estimate_max_likelihood):
+            attempts.clear()
+            res = solve(povm, record, spec, start=start)
+            assert start is not None
+            solves.append((povm, record, res, list(attempts)))
+            return res
+
+        monkeypatch.setattr(experiments, "estimate_max_likelihood", spy)
+        run_noisy_protocol(NoisyProtocolConfig(dim=11, n_targets=1, seed=11))
+        assert len(solves) == 10
+        tol = EstimatorSpec().tol("max_likelihood")
+        for povm, record, res, tried in solves:
+            assert res.converged and res.stop_reason == "duality_gap"
+            if povm.n_bases <= 2:
+                assert (tried, res.iterations, len(res.objective_trace)) == ([], 0, 1)
+                continue
+            assert len(tried) == 1 and tried[0][0]
+            assert res.iterations == tried[0][1] and len(res.objective_trace) == 2
+            if povm.n_bases >= 6:
+                cold = estimate_max_likelihood(povm, record)
+                assert cold.stop_reason == "duality_gap"
+                assert abs(res.objective_trace[-1] - cold.objective_trace[-1]) <= tol
+                assert np.linalg.norm(res.X_hat - cold.X_hat) <= np.sqrt(tol)
+
+    def test_failed_start_polish_falls_back_to_the_gradient_loop(self, monkeypatch):
+        # a full-rank optimum (as in TestMaxLikelihood's too-small-rank
+        # case) with every polish held at rank 1: after the first
+        # certificate check at the start, the start's attempt, given the
+        # start's own rank, comes before any step and fails; the gradient
+        # loop then runs from that same start, and the solve certifies on
+        # its own
+        gen = np.random.default_rng(1)
+        povm = povm_from_bases(global_random_bases(3, 5, gen))
+        rec = sample_record(povm, random_full_rank_state(3, gen), 2000, gen)
+        start = estimate_least_squares(povm, rec).X_hat
+        x0 = start / np.trace(start).real
+        seen = []  # ("polish", x, rank) and ("stop", it, x), in call order
+        polish, fista = estimators._polish, estimators._fista
+
+        def spied_polish(u, x, r, *args):
+            seen.append(("polish", x, r))
+            return polish(u, x, 1, *args)
+
+        def spied_fista(*args):
+            stop = args[8]
+
+            def watched(it, x, *rest):
+                seen.append(("stop", it, x))
+                return stop(it, x, *rest)
+
+            return fista(*args[:8], watched, *args[9:])
+
+        monkeypatch.setattr(estimators, "_polish", spied_polish)
+        monkeypatch.setattr(estimators, "_fista", spied_fista)
+        res = estimate_max_likelihood(povm, rec, start=start)
+        (first, it, x), (second, y, r), (third, step, z) = seen[:3]
+        assert (first, it) == ("stop", 0) and np.allclose(x, x0, rtol=0, atol=1e-15)
+        assert (second, r) == ("polish", QuantumState(x0).rank()) and y is x
+        assert (third, step) == ("stop", 1) and res.iterations > 1  # gradient steps ran
+        assert res.converged and res.stop_reason == "duality_gap"
+        assert TestMaxLikelihood.loglik_and_gap(povm, rec, res.X_hat)[1] <= EstimatorSpec().tol("max_likelihood")
+
     def test_every_least_squares_run_takes_the_start(self, monkeypatch):
         # least squares from its own optimum certifies in fewer steps, and
         # every least-squares run of a trace-min solve starts from the
-        # caller's point, shift reruns included (this record from this
-        # start takes two runs)
+        # caller's point, shift reruns included (this one-basis record from
+        # this start takes two runs)
         povm, rec = self.problem()
         cold = estimate_least_squares(povm, rec)
         warm = estimate_least_squares(povm, rec, start=cold.X_hat)
@@ -1237,8 +1432,8 @@ class TestStartPoint:
             return least_squares(prob, spec, stop, shift, polish, x0)
 
         monkeypatch.setattr(estimators, "_least_squares", spied)
-        gen = np.random.default_rng(6)
-        povm = povm_from_bases(global_random_bases(3, 3, gen))
+        gen = np.random.default_rng(12)
+        povm = povm_from_bases(global_random_bases(3, 1, gen))
         rec = sample_record(povm, random_pure_state(3, gen), 500, gen)
         start = np.diag([3.0, 2.0, 1.0]) / 6
         assert estimate_trace_min(povm, rec, start=start).converged
