@@ -83,18 +83,31 @@ _HELD_WINDOW = 7000
 # rounds) took 0.24-0.26 s at a window of 20, 0.20 at 10, 0.19 at 5, 0.20-0.22
 # at 3 and 0.29-0.30 at 1: the steps held before a first attempt are mostly
 # wasted, but below 5 the extra failed attempts cost more than the gradient
-# steps they save.  A face V with V.size <=
-# _DENSE_SIZE forms its dense real Hessian and takes the exact Newton step
-# from one LAPACK solve (_dense_newton).  Forming costs about V.size
-# matrix-free products in flops, but on faces this small a product is
-# mostly per-call overhead: forming measured 3-5 products at d = 11,
-# r <= 3, and a solve 11-117 us at real dimension 22-110, against up to
-# that dimension in CG products of 8-17 us each per system.  Larger faces are flop-bound
-# (d = 32, r = 6: tens of products) and stay matrix-free; a limit of 130
-# measured no better
+# steps they save.  A face V with V.size <= _DENSE_SIZE forms its dense real
+# Hessian and takes the exact Newton step from one LAPACK solve
+# (_dense_newton); larger faces take truncated CG on the matrix-free product.
+# Cost of one Newton system, forming plus solving, in us, dense / matrix-free,
+# over the systems of one protocol target (seed 11, k = 1..10, one BLAS
+# thread, every face dense in one run and matrix-free in another; the CG
+# products per system in brackets):
+#   d = 11:  r=1 65/204 (5)  r=2 77/304 (10)  r=3 128/809 (27)
+#            r=4 178/663 (21)  r=5 233/1144 (42)  r=6 301/366 (16)
+#   d = 16:  r=1 90/161 (5)  r=2 133/382 (10)  r=3 209/567 (15)
+#            r=4 342/886 (28)  r=5 457/1153 (35)  r=6 699/2072 (56)
+#            r=8 1368/608 (24)
+#   d = 32:  r=1 336/185 (5)  r=2 513/483 (8)  r=3 896/621 (10)
+#            r=4 1482/1050 (19)  r=5 2292/2749 (40)  r=6 3476/9318 (201)
+#            r=7 4938/6510 (108)  r=8 7003/7373 (125)  r=9 8253/4059 (70)
+#            r=11 13494/3383 (61)
+# Ill-conditioned faces take up to their real dimension 2dr in CG products,
+# so the dense system wins up to r = 6-8 at every d; beyond that the LU
+# solve, (2dr)^3 / 3 flops, costs more.  The polish of that target took
+# 0.38 s at d = 16 with a limit of 60 and 0.16 s at 100-330, and 3.5-3.7 s
+# at d = 32 with 60-160, 2.1-2.2 s at 200, 2.0-2.1 s at 256 and 2.1-2.2 s
+# at 330-520; d = 11 reads 65-67 ms at any limit from 60 to 260
 _RANK_WINDOW = 5
 _NEWTON_STEPS = 30
-_DENSE_SIZE = 60
+_DENSE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -129,7 +142,9 @@ class EstimateResult:
     residual is ||A[X_hat] - f||_2 on the record's (conditional) scale.
     objective_trace holds one objective value per accepted iteration; a
     polish adds one value for all its Newton steps.  iterations counts
-    gradient steps plus the Newton steps of every polish attempt.
+    gradient steps plus the Newton steps of every polish attempt,
+    including an attempt's last, undamped step to its Newton point, where
+    no Hessian is formed.
     trace_min runs least squares at one or more shifts: its objective_trace
     joins their traces, and iterations and max_iterations count the steps
     of all of them (estimate_trace_min).
@@ -703,11 +718,12 @@ def _dense_newton(h, g):
     return d if g @ d < 0 else _newton_cg(h.dot, g)
 
 
-def _hess_product(u, w, c, a, b):
+def _hess_product(ut, w, c, a, b):
     """Half the Hessian of _polish's G at V, W = U^dag V, as a product on
-    Delta in C^{d x r}: c Delta + U(a Z + b dq W), Z = U^dag Delta and
-    dq = 2 Re sum_j conj(W) Z, two matrix products per call."""
-    uh = u.conj().T
+    Delta in C^{d x r}, from ut = U^T: c Delta + U(a Z + b dq W), Z =
+    U^dag Delta and dq = 2 Re sum_j conj(W) Z, two matrix products per
+    call."""
+    u, uh = ut.T, ut.conj()
 
     def hess(dv):
         z = uh @ dv
@@ -717,16 +733,28 @@ def _hess_product(u, w, c, a, b):
     return hess
 
 
-def _hess_matrix(u, w, c, a, b):
-    """_hess_product as a dense real symmetric matrix on Delta.view(float),
-    flattened: the real form of (c I + U diag(a) U^dag) (x) I_r plus
-    2 B^T diag(b) B, row mu of B the real view of vec(u_mu w_mu^T)."""
-    d, r = u.shape[0], w.shape[1]
-    rows = (u.T[:, :, None] * w[:, None, :]).view(float).reshape(len(w), -1)
-    h = 2.0 * (rows.T * b) @ rows
-    m = (u * a) @ u.conj().T + c * np.eye(d)
-    blocks = np.einsum("ijskjt->jiskt", h.reshape(d, r, 2, d, r, 2))  # a view: column j on column j
-    blocks += np.stack([np.stack([m.real, -m.imag], -1), np.stack([m.imag, m.real], -1)], 1)
+def _hess_matrix(ut, w, c, a, b):
+    """_hess_product as a dense real symmetric matrix on the real view of
+    Delta taken column by column, Delta.T.view(float).ravel(), from ut =
+    U^T (C-contiguous, one row per outcome).  2 B^T diag(b) B, row mu of B
+    that view of u_mu w_mu^T, is formed as S^T S, S = B scaled by
+    sqrt(2 b): one symmetric Gram product, which needs b >= 0 (a scalar or
+    one entry per outcome).  The real form of M = c I + U diag(a) U^dag is
+    then added in place to each of the r diagonal blocks, one per column."""
+    d, r = ut.shape[1], w.shape[1]
+    ws = w * np.sqrt(2.0 * b)[..., None]
+    s = (ws[:, :, None] * ut[:, None, :]).view(float).reshape(len(w), -1)
+    h = s.T @ s
+    m = (ut.T * a) @ ut.conj()
+    block = np.empty((d, 2, d, 2))  # rows (i, re/im) on columns (k, re/im)
+    block[:, 0, :, 0] = block[:, 1, :, 1] = m.real
+    block[:, 0, :, 1] = -m.imag
+    block[:, 1, :, 0] = m.imag
+    block = block.reshape(2 * d, 2 * d)
+    block.flat[:: 2 * d + 1] += c
+    blocks = h.reshape(r, 2 * d, r, 2 * d)
+    for j in range(r):
+        blocks[j, :, j] += block
     return h
 
 
@@ -735,10 +763,15 @@ def _polish(u, x, r, c, loss, finish):
 
     Minimises a loss G(V) of q = A[VV^dag] = |U^dag V|^2 summed over
     columns (U: one basis vector per outcome) plus c tr VV^dag, over V in
-    C^{d x r}.  loss(q) returns (a, b, change), or None outside G's domain.
+    C^{d x r}.  loss(q) returns (a, b, change), or None outside G's domain;
+    b >= 0, a scalar or one entry per outcome (least squares b = 1,
+    trace-min b = mu > 0, maximum likelihood b = f/q^2), as the dense
+    Hessian's Gram product takes its square root (_hess_matrix).
     With W = U^dag V, half the gradient is c V + U(a W), and half the
     Hessian on Delta is c Delta + U(a Z + b dq W), Z = U^dag Delta and
-    dq = 2 Re sum_j conj(W) Z, the change of q along Delta.  On faces with
+    dq = 2 Re sum_j conj(W) Z, the change of q along Delta.  W is carried
+    between steps: a step V + t dV takes W + t Z, Z = U^dag dV being formed
+    for the Newton point anyway.  On faces with
     V.size <= _DENSE_SIZE the step is the exact Newton step on the dense
     real Hessian (_hess_matrix), one LAPACK solve, with truncated CG on the
     same matrix where that step is refused (_dense_newton); larger faces
@@ -761,10 +794,11 @@ def _polish(u, x, r, c, loss, finish):
     """
     lam, vecs = np.linalg.eigh(x)
     v = vecs[:, -r:] * np.sqrt(np.maximum(lam[-r:], 0.0))
-    uh = u.conj().T
+    ut = np.ascontiguousarray(u.T)
+    uh = ut.conj()
+    w = uh @ v
     steps = 0
     while True:
-        w = uh @ v
         q = (w.real**2 + w.imag**2).sum(axis=1)
         model = loss(q)
         if model is None:
@@ -772,12 +806,12 @@ def _polish(u, x, r, c, loss, finish):
         a, b, change = model
         g = c * v + u @ (a[:, None] * w)  # half the gradient
         if v.size <= _DENSE_SIZE:
-            h = _hess_matrix(u, w, c, a, b)
+            h = _hess_matrix(ut, w, c, a, b)
 
-            def newton(rhs, h=h):
-                return _dense_newton(h, rhs.view(float).ravel()).view(complex).reshape(rhs.shape)
+            def newton(rhs, h=h):  # h on Delta's columns in turn
+                return _dense_newton(h, rhs.T.copy().view(float).ravel()).view(complex).reshape(r, -1).T
         else:
-            hess = _hess_product(u, w, c, a, b)
+            hess = _hess_product(ut, w, c, a, b)
 
             def newton(rhs, hess=hess):
                 return _newton_cg(hess, rhs)
@@ -802,6 +836,7 @@ def _polish(u, x, r, c, loss, finish):
             break  # no descent along dv
         steps += 1
         v = v + t * dv
+        w = w + t * z
     return None, steps
 
 

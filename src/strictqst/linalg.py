@@ -22,7 +22,8 @@ __all__ = [
 
 
 def require_hermitian(a: np.ndarray) -> np.ndarray:
-    """Validate Hermiticity and return the exactly symmetrized matrix.
+    """Validate Hermiticity and return the exactly symmetrized matrix, or
+    stack (..., d, d) of matrices, each over its last two axes.
 
     Raises
     ------
@@ -33,12 +34,13 @@ def require_hermitian(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if not np.isfinite(a).all():
         raise NotHermitian("matrix has non-finite entries")
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
+    ah = a.swapaxes(-1, -2).conj()
+    dev = np.max(np.abs(a - ah)) if a.size else 0.0
     if dev > DEFAULT.hermitian:
         raise NotHermitian(
             f"matrix deviates from Hermiticity by {dev:.3e} (tol {DEFAULT.hermitian:.1e})"
         )
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + ah)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -77,13 +79,17 @@ def psd_clip(h: np.ndarray, trace: float = 0.0, weight: float = 0.0, rank: bool 
     return (z, lam.size - p) if rank else z
 
 
-def signature(a: np.ndarray) -> tuple[int, int]:
-    """Counts (n_plus, n_minus) of strictly positive / negative eigenvalues.
+def signature(a: np.ndarray):
+    """Counts (n_plus, n_minus) of strictly positive / negative eigenvalues
+    of a Hermitian matrix, as ints; of a stack (..., d, d), as two integer
+    arrays of shape (...), from one stacked eigvalsh.
 
-    Eigenvalues within 1e-9 * ||a||_F of zero count as zero, so the split
-    is scale invariant and the zero matrix has signature (0, 0).
+    Eigenvalues within 1e-9 * ||a||_F of zero, the norm taken per matrix,
+    count as zero, so the split is scale invariant and the zero matrix has
+    signature (0, 0).
     """
     h = require_hermitian(a)
-    cut = 1e-9 * np.linalg.norm(h)
+    cut = 1e-9 * np.linalg.norm(h, axis=(-2, -1))[..., None]
     lam = np.linalg.eigvalsh(h)
-    return int(np.sum(lam > cut)), int(np.sum(lam < -cut))
+    n_plus, n_minus = np.sum(lam > cut, axis=-1), np.sum(lam < -cut, axis=-1)
+    return (int(n_plus), int(n_minus)) if h.ndim == 2 else (n_plus, n_minus)

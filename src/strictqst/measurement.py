@@ -380,8 +380,13 @@ class KernelReport:
     completeness_witness: np.ndarray | None = None
 
 
-def _read_only_copy(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
+def _first_witness(probes: np.ndarray, hits: np.ndarray) -> np.ndarray | None:
+    """A read-only copy of the first probe that hits, or None; a copy, as a
+    view would keep every probe alive."""
+    i = np.flatnonzero(hits)
+    if not i.size:
+        return None
+    a = probes[i[0]].copy()
     a.setflags(write=False)
     return a
 
@@ -403,7 +408,8 @@ def kernel_analysis(
     normalised: a standard normal vector projected onto a subspace is
     standard normal there, so each probe is uniform on the kernel's unit
     sphere.  Probes become exactly Hermitian matrices in closed form (see
-    _from_coordinates).  A probe with min(n-, n+) <= r falsifies rank-r
+    _from_coordinates), and their signatures come from one stacked
+    eigvalsh (signature).  A probe with min(n-, n+) <= r falsifies rank-r
     strict-completeness and one with max(n-, n+) <= r falsifies rank-r
     completeness; the first of each is kept as the witness.  Only
     kernel_dimension is reproducible across BLAS builds: the row-space
@@ -417,24 +423,20 @@ def kernel_analysis(
     row = vt[: int(np.sum(s > cut))]
     kdim = d * d - row.shape[0]
 
-    signatures: list[tuple[int, int]] = []
-    strict_wit = None
-    complete_wit = None
+    signatures: tuple[tuple[int, int], ...] = ()
+    strict_wit = complete_wit = None
     if kdim > 0:
         g = rng.standard_normal((n_probes, d * d))
         g -= (g @ row.T) @ row
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        for k_mat in _from_coordinates(g, d):
-            n_plus, n_minus = signature(k_mat)
-            signatures.append((n_plus, n_minus))
-            # a witness is a copy: a row view would keep every probe alive
-            if strict_wit is None and min(n_plus, n_minus) <= r:
-                strict_wit = _read_only_copy(k_mat)
-            if complete_wit is None and max(n_plus, n_minus) <= r:
-                complete_wit = _read_only_copy(k_mat)
+        probes = _from_coordinates(g, d)
+        n_plus, n_minus = signature(probes)
+        signatures = tuple(zip(n_plus.tolist(), n_minus.tolist()))
+        strict_wit = _first_witness(probes, np.minimum(n_plus, n_minus) <= r)
+        complete_wit = _first_witness(probes, np.maximum(n_plus, n_minus) <= r)
     return KernelReport(
         kernel_dimension=kdim,
-        sampled_signatures=tuple(signatures),
+        sampled_signatures=signatures,
         strict_witness=strict_wit,
         completeness_witness=complete_wit,
     )

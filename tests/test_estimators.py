@@ -924,16 +924,27 @@ class TestFeasibility:
         assert res.iterations == len(res.objective_trace) - 1
 
 
+def columns(x):
+    """The real coordinates of a d x r array that the dense face Hessian
+    acts on: its columns in turn, each as a real view."""
+    return x.T.copy().view(float).ravel()
+
+
+def from_columns(y, r):
+    return y.view(complex).reshape(r, -1).T
+
+
 class TestFaceHessian:
-    """The polish's half Hessian, dense (_hess_matrix on real views) and
-    matrix-free (_hess_product on complex V-shaped arrays), for each loss."""
+    """The polish's half Hessian, dense (_hess_matrix on real column views)
+    and matrix-free (_hess_product on complex V-shaped arrays), for each
+    loss."""
 
     @staticmethod
-    def face(d, r, seed):
+    def face(d, r, seed, shots=1000):
         # (u, v, w, q, f): a random face of rank r and a sampled record
         gen = np.random.default_rng(seed)
         povm = povm_from_bases(global_random_bases(d, 3, gen))
-        rec = sample_record(povm, random_pure_state(d, gen), 1000, gen)
+        rec = sample_record(povm, random_pure_state(d, gen), shots, gen)
         v = gen.standard_normal((d, r)) + 1j * gen.standard_normal((d, r))
         v /= np.linalg.norm(v)
         w = povm._u.conj().T @ v
@@ -941,7 +952,9 @@ class TestFaceHessian:
 
     @staticmethod
     def models(q, f):
-        # (c, a, b) of least squares, trace-min at mu = 5 and maximum likelihood
+        # (c, a, b) of least squares, trace-min at mu = 5 and maximum
+        # likelihood: b is a scalar for the first two, and maximum
+        # likelihood's is 0 on unobserved outcomes
         mu = 5.0
         return {
             "least_squares": (0.0, q - f, 1.0),
@@ -950,44 +963,46 @@ class TestFaceHessian:
         }
 
     def cases(self):
-        # r = 1..3 at d = 6 (every face dense) and d = 31 (dense only at r = 1)
-        for d in (6, 31):
-            for r in (1, 2, 3):
-                u, v, w, q, f = self.face(d, r, seed=10 * d + r)
-                for name, (c, a, b) in self.models(q, f).items():
-                    yield name, u, v, w, c, a, b
+        # r = 1..3 at d = 6, r = 1, 8, 9 at d = 31 (dense up to r = 8),
+        # and every rank at d = 11, on a record of 20 shots per basis, so
+        # that some outcomes go unobserved
+        faces = [(6, r, 1000) for r in (1, 2, 3)] + [(31, r, 1000) for r in (1, 8, 9)]
+        faces += [(11, r, 20) for r in range(1, 12)]
+        for d, r, shots in faces:
+            u, v, w, q, f = self.face(d, r, seed=10 * d + r, shots=shots)
+            for name, (c, a, b) in self.models(q, f).items():
+                yield name, np.ascontiguousarray(u.T), v, w, c, a, b
 
     def test_dense_matrix_equals_matrix_free_product(self):
-        sides = set()
-        for name, u, v, w, c, a, b in self.cases():
-            h = estimators._hess_matrix(u, w, c, a, b)
-            product = estimators._hess_product(u, w, c, a, b)
-            n = 2 * v.size
+        sides, unobserved = set(), 0
+        for name, ut, v, w, c, a, b in self.cases():
+            h = estimators._hess_matrix(ut, w, c, a, b)
+            product = estimators._hess_product(ut, w, c, a, b)
+            n, r = 2 * v.size, v.shape[1]
             cols = np.eye(n)
-            mf = np.stack(
-                [product(cols[i].view(complex).reshape(v.shape)).view(float).ravel() for i in range(n)], 1
-            )
+            mf = np.stack([columns(product(from_columns(cols[i], r))) for i in range(n)], 1)
             scale = np.linalg.norm(mf)
             assert np.linalg.norm(h - mf) <= 1e-12 * scale, name
             assert np.linalg.norm(h - h.T) <= 1e-12 * scale, name
             sides.add(v.size <= estimators._DENSE_SIZE)
+            unobserved += np.ndim(b) and np.count_nonzero(b == 0)
         assert sides == {True, False}
+        assert unobserved
 
     def test_one_newton_cg_solve_gives_the_same_step(self):
-        for name, u, v, w, c, a, b in self.cases():
-            g = c * v + u @ (a[:, None] * w)
-            h = estimators._hess_matrix(u, w, c, a, b)
-            dense = estimators._newton_cg(h.dot, g.view(float).ravel())
-            free = estimators._newton_cg(estimators._hess_product(u, w, c, a, b), g)
-            dense = dense.view(complex).reshape(v.shape)
+        for name, ut, v, w, c, a, b in self.cases():
+            g = c * v + ut.T @ (a[:, None] * w)
+            h = estimators._hess_matrix(ut, w, c, a, b)
+            dense = from_columns(estimators._newton_cg(h.dot, columns(g)), v.shape[1])
+            free = estimators._newton_cg(estimators._hess_product(ut, w, c, a, b), g)
             assert np.linalg.norm(dense - free) <= 1e-10 * np.linalg.norm(free), name
 
     def dense_systems(self):
         # (name, h, g) on the real views of every dense face
-        for name, u, v, w, c, a, b in self.cases():
+        for name, ut, v, w, c, a, b in self.cases():
             if v.size <= estimators._DENSE_SIZE:
-                g = c * v + u @ (a[:, None] * w)
-                yield name, estimators._hess_matrix(u, w, c, a, b), g.view(float).ravel()
+                g = c * v + ut.T @ (a[:, None] * w)
+                yield name, estimators._hess_matrix(ut, w, c, a, b), columns(g)
 
     def test_dense_step_solves_the_newton_system(self):
         # random faces are mostly indefinite, so each h is shifted to a
@@ -1052,7 +1067,7 @@ class TestFaceHessian:
         assert run(6, 3, 1) == (True, 1, ("solve",))
         assert run(6, 3, 2) == (True, 2, ("solve", "solve"))
         for n in (1, 2):
-            certified, steps, systems = run(31, 3, n)
+            certified, steps, systems = run(31, 9, n)
             assert (certified, steps, len(systems)) == (True, n, n)
             assert all(isinstance(k, int) and k > 0 for k in systems)
         hess_matrix = estimators._hess_matrix
@@ -1068,7 +1083,7 @@ class TestFaceHessian:
             original = getattr(estimators, fn)
             monkeypatch.setattr(estimators, fn, lambda *args, fn=fn, original=original: (
                 used.append(fn) or original(*args)))
-        for d, r in ((6, 3), (30, 2), (31, 2), (31, 3)):
+        for d, r in ((6, 3), (32, 8), (26, 10), (31, 9)):
             u, v, w, q, f = self.face(d, r, seed=d + r)
 
             def loss(q, f=f):  # least squares' model
@@ -1105,6 +1120,30 @@ class TestNewtonPoint:
         monkeypatch.setattr(estimators, "_polish", spied)
         return ends
 
+    def test_carried_image_is_the_newton_points_image(self):
+        # W = U^dag V is carried between steps as W + t Z: after 7 damped
+        # steps the image that finish gets is still A[X] at its Newton
+        # point, X = (V + dV)(V + dV)^dag, on a dense face and a
+        # matrix-free one
+        for d, r in ((6, 3), (31, 9)):
+            gen = np.random.default_rng(d + r)
+            povm = povm_from_bases(global_random_bases(d, 3, gen))
+            f = sample_record(povm, random_pure_state(d, gen), 1000, gen).values
+            v = gen.standard_normal((d, r)) + 1j * gen.standard_normal((d, r))
+            calls = []
+
+            def loss(q, f=f):  # least squares' model
+                e = q - f
+                return e, 1.0, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
+
+            def finish(vn, qn, dv, dec, newton):
+                calls.append(dec)
+                return (estimators.hermitize(vn @ vn.conj().T), qn) if len(calls) == 8 else None
+
+            (x, qn), steps = estimators._polish(povm._u, v @ v.conj().T, r, 0.0, loss, finish)
+            assert steps == 8 and calls[-1] > 1e-6  # still far from the face minimum
+            assert np.linalg.norm(povm.projector_values(x) - qn) <= 1e-12 * np.linalg.norm(qn)
+
     @pytest.mark.parametrize(
         "solve", [estimate_least_squares, estimate_trace_min, estimate_max_likelihood]
     )
@@ -1127,9 +1166,12 @@ class TestNewtonPoint:
             v = vn - dv
             w = u.conj().T @ v
             a, b, _ = loss((w.real**2 + w.imag**2).sum(axis=1))
-            g = (c * v + u @ (a[:, None] * w)).view(float).ravel()
-            h = estimators._hess_matrix(u, w, c, a, b)
-            assert np.linalg.norm(h @ dv.view(float).ravel() + g) <= 1e-8 * np.linalg.norm(g)
+            g = columns(c * v + u @ (a[:, None] * w))
+            h = estimators._hess_matrix(np.ascontiguousarray(u.T), w, c, a, b)
+            # the attempt carries W = U^dag V between steps, so its g is
+            # this g only to rounding: a term of 1e-14 ||h|| ||V + dV||
+            rounding = 1e-14 * np.linalg.norm(h, 2) * np.linalg.norm(vn)
+            assert np.linalg.norm(h @ columns(dv) + g) <= 1e-8 * np.linalg.norm(g) + rounding
             x = estimators.hermitize(vn @ vn.conj().T)
             tol = EstimatorSpec().tol(res.method)
             if solve is estimate_max_likelihood:
@@ -1419,8 +1461,8 @@ class TestStartPoint:
     def test_every_least_squares_run_takes_the_start(self, monkeypatch):
         # least squares from its own optimum certifies in fewer steps, and
         # every least-squares run of a trace-min solve starts from the
-        # caller's point, shift reruns included (this one-basis record from
-        # this start takes two runs)
+        # caller's point, shift reruns included: with every polish failing,
+        # the shift search alone ends the solve, over several runs
         povm, rec = self.problem()
         cold = estimate_least_squares(povm, rec)
         warm = estimate_least_squares(povm, rec, start=cold.X_hat)
@@ -1432,6 +1474,7 @@ class TestStartPoint:
             return least_squares(prob, spec, stop, shift, polish, x0)
 
         monkeypatch.setattr(estimators, "_least_squares", spied)
+        monkeypatch.setattr(estimators, "_polish", lambda *args: (None, 0))
         gen = np.random.default_rng(12)
         povm = povm_from_bases(global_random_bases(3, 1, gen))
         rec = sample_record(povm, random_pure_state(3, gen), 500, gen)

@@ -180,6 +180,31 @@ class TestSignature:
             rank = int(np.sum(np.abs(lam) > 1e-9 * np.linalg.norm(a)))
             assert n_plus + n_minus == rank
 
+    def test_stack_equals_each_matrix(self, rng):
+        # a stack of low-rank matrices of mixed scale, the zero matrix among
+        # them, gives each member's own signature, (0, 0) for the zero one
+        stack = []
+        for k in range(12):
+            lam, v = np.linalg.eigh(random_hermitian(5, rng))
+            lam[: k % 4] = 0.0
+            stack.append(10.0 ** (k % 5 - 2) * hermitize((v * lam) @ v.conj().T))
+        stack[5] = np.zeros((5, 5), dtype=complex)
+        stack = np.array(stack)
+        n_plus, n_minus = signature(stack)
+        assert n_plus.shape == n_minus.shape == (12,)
+        assert list(zip(n_plus.tolist(), n_minus.tolist())) == [signature(a) for a in stack]
+        assert (n_plus[5], n_minus[5]) == (0, 0)
+        grid = stack.reshape(3, 4, 5, 5)
+        assert all(np.array_equal(x, y.reshape(3, 4)) for x, y in zip(signature(grid), (n_plus, n_minus)))
+
+    def test_stack_with_a_non_hermitian_member_is_rejected(self, rng):
+        stack = np.array([random_hermitian(4, rng) for _ in range(6)])
+        stack[3, 0, 1] += 1e-6
+        with pytest.raises(NotHermitian):
+            signature(stack)
+        with pytest.raises(NotHermitian):
+            require_hermitian(stack)
+
     def test_zero_count_completes_dimension(self, rng):
         for d in (2, 5, 9):
             a = random_hermitian(d, rng)

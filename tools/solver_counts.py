@@ -5,8 +5,9 @@ other field at its default, and prints for each program and in total: the
 solves, their gradient steps, their face-polish attempts (_polish calls,
 certified or failed), trace-min's mu searches (the _secant calls whose
 points are polishes, and those that gave up), the Newton steps of the
-attempts, the Newton systems they formed (dense Hessians and matrix-free
-ones) and solved, and the stop reasons.  Gradient steps are a solve's
+attempts, the Newton systems they formed (dense Hessians, also by real
+dimension n = 2dr of a rank-r face, and matrix-free ones) and solved, and
+the stop reasons.  Gradient steps are a solve's
 iterations less its Newton steps.  A dense system whose exact step is refused and solved again by CG
 counts once.  Nothing in the package changes: the counters wrap the
 estimator names that strictqst.experiments imports and the solver helpers
@@ -31,7 +32,8 @@ ROWS = ("solves", "gradient steps", "polish attempts", "  certified", "  failed"
 
 
 def count(dim: int, n_targets: int, seed: int) -> dict[str, Counter]:
-    """Per program, a Counter keyed by ROWS and by "stop: <reason>"."""
+    """Per program, a Counter keyed by ROWS, by "  n = <2dr>" (dense
+    Hessians by real dimension) and by "stop: <reason>"."""
     counts = {name: Counter() for name in PROGRAMS}
     current = [None]  # the program whose solve is running
     nested = [0]  # depth inside _dense_newton, whose CG fallback is not a new system
@@ -50,6 +52,12 @@ def count(dim: int, n_targets: int, seed: int) -> dict[str, Counter]:
             current[0][key] += 1
             return fn(*args)
         return counted
+
+    hess_matrix = estimators._hess_matrix
+
+    def counted_matrix(ut, w, *args):
+        current[0].update({"dense Hessians": 1, f"  n = {2 * ut.shape[1] * w.shape[1]}": 1})
+        return hess_matrix(ut, w, *args)
 
     polish, dense_newton, newton_cg = estimators._polish, estimators._dense_newton, estimators._newton_cg
     secant = estimators._secant
@@ -89,7 +97,7 @@ def count(dim: int, n_targets: int, seed: int) -> dict[str, Counter]:
         (estimators, "_secant", counted_secant),
         (estimators, "_dense_newton", counted_dense),
         (estimators, "_newton_cg", counted_cg),
-        (estimators, "_hess_matrix", tally("dense Hessians", estimators._hess_matrix)),
+        (estimators, "_hess_matrix", counted_matrix),
         (estimators, "_hess_product", tally("matrix-free Hessians", estimators._hess_product)),
     ]
     saved = [(module, name, getattr(module, name)) for module, name, _ in wraps]
@@ -111,11 +119,14 @@ def main(argv: list[str]) -> int:
     counts = count(dim, n_targets, seed)
     total = sum(counts.values(), Counter())
     stops = sorted(key for key in total if key.startswith("stop: "))
+    sizes = sorted((key for key in total if key.startswith("  n = ")), key=lambda key: int(key[6:]))
+    at = ROWS.index("dense Hessians") + 1
+    rows = (*ROWS[:at], *sizes, *ROWS[at:], *stops)
     columns = [*PROGRAMS, "total"]
-    width = max(len(row) for row in (*ROWS, *stops))
+    width = max(len(row) for row in rows)
     print(f"d={dim}, {n_targets} target(s), seed {seed}")
     print(f"{'':<{width}}" + "".join(f"{name:>16}" for name in columns))
-    for row in (*ROWS, *stops):
+    for row in rows:
         print(f"{row:<{width}}" + "".join(f"{(total if name == 'total' else counts[name])[row]:>16,}"
                                          for name in columns))
     return 0
