@@ -100,14 +100,17 @@ _HELD_WINDOW = 7000
 #            r=7 4938/6510 (108)  r=8 7003/7373 (125)  r=9 8253/4059 (70)
 #            r=11 13494/3383 (61)
 # Ill-conditioned faces take up to their real dimension 2dr in CG products,
-# so the dense system wins up to r = 6-8 at every d; beyond that the LU
-# solve, (2dr)^3 / 3 flops, costs more.  The polish of that target took
-# 0.38 s at d = 16 with a limit of 60 and 0.16 s at 100-330, and 3.5-3.7 s
-# at d = 32 with 60-160, 2.1-2.2 s at 200, 2.0-2.1 s at 256 and 2.1-2.2 s
-# at 330-520; d = 11 reads 65-67 ms at any limit from 60 to 260
+# so the dense system wins up to r = 6-8 at d = 11 and 16; beyond that the
+# LU solve, (2dr)^3 / 3 flops, costs more, and at d = 32 the matrix-free
+# product wins at r = 1-4 as well.  No one limit on V.size follows that.
+# The polish of that target takes 65-67 ms at d = 11 at any limit from 60
+# to 260, so the d = 11 benchmark cannot tell limits apart, and the limit
+# stays at 60 until a d >= 16 workload can; there it took 0.38 s at d = 16
+# with 60 and 0.16 s at 100-330, and 3.5-3.7 s at d = 32 with 60-160 and
+# 2.0-2.2 s at 200-520
 _RANK_WINDOW = 5
 _NEWTON_STEPS = 30
-_DENSE_SIZE = 256
+_DENSE_SIZE = 60
 
 
 @dataclass(frozen=True)

@@ -963,10 +963,10 @@ class TestFaceHessian:
         }
 
     def cases(self):
-        # r = 1..3 at d = 6, r = 1, 8, 9 at d = 31 (dense up to r = 8),
-        # and every rank at d = 11, on a record of 20 shots per basis, so
-        # that some outcomes go unobserved
-        faces = [(6, r, 1000) for r in (1, 2, 3)] + [(31, r, 1000) for r in (1, 8, 9)]
+        # r = 1..3 at d = 6 (every face dense) and d = 31 (dense only at
+        # r = 1), and every rank at d = 11 (dense up to r = 5) on a record
+        # of 20 shots per basis, so that some outcomes go unobserved
+        faces = [(d, r, 1000) for d in (6, 31) for r in (1, 2, 3)]
         faces += [(11, r, 20) for r in range(1, 12)]
         for d, r, shots in faces:
             u, v, w, q, f = self.face(d, r, seed=10 * d + r, shots=shots)
@@ -1067,7 +1067,7 @@ class TestFaceHessian:
         assert run(6, 3, 1) == (True, 1, ("solve",))
         assert run(6, 3, 2) == (True, 2, ("solve", "solve"))
         for n in (1, 2):
-            certified, steps, systems = run(31, 9, n)
+            certified, steps, systems = run(31, 3, n)
             assert (certified, steps, len(systems)) == (True, n, n)
             assert all(isinstance(k, int) and k > 0 for k in systems)
         hess_matrix = estimators._hess_matrix
@@ -1083,7 +1083,7 @@ class TestFaceHessian:
             original = getattr(estimators, fn)
             monkeypatch.setattr(estimators, fn, lambda *args, fn=fn, original=original: (
                 used.append(fn) or original(*args)))
-        for d, r in ((6, 3), (32, 8), (26, 10), (31, 9)):
+        for d, r in ((6, 3), (30, 2), (31, 2), (31, 3)):
             u, v, w, q, f = self.face(d, r, seed=d + r)
 
             def loss(q, f=f):  # least squares' model
@@ -1104,20 +1104,30 @@ class TestNewtonPoint:
 
     @staticmethod
     def spy_finish(monkeypatch):
-        """Wrap _polish; the returned list gets (u, c, loss, V + dV, its
-        image, dV) for every point that a finish takes."""
-        ends, polish = [], estimators._polish
+        """Wrap _polish and _dense_newton; the returned list gets (u, c,
+        loss, V + dV, its image, dV, solve) for every point that a finish
+        takes, solve being (h, g, step) of the last dense solve before the
+        finish, the one that gave dV on a dense face."""
+        ends, solves = [], []
+        polish, dense_newton = estimators._polish, estimators._dense_newton
 
         def spied(u, x, r, c, loss, finish):
             def watched(v, q, dv, dec, newton):
+                solve = solves[-1] if solves else None
                 point = finish(v, q, dv, dec, newton)
                 if point is not None:
-                    ends.append((u, c, loss, v, q, dv))
+                    ends.append((u, c, loss, v, q, dv, solve))
                 return point
 
             return polish(u, x, r, c, loss, watched)
 
+        def recorded(h, g):
+            step = dense_newton(h, g)
+            solves.append((h, g, step))
+            return step
+
         monkeypatch.setattr(estimators, "_polish", spied)
+        monkeypatch.setattr(estimators, "_dense_newton", recorded)
         return ends
 
     def test_carried_image_is_the_newton_points_image(self):
@@ -1125,7 +1135,7 @@ class TestNewtonPoint:
         # steps the image that finish gets is still A[X] at its Newton
         # point, X = (V + dV)(V + dV)^dag, on a dense face and a
         # matrix-free one
-        for d, r in ((6, 3), (31, 9)):
+        for d, r in ((6, 3), (31, 3)):
             gen = np.random.default_rng(d + r)
             povm = povm_from_bases(global_random_bases(d, 3, gen))
             f = sample_record(povm, random_pure_state(d, gen), 1000, gen).values
@@ -1149,10 +1159,11 @@ class TestNewtonPoint:
     )
     def test_the_estimate_is_the_certified_newton_point(self, monkeypatch, solve):
         # seeded sampled records at d = 3, 4 in three bases, as in
-        # TestTraceMin: dV solves the dense Newton system at V = (V + dV) -
-        # dV, the estimate is (V + dV)(V + dV)^dag (over its trace for
-        # maximum likelihood) bit for bit, and the program's own
-        # certificate holds there
+        # TestTraceMin: dV is the dense Newton step of the attempt's last
+        # system, that system is the one at V = (V + dV) - dV to rounding
+        # (the attempt carries W = U^dag V between steps), the estimate is
+        # (V + dV)(V + dV)^dag (over its trace for maximum likelihood) bit
+        # for bit, and the program's own certificate holds there
         ends = self.spy_finish(monkeypatch)
         for d, seed in ((3, 0), (3, 2), (4, 1), (4, 5)):
             gen = np.random.default_rng(seed)
@@ -1162,16 +1173,19 @@ class TestNewtonPoint:
             ends.clear()
             res = solve(povm, rec)
             assert res.converged and ends
-            u, c, loss, vn, qn, dv = ends[-1]
+            u, c, loss, vn, qn, dv, (h, g, step) = ends[-1]
+            assert np.array_equal(step, columns(dv))
+            assert np.linalg.norm(h @ step + g) <= 1e-8 * np.linalg.norm(g)
             v = vn - dv
             w = u.conj().T @ v
-            a, b, _ = loss((w.real**2 + w.imag**2).sum(axis=1))
-            g = columns(c * v + u @ (a[:, None] * w))
-            h = estimators._hess_matrix(np.ascontiguousarray(u.T), w, c, a, b)
-            # the attempt carries W = U^dag V between steps, so its g is
-            # this g only to rounding: a term of 1e-14 ||h|| ||V + dV||
-            rounding = 1e-14 * np.linalg.norm(h, 2) * np.linalg.norm(vn)
-            assert np.linalg.norm(h @ columns(dv) + g) <= 1e-8 * np.linalg.norm(g) + rounding
+            q = (w.real**2 + w.imag**2).sum(axis=1)
+            a, b, _ = loss(q)
+            # rounding in W moves q by eps |q| and a by b = da/dq times that
+            scale = np.linalg.norm(c * v) + np.linalg.norm(u) * np.linalg.norm(w) * (
+                np.linalg.norm(a) + np.linalg.norm(b * q))
+            assert np.linalg.norm(g - columns(c * v + u @ (a[:, None] * w))) <= 1e-13 * scale
+            h_at_v = estimators._hess_matrix(np.ascontiguousarray(u.T), w, c, a, b)
+            assert np.linalg.norm(h - h_at_v) <= 1e-12 * np.linalg.norm(h_at_v)
             x = estimators.hermitize(vn @ vn.conj().T)
             tol = EstimatorSpec().tol(res.method)
             if solve is estimate_max_likelihood:
