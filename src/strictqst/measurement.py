@@ -4,7 +4,8 @@ A measurement here is a union of k orthonormal bases treated as one POVM:
 each basis contributes d rank-one effects (1/k)|b_i><b_i| so the m = k*d
 effects sum to the identity.  This module provides the induced linear map
 from Hermitian matrices to R^m, noiseless and finite-shot records, the
-kernel of the map, and randomized signature tests of the kernel.
+kernel of the map (from the Gram matrix of the effects, with no SVD), and
+randomized signature tests of the kernel.
 
 Conventions
 -----------
@@ -144,6 +145,13 @@ class PovmMap:
         """
         return float(np.sqrt(self.n_bases))
 
+    def _gram(self) -> np.ndarray:
+        """The unweighted m x m Gram matrix |U^dag U|^2 (entrywise), whose
+        entry (mu, nu) is |<u_mu|u_nu>|^2 = Tr(P_mu P_nu) for the effects'
+        projectors; formed anew on each call, as a cached copy would hold an
+        m x m array for every POVM kept alive."""
+        return np.abs(self._uc.T @ self._u) ** 2
+
     @cached_property
     def traceless_lipschitz(self) -> float:
         """L0 = ||A^dag A|| on traceless Hermitian matrices, rounded up.
@@ -158,7 +166,7 @@ class PovmMap:
         (one pinching already reaches 1); d = 1 has no traceless part and
         reads 1.
         """
-        g = np.abs(self._uc.T @ self._u) ** 2 - 1.0 / self.dim
+        g = self._gram() - 1.0 / self.dim
         lam = float(np.linalg.eigvalsh(g)[-1])
         return float(np.clip(lam + 1e-12 * self.n_bases, 1.0, self.n_bases))
 
@@ -399,10 +407,18 @@ def kernel_analysis(
 ) -> KernelReport:
     """Find the kernel dimension of the POVM map and probe element signatures.
 
-    The rank comes from an economy SVD of the m x d^2 map matrix (singular
-    values below ``DEFAULT.kernel_svd_rel`` of the largest count as zero);
-    its leading right singular vectors span the row space, and the kernel
-    is the orthogonal complement, of dimension d^2 - rank.  When the kernel
+    The row space of the m x d^2 map matrix A comes without an SVD of A,
+    from one eigh of the m x m Gram matrix G = A A^T = weight^2 |U^dag U|^2
+    (PovmMap._gram), formed from U with no d^2-sized product.  An
+    eigenpair (lambda, q) of G gives the unit row q^T A / sqrt(lambda),
+    and these rows are orthonormal.  G resolves lambda only down to its
+    rounding floor, so the pairs above ``DEFAULT.kernel_gram_rel`` of the
+    largest give rows directly; the rows q^T A of the pairs below, less
+    their part in that span, get a second eigh of their own small Gram
+    matrix, which resolves them to the singular-value cut
+    ``DEFAULT.kernel_svd_rel`` (squared, of lambda_max: the same cut as an
+    SVD of A).  The rank is the number of rows, and the kernel is their
+    orthogonal complement, of dimension d^2 - rank.  When the kernel
     is nontrivial, n_probes are drawn as one (n_probes, d^2) standard-normal
     array with the row-space component projected out and the rows
     normalised: a standard normal vector projected onto a subspace is
@@ -418,16 +434,24 @@ def kernel_analysis(
     _require_int("r", r, 1)
     _require_int("n_probes", n_probes, 1)
     d = povm.dim
-    _, s, vt = np.linalg.svd(map_matrix(povm), full_matrices=False)
-    cut = DEFAULT.kernel_svd_rel * (s[0] if s.size else 0.0)
-    row = vt[: int(np.sum(s > cut))]
-    kdim = d * d - row.shape[0]
+    lam, q = np.linalg.eigh(povm.weight**2 * povm._gram())
+    # lam ascends, so the p pairs at or below the split come first
+    p = int(np.searchsorted(lam, DEFAULT.kernel_gram_rel * lam[-1], side="right"))
+    q[:, p:] /= np.sqrt(lam[p:])
+    t = q.T @ map_matrix(povm)
+    rest, row = t[:p], t[p:]
+    rest -= (rest @ row.T) @ row
+    mu, w = np.linalg.eigh(rest @ rest.T)
+    more = mu > DEFAULT.kernel_svd_rel**2 * lam[-1]
+    extra = (w[:, more] / np.sqrt(mu[more])).T @ rest
+    kdim = d * d - row.shape[0] - extra.shape[0]
 
     signatures: tuple[tuple[int, int], ...] = ()
     strict_wit = complete_wit = None
     if kdim > 0:
         g = rng.standard_normal((n_probes, d * d))
-        g -= (g @ row.T) @ row
+        for b in (row, extra):
+            g -= (g @ b.T) @ b
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         probes = _from_coordinates(g, d)
         n_plus, n_minus = signature(probes)

@@ -27,7 +27,20 @@ class Tolerances:
     rank_cut : float
         Eigenvalues above this count toward the rank of a state.
     kernel_svd_rel : float
-        Singular values below this fraction of the largest are kernel.
+        Singular values of the map below this fraction of the largest are
+        kernel.  kernel_analysis resolves them to this cut without an SVD:
+        from the Gram matrix A A^dag down to kernel_gram_rel, and below
+        that from the map's own rows (see measurement.kernel_analysis).
+    kernel_gram_rel : float
+        Where kernel_analysis splits the eigenvalues of the Gram matrix
+        A A^dag (the squared singular values), as a fraction of the
+        largest.  Those above are taken from the Gram matrix alone.  Its
+        eigenvalues carry an absolute rounding error of about
+        m * eps * lambda_max for m effects (2.3e-13 * lambda_max at
+        m = 1024), so they resolve nothing below that floor; the split
+        sits 100x above it up to m = 4,500.  The directions below the
+        split are resolved again from their rows, down to kernel_svd_rel,
+        so the split decides where the work goes, not the rank.
     block_sum : float
         Allowed deviation of a per-basis probability block sum from 1.
     """
@@ -38,6 +51,7 @@ class Tolerances:
     trace: float = 1e-10
     rank_cut: float = 1e-9
     kernel_svd_rel: float = 1e-9
+    kernel_gram_rel: float = 1e-10
     block_sum: float = 1e-12
 
 

@@ -406,20 +406,72 @@ class TestKernelAnalysis:
         expected = null_space_probes(povm, g[i : i + 1])[0]
         assert np.max(np.abs(w - expected)) <= 1e-13
 
-    def test_economy_svd_only(self, rng, monkeypatch):
-        # the kernel is found from the row space, so no call asks numpy for
-        # the d^2 x d^2 right factor of a full SVD
-        calls = []
-        real_svd = np.linalg.svd
+    def test_gram_eigh_only(self, rng, monkeypatch):
+        # the row space comes from the kd x kd Gram matrix, never from an SVD
+        # of the d^2-wide map matrix: one eigh of the Gram matrix per call,
+        # then one of the small Gram matrix of the rows it leaves, which for
+        # these generic designs is (kd - rank) square
+        shapes = []
+        real_eigh = np.linalg.eigh
 
-        def spy(a, full_matrices=True, *args, **kwargs):
-            calls.append(full_matrices)
-            return real_svd(a, full_matrices, *args, **kwargs)
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return real_eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(measurement.np.linalg, "svd", spy)
+        def no_svd(*args, **kwargs):
+            raise AssertionError("kernel_analysis asked numpy for an SVD")
+
+        monkeypatch.setattr(measurement.np.linalg, "eigh", spy)
+        monkeypatch.setattr(measurement.np.linalg, "svd", no_svd)
         for povm in reference_povms():
-            kernel_analysis(povm, r=1, n_probes=2, rng=rng)
-        assert calls and not any(calls)
+            shapes.clear()
+            report = kernel_analysis(povm, r=1, n_probes=2, rng=rng)
+            m = povm.n_bases * povm.dim
+            rest = m - (povm.dim**2 - report.kernel_dimension)
+            assert shapes == [(m, m), (rest, rest)]
+
+    def test_rank_matches_full_svd_survey(self, monkeypatch):
+        # the kernel dimension is d^2 minus the rank a full SVD finds at
+        # null_space_probes' cut, and every probe is annihilated; the
+        # smallest kept squared singular value here is 6.5e-8 of the
+        # largest, at the near-square d=14, k=15 (k = d + 1, full rank)
+        probes = []
+
+        def spy(a):
+            probes.append(a)
+            return signature(a)
+
+        monkeypatch.setattr(measurement, "signature", spy)
+        rng = np.random.default_rng(27)
+        designs = [global_random_bases(d, k, rng) for d in range(1, 17) for k in range(1, d + 4)]
+        designs += [local_random_bases(n, k, rng) for n in range(1, 5) for k in range(1, 2**n + 4)]
+        for d in (2, 3, 5, 8):
+            one = global_random_bases(d, 1, rng).bases[0]
+            three = global_random_bases(d, 3, rng).bases
+            designs += [BasisSet(dim=d, bases=(one,) * 4), BasisSet(dim=d, bases=three + three[:2])]
+        for bases in designs:
+            povm = povm_from_bases(bases)
+            s = np.linalg.svd(map_matrix(povm), compute_uv=False)
+            probes.clear()
+            report = kernel_analysis(povm, r=1, n_probes=8, rng=rng)
+            assert report.kernel_dimension == povm.dim**2 - int(np.sum(s > 1e-9 * s[0]))
+            assert len(probes) == (report.kernel_dimension > 0)
+            for p in probes:
+                assert len(p) == 8
+                for x in p:
+                    assert np.linalg.norm(povm.projector_values(x)) <= 1e-12
+
+    def test_rank_below_the_gram_floor(self):
+        # at d=5, k=6 the map is square in rank (k(d-1)+1 = d^2), and this
+        # draw's smallest singular value is 4.5e-7 of the largest: its Gram
+        # eigenvalue, 2e-13 of the largest, lies below the split under which
+        # the Gram matrix alone is not trusted, so only the second eigh keeps
+        # it, and the map is full rank as an SVD finds
+        povm = povm_from_bases(global_random_bases(5, 6, np.random.default_rng(860)))
+        s = np.linalg.svd(map_matrix(povm), compute_uv=False)
+        assert s[-1] / s[0] > 1e-9 and (s[-1] / s[0]) ** 2 < 1e-12
+        report = kernel_analysis(povm, r=1, n_probes=1, rng=np.random.default_rng(0))
+        assert report.kernel_dimension == 0
 
     def test_no_witness_at_reference_design(self):
         # 6 random bases at d=11 sit at the strict-completeness onset;
