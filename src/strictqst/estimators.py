@@ -209,21 +209,24 @@ def _fro(x: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(x, x).real))
 
 
-def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, polish,
-           change=None, x0=None, r0=0):
+def _fista(povm, max_iterations, phi, dphi, descend, lip, stop, polish, change=None, x0=None,
+           r0=0):
     """Accelerated projected gradient with function-value restart on
-    phi(A[X]), from x0, or I/d when x0 is None; x0's image must lie in
-    phi's domain.  Steps x+ = descend(p, adjoint(dphi(A[p])), lip), a
-    projected gradient step of length about 1/lip that returns (x+, rank
-    of x+).
+    phi(A[X]), A = povm.projector_values, from x0, or I/d when x0 is None;
+    x0's image must lie in phi's domain.  Steps x+ = descend(p, G, lip),
+    G = A^dag(dphi(A[p])), a projected gradient step of length about 1/lip
+    that returns (x+, F) with x+ = F F^dag to rounding (psd_clip's factor),
+    the rank of x+ being F.shape[1].
 
     Iterates carry their image ax = A[x]; the momentum point's image follows
-    by linearity, so a trial step costs one adjoint, one projection and one
-    apply.  The trial image is A[p] + A[x+ - p], so objective changes near
-    the optimum are not lost to the rounding of two separately mapped
-    images.  Without change, lip is fixed and objective values are phi of
-    each image.  With change(a, delta) = phi(a + delta) - phi(a), computed
-    without the cancellation of two phi values, the recorded objective
+    by linearity, so a trial step costs one adjoint, one projection and the
+    image of x+.  Without change, lip is fixed, the image is taken from the
+    factor, A[x+] = sum_j |U^dag F_j|^2 in d m r work against d^2 m for a
+    dense map, and objective values are phi of each image.  With change(a,
+    delta) = phi(a + delta) - phi(a), computed without the cancellation of
+    two phi values, the trial image is A[p] + A[x+ - p], one dense map of
+    the step, so objective changes near the optimum are not lost to the
+    rounding of two separately mapped images; the recorded objective
     follows the accepted changes from phi(A[x0]), and lip backtracks: it is
     multiplied by 0.9 before each step and doubled until change <= <g, dx>
     + lip/2 ||dx||^2, so most steps pass at their first descend.  The
@@ -252,21 +255,25 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
     objective_trace, converged, stop_reason), iterations counting gradient
     steps plus every attempt's Newton steps.
     """
+    apply, uh = povm.projector_values, povm._uc.T
 
     def step(p, ap):
         nonlocal lip
         grad = dphi(ap)
         if grad is None:
             return None  # p's image lies outside phi's domain
-        g = adjoint(grad)
-        if change:
-            lip *= 0.9
+        g = povm.adjoint_projectors(grad)
+        if not change:
+            xn, fac = descend(p, g, lip)
+            w = (uh @ fac).view(float)  # row mu: Re and Im of <u_mu|F_j> over j
+            return xn, np.einsum("ij,ij->i", w, w), fac.shape[1]
+        lip *= 0.9
         while True:
-            xn, rn = descend(p, g, lip)
+            xn, fac = descend(p, g, lip)
             dx = xn - p
             dax = apply(dx)
-            if not change or change(ap, dax) <= np.vdot(g, dx).real + 0.5 * lip * np.vdot(dx, dx).real:
-                return xn, ap + dax, rn
+            if change(ap, dax) <= np.vdot(g, dx).real + 0.5 * lip * np.vdot(dx, dx).real:
+                return xn, ap + dax, fac.shape[1]
             lip *= 2.0
 
     def rise(axn):  # (phi(axn), phi(axn) - phi(ax))
@@ -288,7 +295,7 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
                 return True, point[2]
         return None
 
-    y = x = np.eye(d, dtype=complex) / d if x0 is None else x0
+    y = x = np.eye(povm.dim, dtype=complex) / povm.dim if x0 is None else x0
     ay = ax = apply(x)
     t = 1.0
     fx = phi(ax)
@@ -311,9 +318,10 @@ def _fista(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, pol
                 xn, axn, fn, rn = x, ax, fx, None
         tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / tn
-        y = xn + beta * (xn - x)
+        dx = xn - x
+        y = xn + beta * dx
         ay = axn + beta * (axn - ax)
-        move = _fro(xn - x)
+        move = _fro(dx)
         chg = fx - fn
         x, ax, fx, t = xn, axn, fn, tn
         trace.append(fx)
@@ -426,9 +434,8 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None, shift=0.0, po
     def face_polish(x, r):
         return _polish(prob.povm._u, x, r, 0.0, loss, finish)
 
-    return _fista(prob.d, spec.max_iterations, prob.apply, prob.adjoint, phi, dphi, descend,
-                  lip0, stop or pg_stop, polish or (None if stop or prob.noiseless else face_polish),
-                  x0=x0)
+    return _fista(prob.povm, spec.max_iterations, phi, dphi, descend, lip0, stop or pg_stop,
+                  polish or (None if stop or prob.noiseless else face_polish), x0=x0)
 
 
 def _start(start, d: int):
@@ -956,8 +963,7 @@ def estimate_max_likelihood(
         return -float(fm @ np.log1p(delta / a))
 
     x, it, trace, conv, reason = _fista(
-        prob.d, spec.max_iterations, prob.apply, prob.adjoint,
-        lambda ax: -float(fm @ np.log(ax[mask])), dphi,
+        povm, spec.max_iterations, lambda ax: -float(fm @ np.log(ax[mask])), dphi,
         descend, 1.0, gap_stop, polish, change, x0, r0,
     )
     return _result("max_likelihood", prob, x, it, conv, -np.asarray(trace), reason)

@@ -63,8 +63,9 @@ def psd_clip(h: np.ndarray, trace: float = 0.0, weight: float = 0.0, rank: bool 
     largest eigenvalues kept, mu = (sum of them - trace) / (r + 1/weight).
     When no r keeps an eigenvalue, Z is the exact zero matrix.  The r
     eigenvalues that pass the test form a prefix of the descending spectrum,
-    so one count finds r.  rank=True returns (Z, rank of Z), the count of
-    eigenvectors in the reconstruction.
+    so one count finds r.  rank=True returns (Z, F) with the d x r factor
+    F = V sqrt(lam) of the kept eigenpairs, so F F^dag is Z to rounding and
+    F.shape[1] is the rank of Z; the zero matrix has a d x 0 factor.
     """
     lam, v = np.linalg.eigh(h)
     if weight:  # shift, then clip
@@ -72,11 +73,11 @@ def psd_clip(h: np.ndarray, trace: float = 0.0, weight: float = 0.0, rank: bool 
         css = np.cumsum(lam[::-1]) - trace
         r = np.count_nonzero(lam[::-1] * (np.arange(1, lam.size + 1) + inv_w) > css)
         if not r:
-            return (np.zeros_like(v), 0) if rank else np.zeros_like(v)
+            return (np.zeros_like(v), v[:, :0]) if rank else np.zeros_like(v)
         lam -= css[r - 1] / (r + inv_w)
     p = np.searchsorted(lam, 0.0, side="right")  # lam ascends: keep lam[p:] > 0
     z = hermitize((v[:, p:] * lam[p:]) @ v[:, p:].conj().T)
-    return (z, lam.size - p) if rank else z
+    return (z, v[:, p:] * np.sqrt(lam[p:])) if rank else z
 
 
 def signature(a: np.ndarray):

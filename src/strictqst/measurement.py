@@ -362,14 +362,25 @@ def map_matrix(povm: PovmMap) -> np.ndarray:
     the pairs i<j in row-major order, row mu is
     weight * (|u|^2/sqrt(d), |u_i|^2 V, sqrt(2) Re z, sqrt(2) Im z), where V
     holds the diagonal basis elements as columns (see _diagonal_block).
+    The blocks are written straight into the result and the weight is
+    applied in place last, so no m x d^2 temporary is made.
     """
     d = povm.dim
     u = povm._u
-    iu, ju = np.triu_indices(d, 1)
+    n_pairs = d * (d - 1) // 2
+    rows = np.empty((u.shape[1], d * d))
     p = (u.real**2 + u.imag**2).T  # |u_i|^2, one row per effect
-    z = np.sqrt(2.0) * (u[iu].conj() * u[ju]).T
-    rows = np.hstack([p.sum(axis=1, keepdims=True) / np.sqrt(d), p @ _diagonal_block(d), z.real, z.imag])
-    return povm.weight * rows
+    rows[:, 0] = p.sum(axis=1) / np.sqrt(d)
+    rows[:, 1:d] = p @ _diagonal_block(d)
+    lo = d  # the pairs (i, j > i) of row i are contiguous in row-major pair order
+    for i in range(d - 1):
+        hi = lo + d - 1 - i
+        z = np.sqrt(2.0) * (u[i].conj() * u[i + 1 :]).T
+        rows[:, lo:hi] = z.real
+        rows[:, lo + n_pairs : hi + n_pairs] = z.imag
+        lo = hi
+    rows *= povm.weight
+    return rows
 
 
 @dataclass(frozen=True, eq=False)

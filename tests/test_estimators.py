@@ -171,9 +171,9 @@ class TestLeastSquares:
         # iterate's trace is off 1, so the gradient has a trace
         steps = []
 
-        def capture(d, max_iterations, apply, adjoint, phi, dphi, descend, lip, stop, polish, x0=None):
+        def capture(povm, max_iterations, phi, dphi, descend, lip, stop, polish, x0=None):
             steps.append((descend, lip))
-            return np.eye(d) / d, 0, [0.0], True, ""
+            return np.eye(povm.dim) / povm.dim, 0, [0.0], True, ""
 
         monkeypatch.setattr(estimators, "_fista", capture)
         designs = [global_random_bases(d, k, rng) for d in (2, 5, 11) for k in (1, 2, 3, 5)]
@@ -190,8 +190,10 @@ class TestLeastSquares:
             for scale in (1e-3, 1.0, 30.0):
                 g = scale * povm.adjoint_projectors(povm.projector_values(p) - rec.values)
                 want = shifted_ls_step(p, g, k, lip0)
-                got, _ = descend(p, g, lip0)
+                got, fac = descend(p, g, lip0)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+                # the step's factor, whose image _fista takes: F F^dag = Z
+                assert np.linalg.norm(fac @ fac.conj().T - got) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestHeldCertificateExit:
@@ -201,7 +203,7 @@ class TestHeldCertificateExit:
         captured = []
 
         def capture(*args, **kw):
-            captured.append(args[8])
+            captured.append(args[6])
 
         monkeypatch.setattr(estimators, "_fista", capture)
         estimators._least_squares(estimators._Problem(povm, rec), EstimatorSpec())
@@ -712,7 +714,7 @@ class TestMaxLikelihood:
             return adjoint(self, y)
 
         def spied(*args):
-            stop = args[8]
+            stop = args[6]
 
             def watched(it, x, ax, *rest):
                 before = calls[0]
@@ -721,7 +723,7 @@ class TestMaxLikelihood:
                     skipped.append(ax)
                 return done
 
-            return fista(*args[:8], watched, *args[9:])
+            return fista(*args[:6], watched, *args[7:])
 
         monkeypatch.setattr(PovmMap, "adjoint_projectors", counted_adjoint)
         monkeypatch.setattr(estimators, "_fista", spied)
@@ -844,12 +846,14 @@ class TestMaxLikelihood:
 class TestProjectedGradientCore:
     def test_one_map_per_projection_step(self, monkeypatch):
         # every iterate carries its image and the momentum image follows by
-        # linearity, so projector_values runs once right after each
-        # projection, plus at most twice per solve (the image of I/d and the
-        # result's residual); a second map per step, or one in a stop rule,
-        # would show as calls not preceded by a clip.  Newton steps of the
-        # face polish map nothing (q comes from V), so the count is held
-        # against the gradient steps
+        # linearity.  A least-squares step takes the image of its clip from
+        # the clip's factor, so projector_values runs at most twice per
+        # solve (the image of I/d and the result's residual).  A maximum
+        # likelihood trial maps its step right after each clip, so there
+        # it runs once per clip, plus those two; a second map per step, or
+        # one in a stop rule, would show as calls not preceded by a clip.
+        # Newton steps of the face polish map nothing (q comes from V), so
+        # the clips are held against the gradient steps
         events = []
         pv, clip = PovmMap.projector_values, estimators.psd_clip
 
@@ -873,11 +877,44 @@ class TestProjectedGradientCore:
                 res = solve(povm, record)
                 trail = "".join(events)
                 gradient_steps = res.iterations - sum(steps for _, steps, _ in attempts)
-                assert res.converged and trail.count("CP") >= gradient_steps
-                assert trail.count("P") - trail.count("CP") <= 2
-                if solve is estimate_max_likelihood:
+                assert res.converged and trail.count("C") >= gradient_steps
+                if solve is estimate_least_squares:
+                    assert trail.count("P") <= 2
+                else:
                     # every clip is a projection step: the gap stop has none
+                    assert trail.count("CP") == trail.count("C")
                     assert trail.count("P") == trail.count("C") + 2
+
+    def test_fixed_step_images_match_projector_values(self, monkeypatch):
+        # the fixed-step programs (least squares, noiseless and sampled,
+        # trace-min and feasibility) take each step's image from the clip's
+        # factor; _fista's stop sees every iterate with its carried image,
+        # which must be projector_values of that iterate to 1e-13 relative
+        fista, seen = estimators._fista, []
+
+        def spied_fista(*args, **kwargs):
+            stop = args[6]
+
+            def watched(it, x, ax, *rest):
+                seen.append(np.linalg.norm(ax - povm.projector_values(x)) / np.linalg.norm(ax))
+                return stop(it, x, ax, *rest)
+
+            return fista(*args[:6], watched, *args[7:], **kwargs)
+
+        monkeypatch.setattr(estimators, "_fista", spied_fista)
+        for seed, (d, k) in enumerate(((4, 3), (6, 4), (11, 2), (16, 5))):
+            gen = np.random.default_rng(seed)
+            state = random_pure_state(d, gen)
+            povm = povm_from_bases(global_random_bases(d, k, gen))
+            sampled = sample_record(povm, state, 100 * d, gen)
+            for res in (
+                estimate_least_squares(povm, noiseless_record(povm, state)),
+                estimate_least_squares(povm, sampled),
+                estimate_trace_min(povm, sampled),
+                feasibility(povm, sampled),
+            ):
+                assert res.converged
+        assert len(seen) > 1000 and max(seen) <= 1e-13
 
 
 class TestFeasibility:
@@ -1257,11 +1294,11 @@ class TestPolishTrigger:
         def spied_clip(*args, **kwargs):
             out = clip(*args, **kwargs)
             if isinstance(out, tuple):
-                events.append(("clip", out[1]))
+                events.append(("clip", out[1].shape[1]))
             return out
 
         def spied_fista(*args, **kwargs):
-            stop = args[8]
+            stop = args[6]
             events.append(("run", None))
 
             def marked(it, *rest):
@@ -1269,7 +1306,7 @@ class TestPolishTrigger:
                     events.append(("step", None))
                 return stop(it, *rest)
 
-            return fista(*args[:8], marked, *args[9:], **kwargs)
+            return fista(*args[:6], marked, *args[7:], **kwargs)
 
         def spied_polish(u, x, r, *args):
             events.append(("polish", r))
@@ -1454,13 +1491,13 @@ class TestStartPoint:
             return polish(u, x, 1, *args)
 
         def spied_fista(*args):
-            stop = args[8]
+            stop = args[6]
 
             def watched(it, x, *rest):
                 seen.append(("stop", it, x))
                 return stop(it, x, *rest)
 
-            return fista(*args[:8], watched, *args[9:])
+            return fista(*args[:6], watched, *args[7:])
 
         monkeypatch.setattr(estimators, "_polish", spied_polish)
         monkeypatch.setattr(estimators, "_fista", spied_fista)

@@ -163,6 +163,47 @@ class TestPsdClip:
                 w = 0.05 * random_hermitian(d, rng)
                 assert dist(out) <= dist(psd_clip(out + w)) + 1e-12
 
+    @staticmethod
+    def reference_clip(h, trace, weight):
+        """psd_clip's Z written out as the function computes it, with the
+        count of eigenvectors in its reconstruction."""
+        lam, v = np.linalg.eigh(h)
+        if weight:
+            inv_w = 1.0 / weight
+            css = np.cumsum(lam[::-1]) - trace
+            r = np.count_nonzero(lam[::-1] * (np.arange(1, lam.size + 1) + inv_w) > css)
+            if not r:
+                return np.zeros_like(v), 0
+            lam -= css[r - 1] / (r + inv_w)
+        p = np.searchsorted(lam, 0.0, side="right")
+        return hermitize((v[:, p:] * lam[p:]) @ v[:, p:].conj().T), lam.size - p
+
+    def test_factor_contract(self, rng):
+        # a seeded stack of Hermitian inputs, mixed, all-negative and PSD
+        # spectra, at weight 0, a finite anchored weight and weight inf (at
+        # trace 1, and at trace 0, where a negative spectrum clips to 0):
+        # rank=True gives Z bit-identical to the formula and to rank=False,
+        # and a factor F with F F^dag = Z to rounding and F.shape[1] the rank
+        empty = 0
+        for d in (1, 2, 5, 12, 32):
+            for _ in range(4):
+                for shape in ("mixed", "negative", "positive"):
+                    h = random_hermitian(d, rng)
+                    lam, v = np.linalg.eigh(h)
+                    lam = {"mixed": lam, "negative": -np.abs(lam) - 0.1, "positive": np.abs(lam)}[shape]
+                    h = hermitize((v * lam) @ v.conj().T)
+                    for trace, weight in ((0.0, 0.0), (np.trace(h).real, 0.3), (1.0, np.inf), (0.0, np.inf)):
+                        want, rank = self.reference_clip(h, trace, weight)
+                        z, f = psd_clip(h, trace, weight, True)
+                        assert np.array_equal(z, want) and np.array_equal(z, psd_clip(h, trace, weight))
+                        assert f.shape == (d, rank) and f.dtype == complex
+                        scale = max(1.0, np.linalg.norm(z))
+                        assert np.max(np.abs(f @ f.conj().T - z)) <= 1e-14 * scale
+                        if not rank:
+                            empty += 1
+                            assert not z.any()
+        assert empty >= 20  # the all-negative spectra at weight 0 and at trace 0
+
 
 class TestSignature:
     def test_explicit_spectrum(self):
