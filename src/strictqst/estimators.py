@@ -83,34 +83,19 @@ _HELD_WINDOW = 7000
 # rounds) took 0.24-0.26 s at a window of 20, 0.20 at 10, 0.19 at 5, 0.20-0.22
 # at 3 and 0.29-0.30 at 1: the steps held before a first attempt are mostly
 # wasted, but below 5 the extra failed attempts cost more than the gradient
-# steps they save.  A face V with V.size <= _DENSE_SIZE forms its dense real
-# Hessian and takes the exact Newton step from one LAPACK solve
-# (_dense_newton); larger faces take truncated CG on the matrix-free product.
-# Cost of one Newton system, forming plus solving, in us, dense / matrix-free,
-# over the systems of one protocol target (seed 11, k = 1..10, one BLAS
-# thread, every face dense in one run and matrix-free in another; the CG
-# products per system in brackets):
-#   d = 11:  r=1 65/204 (5)  r=2 77/304 (10)  r=3 128/809 (27)
-#            r=4 178/663 (21)  r=5 233/1144 (42)  r=6 301/366 (16)
-#   d = 16:  r=1 90/161 (5)  r=2 133/382 (10)  r=3 209/567 (15)
-#            r=4 342/886 (28)  r=5 457/1153 (35)  r=6 699/2072 (56)
-#            r=8 1368/608 (24)
-#   d = 32:  r=1 336/185 (5)  r=2 513/483 (8)  r=3 896/621 (10)
-#            r=4 1482/1050 (19)  r=5 2292/2749 (40)  r=6 3476/9318 (201)
-#            r=7 4938/6510 (108)  r=8 7003/7373 (125)  r=9 8253/4059 (70)
-#            r=11 13494/3383 (61)
-# Ill-conditioned faces take up to their real dimension 2dr in CG products,
-# so the dense system wins up to r = 6-8 at d = 11 and 16; beyond that the
-# LU solve, (2dr)^3 / 3 flops, costs more, and at d = 32 the matrix-free
-# product wins at r = 1-4 as well.  No one limit on V.size follows that.
-# The polish of that target takes 65-67 ms at d = 11 at any limit from 60
-# to 260, so the d = 11 benchmark cannot tell limits apart, and the limit
-# stays at 60 until a d >= 16 workload can; there it took 0.38 s at d = 16
-# with 60 and 0.16 s at 100-330, and 3.5-3.7 s at d = 32 with 60-160 and
-# 2.0-2.2 s at 200-520
+# steps they save.  An attempt's Newton systems are dense real Hessians of
+# (2 dim r)^2 entries (_polish), so _fista polishes no face of more than
+# _FACE_SIZE entries (dim r), and the solve of a larger face takes gradient
+# steps alone.  One protocol run (k = 1..10, one BLAS thread, process CPU)
+# at bounds of 128 / 256 / 512 entries / none: d = 16 (3 targets, seed 5)
+# 1.89 / 1.73 / 1.74 s, every face fitting from 256 on; d = 32 (seed 11)
+# 2.84 / 2.22 / 2.40 / 2.75 s; d = 64 (seed 11) 15.5 / 9.0 / 8.9 / 32.7 s,
+# peak RSS 54 / 55 / 70 / 281 MB.  At 128, 2 of the 10 d = 64 trace-min
+# solves ran to max_iterations; with no bound the d = 64 faces reached 1,920
+# entries.  d = 11 faces (at most 121 entries) are polished at every bound
 _RANK_WINDOW = 5
 _NEWTON_STEPS = 30
-_DENSE_SIZE = 60
+_FACE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -250,10 +235,11 @@ def _fista(povm, max_iterations, phi, dphi, descend, lip, stop, polish, change=N
     the iterate's objective.  x0 carries rank r0 when r0 > 0: then, unless
     stop's first check already ends the run, one attempt at r0 comes
     before any step, and the run goes on from x0 as above if that attempt
-    does not end it.
-    polish=None runs gradient steps alone.  Returns (X, iterations,
-    objective_trace, converged, stop_reason), iterations counting gradient
-    steps plus every attempt's Newton steps.
+    does not end it.  An attempt at a face of dim r > _FACE_SIZE entries
+    ends at once without a polish, so there the run takes gradient steps
+    alone, to the same stop tests; polish=None does so at every rank.
+    Returns (X, iterations, objective_trace, converged, stop_reason),
+    iterations counting gradient steps plus every attempt's Newton steps.
     """
     apply, uh = povm.projector_values, povm._uc.T
 
@@ -285,6 +271,8 @@ def _fista(povm, max_iterations, phi, dphi, descend, lip, stop, polish, change=N
 
     def attempt(r):  # a polish at x's face of rank r: (True, stop_reason) if its point ends the run
         nonlocal x, newton
+        if povm.dim * r > _FACE_SIZE:
+            return None
         point, steps = polish(x, r)
         newton += steps
         if point is not None:
@@ -689,26 +677,26 @@ def estimate_trace_min(
     return _result("trace_min", prob, x, iterations, conv, trace, reason)
 
 
-def _newton_cg(hess, g):
-    """Truncated CG on hess(d) = -g from d = 0, to a residual of
-    min(0.5, sqrt(||g||)) ||g|| or for at most the system's real dimension
-    in products; at a direction of nonpositive curvature it returns the
-    step so far, or -g if there is none.  The Newton step of matrix-free
-    faces, and of dense ones where _dense_newton refuses the exact step."""
+def _newton_cg(h, g):
+    """Truncated CG on h d = -g from d = 0, h a dense real symmetric
+    matrix, to a residual of min(0.5, sqrt(||g||)) ||g|| or for at most
+    len(g) products; at a direction of nonpositive curvature it returns
+    the step so far, or -g if there is none.  The step of a face system
+    whose exact step _dense_newton refuses."""
     d = np.zeros_like(g)
     res = -g
     p = res.copy()
-    rr = np.vdot(res, res).real
+    rr = res @ res
     stop = rr * min(0.25, np.sqrt(rr))
-    for _ in range(g.view(float).size):
-        hp = hess(p)
-        curv = np.vdot(p, hp).real
+    for _ in range(g.size):
+        hp = h @ p
+        curv = p @ hp
         if curv <= 0:
             return d if d.any() else -g
         a = rr / curv
         d += a * p
         res -= a * hp
-        rr, rr_old = np.vdot(res, res).real, rr
+        rr, rr_old = res @ res, rr
         if rr <= stop:
             break
         p = res + (rr / rr_old) * p
@@ -717,40 +705,27 @@ def _newton_cg(hess, g):
 
 def _dense_newton(h, g):
     """The exact Newton step d = -h^-1 g on a dense real h, one LAPACK
-    solve.  Face Hessians are near-singular along the gauge V -> VQ and at
-    times slightly indefinite, so a singular h, or a step that is not a
-    descent direction (not <g, d> < 0, NaN included), gets _newton_cg's
-    step on the same h instead."""
+    solve: the step of every face system of _polish.  Face Hessians are
+    near-singular along the gauge V -> VQ and at times slightly
+    indefinite, so a singular h, or a step that is not a descent direction
+    (not <g, d> < 0, NaN included), gets _newton_cg's step on the same h
+    instead."""
     try:
         d = np.linalg.solve(h, -g)
     except np.linalg.LinAlgError:
-        return _newton_cg(h.dot, g)
-    return d if g @ d < 0 else _newton_cg(h.dot, g)
-
-
-def _hess_product(ut, w, c, a, b):
-    """Half the Hessian of _polish's G at V, W = U^dag V, as a product on
-    Delta in C^{d x r}, from ut = U^T: c Delta + U(a Z + b dq W), Z =
-    U^dag Delta and dq = 2 Re sum_j conj(W) Z, two matrix products per
-    call."""
-    u, uh = ut.T, ut.conj()
-
-    def hess(dv):
-        z = uh @ dv
-        dq = 2.0 * (w.real * z.real + w.imag * z.imag).sum(axis=1)
-        return c * dv + u @ (a[:, None] * z + (b * dq)[:, None] * w)
-
-    return hess
+        return _newton_cg(h, g)
+    return d if g @ d < 0 else _newton_cg(h, g)
 
 
 def _hess_matrix(ut, w, c, a, b):
-    """_hess_product as a dense real symmetric matrix on the real view of
-    Delta taken column by column, Delta.T.view(float).ravel(), from ut =
-    U^T (C-contiguous, one row per outcome).  2 B^T diag(b) B, row mu of B
-    that view of u_mu w_mu^T, is formed as S^T S, S = B scaled by
-    sqrt(2 b): one symmetric Gram product, which needs b >= 0 (a scalar or
-    one entry per outcome).  The real form of M = c I + U diag(a) U^dag is
-    then added in place to each of the r diagonal blocks, one per column."""
+    """Half the Hessian of _polish's G at V, W = U^dag V, as a dense real
+    symmetric matrix on the real view of Delta in C^{d x r} taken column
+    by column, Delta.T.view(float).ravel(), from ut = U^T (C-contiguous,
+    one row per outcome).  2 B^T diag(b) B, row mu of B that view of
+    u_mu w_mu^T, is formed as S^T S, S = B scaled by sqrt(2 b): one
+    symmetric Gram product, which needs b >= 0 (a scalar or one entry per
+    outcome).  The real form of M = c I + U diag(a) U^dag is then added in
+    place to each of the r diagonal blocks, one per column."""
     d, r = ut.shape[1], w.shape[1]
     ws = w * np.sqrt(2.0 * b)[..., None]
     s = (ws[:, :, None] * ut[:, None, :]).view(float).reshape(len(w), -1)
@@ -781,15 +756,13 @@ def _polish(u, x, r, c, loss, finish):
     Hessian on Delta is c Delta + U(a Z + b dq W), Z = U^dag Delta and
     dq = 2 Re sum_j conj(W) Z, the change of q along Delta.  W is carried
     between steps: a step V + t dV takes W + t Z, Z = U^dag dV being formed
-    for the Newton point anyway.  On faces with
-    V.size <= _DENSE_SIZE the step is the exact Newton step on the dense
-    real Hessian (_hess_matrix), one LAPACK solve, with truncated CG on the
-    same matrix where that step is refused (_dense_newton); larger faces
-    take truncated CG on the matrix-free product (_newton_cg on
-    _hess_product, at most 2 V.size products, the system's real
-    dimension).  The step length halves until G falls by an Armijo
-    fraction, its data part taken as change(dq) in difference form (inf
-    outside the domain).
+    for the Newton point anyway.  The step is the exact Newton step on the
+    dense real Hessian (_hess_matrix), one LAPACK solve, with truncated CG
+    on the same matrix where that step is refused (_dense_newton).  That
+    matrix has (2 V.size)^2 entries, so _fista polishes no face of more
+    than _FACE_SIZE entries.  The step length halves until G falls by an
+    Armijo fraction, its data part taken as change(dq) in difference form
+    (inf outside the domain).
 
     At every point V, the first included, with dV its Newton step and
     dec = -<grad G, dV> the Newton decrement, the attempt ends on
@@ -815,16 +788,10 @@ def _polish(u, x, r, c, loss, finish):
             break
         a, b, change = model
         g = c * v + u @ (a[:, None] * w)  # half the gradient
-        if v.size <= _DENSE_SIZE:
-            h = _hess_matrix(ut, w, c, a, b)
+        h = _hess_matrix(ut, w, c, a, b)
 
-            def newton(rhs, h=h):  # h on Delta's columns in turn
-                return _dense_newton(h, rhs.T.copy().view(float).ravel()).view(complex).reshape(r, -1).T
-        else:
-            hess = _hess_product(ut, w, c, a, b)
-
-            def newton(rhs, hess=hess):
-                return _newton_cg(hess, rhs)
+        def newton(rhs, h=h):  # h on Delta's columns in turn
+            return _dense_newton(h, rhs.T.copy().view(float).ravel()).view(complex).reshape(r, -1).T
         dv = newton(g)
         dec = -2.0 * np.vdot(g, dv).real
         z = uh @ dv

@@ -8,7 +8,8 @@ index loops, the map and its adjoint from per-basis loops, finite-shot
 frequencies from one multinomial draw per basis, the map matrix and
 kernel basis from per-column and per-vector loops, the simplex shift by
 bisection, the anchored shift by a grid search, the least-squares
-step in its shift-then-clip form by a search over the kept rank.
+step in its shift-then-clip form by a search over the kept rank, the face
+polish's Hessian as a matrix-free product on complex d x r arrays.
 """
 
 from __future__ import annotations
@@ -301,6 +302,22 @@ def trace_min_oracle(povm, f: np.ndarray, eps: float, seed: int = 0) -> np.ndarr
         else:
             hi, x = mid, x_mid
     return x
+
+
+def face_hessian_product(u: np.ndarray, w: np.ndarray, c: float, a: np.ndarray, b):
+    """Half the Hessian of the face polish's loss at V, W = U^dag V, as a
+    product on Delta in C^{d x r}: c Delta + U(a Z + b dq W), Z = U^dag
+    Delta and dq = 2 Re sum_j conj(W) Z, the change of q = |U^dag V|^2
+    summed over columns along Delta; b is a scalar or one entry per
+    outcome.  Two complex matrix products per call, no dense matrix."""
+    uh = u.conj().T
+
+    def product(dv: np.ndarray) -> np.ndarray:
+        z = uh @ dv
+        dq = 2.0 * (w.real * z.real + w.imag * z.imag).sum(axis=1)
+        return c * dv + u @ (a[:, None] * z + (b * dq)[:, None] * w)
+
+    return product
 
 
 def random_hermitian(d: int, rng: np.random.Generator, traceless: bool = False) -> np.ndarray:

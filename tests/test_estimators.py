@@ -31,29 +31,29 @@ from strictqst.quantum import (
 )
 
 from conftest import make_noiseless_problem, no_polish
-from oracles import ls_oracle, mle_oracle, shifted_ls_step, trace_min_oracle
+from oracles import face_hessian_product, ls_oracle, mle_oracle, shifted_ls_step, trace_min_oracle
 import properties
 
 
 def track_polish(monkeypatch, rank=None):
     """Wrap the face polish, optionally at a fixed rank, and record its
     Newton systems; the returned list collects (certified, Newton steps,
-    systems) for each attempt.  systems has one entry per solve: "solve"
-    for a dense LAPACK solve (_dense_newton), else the CG products that
-    _newton_cg took, so a dense system whose exact step is refused shows as
-    "solve" followed by the products of its CG fallback."""
+    systems) for each attempt.  systems has "solve" for each LAPACK solve
+    (_dense_newton), followed, where its exact step is refused, by the
+    products of the matrix that its CG fallback (_newton_cg) took."""
     attempts, systems = [], []
     polish, newton_cg, dense_newton = estimators._polish, estimators._newton_cg, estimators._dense_newton
 
-    def counted_cg(hess, g):
+    def counted_cg(h, g):
         systems.append(0)
         at = len(systems) - 1
 
-        def counted(p):
-            systems[at] += 1
-            return hess(p)
+        class Counted:  # h, counting its products
+            def __matmul__(self, p):
+                systems[at] += 1
+                return h @ p
 
-        return newton_cg(counted, g)
+        return newton_cg(Counted(), g)
 
     def counted_dense(h, g):
         systems.append("solve")
@@ -972,9 +972,8 @@ def from_columns(y, r):
 
 
 class TestFaceHessian:
-    """The polish's half Hessian, dense (_hess_matrix on real column views)
-    and matrix-free (_hess_product on complex V-shaped arrays), for each
-    loss."""
+    """The polish's half Hessian (_hess_matrix on real column views) and
+    its Newton step, for each loss."""
 
     @staticmethod
     def face(d, r, seed, shots=1000):
@@ -1000,9 +999,8 @@ class TestFaceHessian:
         }
 
     def cases(self):
-        # r = 1..3 at d = 6 (every face dense) and d = 31 (dense only at
-        # r = 1), and every rank at d = 11 (dense up to r = 5) on a record
-        # of 20 shots per basis, so that some outcomes go unobserved
+        # r = 1..3 at d = 6 and d = 31, and every rank at d = 11 on a
+        # record of 20 shots per basis, so that some outcomes go unobserved
         faces = [(d, r, 1000) for d in (6, 31) for r in (1, 2, 3)]
         faces += [(11, r, 20) for r in range(1, 12)]
         for d, r, shots in faces:
@@ -1011,35 +1009,26 @@ class TestFaceHessian:
                 yield name, np.ascontiguousarray(u.T), v, w, c, a, b
 
     def test_dense_matrix_equals_matrix_free_product(self):
-        sides, unobserved = set(), 0
+        # column i of h is the oracle's product on the i-th real unit
+        # direction of the face
+        unobserved = 0
         for name, ut, v, w, c, a, b in self.cases():
             h = estimators._hess_matrix(ut, w, c, a, b)
-            product = estimators._hess_product(ut, w, c, a, b)
+            product = face_hessian_product(ut.T, w, c, a, b)
             n, r = 2 * v.size, v.shape[1]
             cols = np.eye(n)
             mf = np.stack([columns(product(from_columns(cols[i], r))) for i in range(n)], 1)
             scale = np.linalg.norm(mf)
             assert np.linalg.norm(h - mf) <= 1e-12 * scale, name
             assert np.linalg.norm(h - h.T) <= 1e-12 * scale, name
-            sides.add(v.size <= estimators._DENSE_SIZE)
             unobserved += np.ndim(b) and np.count_nonzero(b == 0)
-        assert sides == {True, False}
         assert unobserved
 
-    def test_one_newton_cg_solve_gives_the_same_step(self):
+    def dense_systems(self):
+        # (name, h, g) on the real views of every face
         for name, ut, v, w, c, a, b in self.cases():
             g = c * v + ut.T @ (a[:, None] * w)
-            h = estimators._hess_matrix(ut, w, c, a, b)
-            dense = from_columns(estimators._newton_cg(h.dot, columns(g)), v.shape[1])
-            free = estimators._newton_cg(estimators._hess_product(ut, w, c, a, b), g)
-            assert np.linalg.norm(dense - free) <= 1e-10 * np.linalg.norm(free), name
-
-    def dense_systems(self):
-        # (name, h, g) on the real views of every dense face
-        for name, ut, v, w, c, a, b in self.cases():
-            if v.size <= estimators._DENSE_SIZE:
-                g = c * v + ut.T @ (a[:, None] * w)
-                yield name, estimators._hess_matrix(ut, w, c, a, b), columns(g)
+            yield name, estimators._hess_matrix(ut, w, c, a, b), columns(g)
 
     def test_dense_step_solves_the_newton_system(self):
         # random faces are mostly indefinite, so each h is shifted to a
@@ -1066,7 +1055,7 @@ class TestFaceHessian:
                 cases.append(h)
                 refused += 1
             for m in cases:
-                assert np.array_equal(estimators._dense_newton(m, g), estimators._newton_cg(m.dot, g)), name
+                assert np.array_equal(estimators._dense_newton(m, g), estimators._newton_cg(m, g)), name
         assert refused
 
     @staticmethod
@@ -1083,11 +1072,10 @@ class TestFaceHessian:
     def test_track_polish_records_each_dense_solve(self, monkeypatch):
         # an attempt solves one Newton system per point and forms no
         # Hessian at its Newton point: finishing at its first point it
-        # solves one system, at its second two, "solve" entries on a dense
-        # face and CG product counts on a matrix-free one.  With the dense
-        # Hessian negated every exact step ascends, and each system shows
-        # its solve and then the CG fallback, which stops at the first
-        # (negative) curvature
+        # solves one system, at its second two, on faces of 18 and 75
+        # entries.  With the dense Hessian negated every exact step
+        # ascends, and each system shows its solve and then the CG
+        # fallback, which stops at the first (negative) curvature
         attempts = track_polish(monkeypatch)
 
         def run(d, r, n):
@@ -1101,26 +1089,25 @@ class TestFaceHessian:
             estimators._polish(u, v @ v.conj().T, r, 0.0, loss, self.finish_at(n))
             return attempts[-1]
 
-        assert run(6, 3, 1) == (True, 1, ("solve",))
-        assert run(6, 3, 2) == (True, 2, ("solve", "solve"))
-        for n in (1, 2):
-            certified, steps, systems = run(31, 3, n)
-            assert (certified, steps, len(systems)) == (True, n, n)
-            assert all(isinstance(k, int) and k > 0 for k in systems)
+        for d in (6, 25):
+            assert run(d, 3, 1) == (True, 1, ("solve",))
+            assert run(d, 3, 2) == (True, 2, ("solve", "solve"))
         hess_matrix = estimators._hess_matrix
         monkeypatch.setattr(estimators, "_hess_matrix", lambda *args: -hess_matrix(*args))
-        assert run(6, 3, 1)[2] == ("solve", 1)
-        assert run(6, 3, 2)[2] == ("solve", 1, "solve", 1)
+        for d in (6, 25):
+            assert run(d, 3, 1)[2] == ("solve", 1)
+            assert run(d, 3, 2)[2] == ("solve", 1, "solve", 1)
 
-    def test_polish_dispatch_reads_only_the_face_size(self, monkeypatch):
-        # an attempt that finishes at its first point forms one Hessian,
-        # dense when V has at most _DENSE_SIZE entries
+    def test_every_face_forms_one_dense_hessian_per_point(self, monkeypatch):
+        # an attempt that finishes at its first point forms one dense
+        # Hessian and makes one LAPACK solve of it, at any face size up to
+        # _FACE_SIZE entries, the largest that _fista polishes
         used = []
-        for fn in ("_hess_matrix", "_hess_product"):
+        for fn in ("_hess_matrix", "_dense_newton"):
             original = getattr(estimators, fn)
             monkeypatch.setattr(estimators, fn, lambda *args, fn=fn, original=original: (
                 used.append(fn) or original(*args)))
-        for d, r in ((6, 3), (30, 2), (31, 2), (31, 3)):
+        for d, r in ((6, 3), (30, 2), (31, 2), (31, 3), (16, estimators._FACE_SIZE // 16)):
             u, v, w, q, f = self.face(d, r, seed=d + r)
 
             def loss(q, f=f):  # least squares' model
@@ -1129,9 +1116,8 @@ class TestFaceHessian:
 
             used.clear()
             point, steps = estimators._polish(u, v @ v.conj().T, r, 0.0, loss, self.finish_at(1))
-            dense = v.size <= estimators._DENSE_SIZE
             assert (point, steps) == ("point", 1)
-            assert used == ["_hess_matrix" if dense else "_hess_product"]
+            assert used == ["_hess_matrix", "_dense_newton"]
 
 
 class TestNewtonPoint:
@@ -1170,8 +1156,7 @@ class TestNewtonPoint:
     def test_carried_image_is_the_newton_points_image(self):
         # W = U^dag V is carried between steps as W + t Z: after 7 damped
         # steps the image that finish gets is still A[X] at its Newton
-        # point, X = (V + dV)(V + dV)^dag, on a dense face and a
-        # matrix-free one
+        # point, X = (V + dV)(V + dV)^dag, on faces of 18 and 93 entries
         for d, r in ((6, 3), (31, 3)):
             gen = np.random.default_rng(d + r)
             povm = povm_from_bases(global_random_bases(d, 3, gen))
@@ -1363,6 +1348,62 @@ class TestPolishTrigger:
                 else:
                     assert it - since < window
         assert sum(len(attempts) for _, attempts in runs) >= 4 and res.converged
+
+
+class TestFaceBound:
+    """_fista polishes no face of more than _FACE_SIZE entries: above the
+    bound a solve takes gradient steps alone, to its own certificate."""
+
+    def test_no_polish_above_the_bound_and_every_solve_certifies(self, monkeypatch):
+        # sampled records of rank-2 states at d = 6..8 in 6 bases, with the
+        # bound at 2d: faces of rank 1 and 2 are polished, larger ones are
+        # not.  At the real bound each program, maximum likelihood's polish
+        # of its least-squares start included, polishes some face of more
+        # than 2d entries, so the small bound turns those attempts into
+        # gradient steps.  Trace-min's certified trace is the real bound's
+        # within the gap that both certify
+        polish, faces = estimators._polish, []
+
+        def spied(u, x, r, *args):
+            faces.append(len(x) * r)
+            return polish(u, x, r, *args)
+
+        monkeypatch.setattr(estimators, "_polish", spied)
+        above = {}
+        for d in (6, 7, 8):
+            gen = np.random.default_rng(d)
+            state = random_rank_r_state(d, 2, gen)
+            povm = povm_from_bases(global_random_bases(d, 6, gen))
+            rec = sample_record(povm, state, 100 * d, gen)
+            start = estimate_least_squares(povm, rec).X_hat
+            solves = {
+                "least_squares": lambda: estimate_least_squares(povm, rec),
+                "trace_min": lambda: estimate_trace_min(povm, rec),
+                "max_likelihood": lambda: estimate_max_likelihood(povm, rec),
+                "start": lambda: estimate_max_likelihood(povm, rec, start=start),
+            }
+            for name, solve in solves.items():
+                faces.clear()
+                ref = solve()
+                above[name] = above.get(name, 0) + sum(n > 2 * d for n in faces)
+                with monkeypatch.context() as m:
+                    m.setattr(estimators, "_FACE_SIZE", 2 * d)
+                    faces.clear()
+                    res = solve()
+                assert all(n <= 2 * d for n in faces), name
+                assert res.converged, name
+                tol = EstimatorSpec().tol(res.method)
+                if name == "least_squares":
+                    assert res.stop_reason == "projected_gradient"
+                    assert TestLeastSquaresPolish.objective_and_certificate(povm, rec, res.X_hat)[1]
+                elif name == "trace_min":
+                    assert res.stop_reason == "duality_gap"
+                    tr = np.trace(ref.X_hat).real
+                    assert abs(np.trace(res.X_hat).real - tr) <= 2 * tol * max(1.0, tr)
+                else:
+                    assert res.stop_reason == "duality_gap"
+                    assert TestMaxLikelihood.loglik_and_gap(povm, rec, res.X_hat)[1] <= tol
+        assert all(above.values()) and len(above) == 4
 
 
 class TestProgramEquivalence:

@@ -6,12 +6,12 @@ solves, their gradient steps, their face-polish attempts (_polish calls,
 certified or failed), trace-min's mu searches (the _secant calls whose
 points are polishes, and those that gave up), the Newton steps of the
 attempts, the Newton systems they formed (dense Hessians, also by real
-dimension n = 2dr of a rank-r face, and matrix-free ones) and solved, and
-the stop reasons.  Gradient steps are a solve's
-iterations less its Newton steps.  A dense system whose exact step is refused and solved again by CG
-counts once.  Nothing in the package changes: the counters wrap the
-estimator names that strictqst.experiments imports and the solver helpers
-of strictqst.estimators, as perfbench/spans.py wraps its boundaries.
+dimension n = 2dr of a rank-r face) and solved, and the stop reasons.
+Gradient steps are a solve's iterations less its Newton steps.  A system
+whose exact step is refused and solved again by CG counts once.  Nothing
+in the package changes: the counters wrap the estimator names that
+strictqst.experiments imports and the solver helpers of
+strictqst.estimators, as perfbench/spans.py wraps its boundaries.
 
     python tools/solver_counts.py [dim [n_targets [seed]]]   (default 11 1 11)
 """
@@ -28,7 +28,7 @@ from strictqst import estimators, experiments  # noqa: E402
 
 PROGRAMS = ("least_squares", "trace_min", "max_likelihood")
 ROWS = ("solves", "gradient steps", "polish attempts", "  certified", "  failed", "mu searches",
-        "  gave up", "Newton steps", "dense Hessians", "matrix-free Hessians", "Newton solves")
+        "  gave up", "Newton steps", "dense Hessians", "Newton solves")
 
 
 def count(dim: int, n_targets: int, seed: int) -> dict[str, Counter]:
@@ -36,7 +36,6 @@ def count(dim: int, n_targets: int, seed: int) -> dict[str, Counter]:
     Hessians by real dimension) and by "stop: <reason>"."""
     counts = {name: Counter() for name in PROGRAMS}
     current = [None]  # the program whose solve is running
-    nested = [0]  # depth inside _dense_newton, whose CG fallback is not a new system
     searches = []  # per open _secant call, the _polish calls made directly in it
 
     def solver(name, solve):
@@ -47,19 +46,13 @@ def count(dim: int, n_targets: int, seed: int) -> dict[str, Counter]:
             return res
         return counted
 
-    def tally(key, fn):
-        def counted(*args):
-            current[0][key] += 1
-            return fn(*args)
-        return counted
-
     hess_matrix = estimators._hess_matrix
 
     def counted_matrix(ut, w, *args):
         current[0].update({"dense Hessians": 1, f"  n = {2 * ut.shape[1] * w.shape[1]}": 1})
         return hess_matrix(ut, w, *args)
 
-    polish, dense_newton, newton_cg = estimators._polish, estimators._dense_newton, estimators._newton_cg
+    polish, dense_newton = estimators._polish, estimators._dense_newton
     secant = estimators._secant
 
     def counted_secant(g_at, t):
@@ -79,16 +72,7 @@ def count(dim: int, n_targets: int, seed: int) -> dict[str, Counter]:
 
     def counted_dense(h, g):
         current[0]["Newton solves"] += 1
-        nested[0] += 1
-        try:
-            return dense_newton(h, g)
-        finally:
-            nested[0] -= 1
-
-    def counted_cg(hess, g):
-        if not nested[0]:
-            current[0]["Newton solves"] += 1
-        return newton_cg(hess, g)
+        return dense_newton(h, g)
 
     wraps = [(experiments, f"estimate_{name}", solver(name, getattr(experiments, f"estimate_{name}")))
              for name in PROGRAMS]
@@ -96,9 +80,7 @@ def count(dim: int, n_targets: int, seed: int) -> dict[str, Counter]:
         (estimators, "_polish", counted_polish),
         (estimators, "_secant", counted_secant),
         (estimators, "_dense_newton", counted_dense),
-        (estimators, "_newton_cg", counted_cg),
         (estimators, "_hess_matrix", counted_matrix),
-        (estimators, "_hess_product", tally("matrix-free Hessians", estimators._hess_product)),
     ]
     saved = [(module, name, getattr(module, name)) for module, name, _ in wraps]
     for module, name, fn in wraps:
