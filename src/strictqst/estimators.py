@@ -160,12 +160,10 @@ class _Problem:
         self.d = povm.dim
         self.f = np.asarray(record.values, dtype=float)
         self.noiseless = record.kind == "noiseless"
-        self.apply = povm.projector_values
-        self.adjoint = povm.adjoint_projectors
         self.povm = povm
 
     def residual(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.apply(x) - self.f))
+        return float(np.linalg.norm(self.povm.projector_values(x) - self.f))
 
 
 def _normalize(x: np.ndarray, d: int) -> QuantumState:
@@ -195,7 +193,7 @@ def _fro(x: np.ndarray) -> float:
 
 
 def _fista(povm, max_iterations, phi, dphi, descend, lip, stop, polish, change=None, x0=None,
-           r0=0):
+           v0=None):
     """Accelerated projected gradient with function-value restart on
     phi(A[X]), A = povm.projector_values, from x0, or I/d when x0 is None;
     x0's image must lie in phi's domain.  Steps x+ = descend(p, G, lip),
@@ -223,21 +221,22 @@ def _fista(povm, max_iterations, phi, dphi, descend, lip, stop, polish, change=N
     a momentum point there takes no step, and the loop restarts from the
     last iterate, whose image is inside.
 
-    When stop returns None, the face polish runs once r, descend's own rank
-    for x (never cut lower; a kept iterate carries none), has held for the
-    window, _RANK_WINDOW steps doubled per attempt so failures take a
-    bounded share of a long solve: polish(x, r) returns (point, Newton
-    steps), point being (X, A[X], stop_reason) or None.  The point ends the
-    run, converged and with one more objective entry, if its objective is
-    no higher than the iterate's.  A point with image None, trace-min's,
+    When stop returns None, the face polish runs once the rank of x, that
+    of its factor F from descend (never cut lower; a kept iterate carries
+    none), has held for the window, _RANK_WINDOW steps doubled per attempt
+    so failures take a bounded share of a long solve: polish(F) returns
+    (point, Newton steps), point being (X, A[X], stop_reason) or None.
+    The point ends the run, converged and with one more objective entry,
+    if its objective is no higher than the iterate's.  A point with image None, trace-min's,
     whose multiplier moved off the run's and so has no comparable
     objective, ends the run on its certificate alone, its entry repeating
-    the iterate's objective.  x0 carries rank r0 when r0 > 0: then, unless
-    stop's first check already ends the run, one attempt at r0 comes
-    before any step, and the run goes on from x0 as above if that attempt
-    does not end it.  An attempt at a face of dim r > _FACE_SIZE entries
-    ends at once without a polish, so there the run takes gradient steps
-    alone, to the same stop tests; polish=None does so at every rank.
+    the iterate's objective.  v0, when given, is a factor of x0: then,
+    unless stop's first check already ends the run, one attempt from v0
+    comes before any step, and the run goes on from x0 as above if that
+    attempt does not end it.  An attempt from a factor of more than
+    _FACE_SIZE entries ends at once without a polish, so there the run
+    takes gradient steps alone, to the same stop tests; polish=None does
+    so at every rank.
     Returns (X, iterations, objective_trace, converged, stop_reason),
     iterations counting gradient steps plus every attempt's Newton steps.
     """
@@ -252,14 +251,14 @@ def _fista(povm, max_iterations, phi, dphi, descend, lip, stop, polish, change=N
         if not change:
             xn, fac = descend(p, g, lip)
             w = (uh @ fac).view(float)  # row mu: Re and Im of <u_mu|F_j> over j
-            return xn, np.einsum("ij,ij->i", w, w), fac.shape[1]
+            return xn, np.einsum("ij,ij->i", w, w), fac
         lip *= 0.9
         while True:
             xn, fac = descend(p, g, lip)
             dx = xn - p
             dax = apply(dx)
             if change(ap, dax) <= np.vdot(g, dx).real + 0.5 * lip * np.vdot(dx, dx).real:
-                return xn, ap + dax, fac.shape[1]
+                return xn, ap + dax, fac
             lip *= 2.0
 
     def rise(axn):  # (phi(axn), phi(axn) - phi(ax))
@@ -269,11 +268,11 @@ def _fista(povm, max_iterations, phi, dphi, descend, lip, stop, polish, change=N
         up = change(ax, axn - ax)
         return fx + up, up
 
-    def attempt(r):  # a polish at x's face of rank r: (True, stop_reason) if its point ends the run
+    def attempt(v):  # a polish from x's factor v: (True, stop_reason) if its point ends the run
         nonlocal x, newton
-        if povm.dim * r > _FACE_SIZE:
+        if v.size > _FACE_SIZE:
             return None
-        point, steps = polish(x, r)
+        point, steps = polish(v)
         newton += steps
         if point is not None:
             fn, up = (fx, 0.0) if point[1] is None else rise(point[1])
@@ -289,21 +288,21 @@ def _fista(povm, max_iterations, phi, dphi, descend, lip, stop, polish, change=N
     fx = phi(ax)
     trace = [fx]
     it = rank = since = newton = 0
-    done = stop(0, x, ax, fx, np.inf, np.inf) or (attempt(r0) if polish and r0 else None)
+    done = stop(0, x, ax, fx, np.inf, np.inf) or (attempt(v0) if polish and v0 is not None else None)
     window = _RANK_WINDOW
     while not done and it < max_iterations:
         it += 1
         trial = step(y, ay)
         if trial:
-            xn, axn, rn = trial
+            xn, axn, fac = trial
             fn, up = rise(axn)
         if not trial or up > 0:
             # restart: drop momentum, plain gradient step from x
             t = 1.0
-            xn, axn, rn = step(x, ax)
+            xn, axn, fac = step(x, ax)
             fn, up = rise(axn)
             if change and up > 0:  # a rounding-level step: keep x
-                xn, axn, fn, rn = x, ax, fx, None
+                xn, axn, fn, fac = x, ax, fx, None
         tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / tn
         dx = xn - x
@@ -314,13 +313,13 @@ def _fista(povm, max_iterations, phi, dphi, descend, lip, stop, polish, change=N
         x, ax, fx, t = xn, axn, fn, tn
         trace.append(fx)
         done = stop(it, x, ax, fx, chg, move)
-        if done or not polish or rn is None:
+        if done or not polish or fac is None:
             continue
-        if rn != rank:
-            rank, since = rn, it
+        if fac.shape[1] != rank:
+            rank, since = fac.shape[1], it
         elif rank and it - since >= window:
             since, window = it, 2 * window
-            done = attempt(rank)
+            done = attempt(fac)
     return (x, it + newton, trace) + (done or (False, "max_iterations"))
 
 
@@ -366,7 +365,7 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None, shift=0.0, po
     noiseless record, runs gradient steps alone: there the clip keeps a face
     wider than the optimum's rank, Newton shrinks the surplus columns of V
     only geometrically, and a polish would certify a surplus eigenvalue of
-    ~1e-9 that the clip sets to 0.  A caller's polish(x, r) runs in place
+    ~1e-9 that the clip sets to 0.  A caller's polish(v) runs in place
     of this one, whatever the record; with shift, the record is lowered to
     f - shift 1 (both for estimate_trace_min).  Returns _fista's (X,
     iterations, objective_trace, converged, stop_reason).
@@ -385,7 +384,7 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None, shift=0.0, po
         return ax - f
 
     def certified(x, ax):
-        pg = lip * _fro(x - psd_clip(x - prob.adjoint(dphi(ax)) / lip))
+        pg = lip * _fro(x - psd_clip(x - prob.povm.adjoint_projectors(dphi(ax)) / lip))
         return pg <= 10 * tol * lip * max(1.0, _fro(x))
 
     def loss(q):
@@ -419,8 +418,8 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None, shift=0.0, po
                     return True, "projected_gradient_held"
         return None
 
-    def face_polish(x, r):
-        return _polish(prob.povm._u, x, r, 0.0, loss, finish)
+    def face_polish(v):
+        return _polish(prob.povm._u, v, 0.0, loss, finish)
 
     return _fista(prob.povm, spec.max_iterations, phi, dphi, descend, lip0, stop or pg_stop,
                   polish or (None if stop or prob.noiseless else face_polish), x0=x0)
@@ -568,11 +567,13 @@ def estimate_trace_min(
     Within each run _fista's rank trigger runs the face polish (_polish) on
     the penalised form at mu = 1/(ks): c = 1, a = mu (q - f), b = mu, with
     the gate a Newton decrement <= 1e-3 tol max(1, tr X).  The same
-    _secant, each point a polish warm-started from the last, moves mu until
-    |g| <= 1e-10, but by Newton steps in t = -log(k mu): each polished point
-    carries the exact slope dg/dt = -mu <q - f, dq/dmu> / ||q - f||^2, with
-    dq/dmu the image of dV/dmu = -H^-1 U((q - f) W), one more solve with
-    the face Hessian H of the attempt's last step.
+    _secant, each point a polish started from the iterate's factor or
+    from the last polished point's V, moves mu until |g| <= 1e-10, but by
+    Newton steps in t = -log(k mu): each polished point carries the exact
+    slope dg/dt = -mu <q - f, dq/dmu> / ||q - f||^2, with dq/dmu the image
+    of dV/dmu = -H^-1 U((q - f) W), one more solve with the face Hessian H
+    of the attempt's last step (_dense_newton's rule, so -U((q - f) W)
+    where that system is refused).
     There the scaled dual u' = u / (1 + max(0, -lambda_min(I + A^dag u))),
     u = mu (A[X] - f), is dual-feasible, and X ends the solve as
     "duality_gap" when tr X + <u', f> + eps ||u'|| <= tol max(1, tr X).
@@ -620,7 +621,7 @@ def estimate_trace_min(
             if abs(g) > 1e-10:
                 return g
             u = mu * (q - f)
-            u = u / (1.0 + max(0.0, -np.linalg.eigvalsh(prob.adjoint(u) + np.eye(prob.d))[0]))
+            u = u / (1.0 + max(0.0, -np.linalg.eigvalsh(povm.adjoint_projectors(u) + np.eye(prob.d))[0]))
             tr = float(np.trace(x).real)
             return 0.0 if tr + float(u @ f) + eps * float(np.linalg.norm(u)) <= tol * max(1.0, tr) else None
 
@@ -631,7 +632,7 @@ def estimate_trace_min(
         def finish(v, q, dv, dec, newton):
             if dec > 1e-3 * tol * max(1.0, np.vdot(v, v).real):
                 return None
-            return hermitize(v @ v.conj().T), q, "duality_gap", lambda: slope(v, q, newton)
+            return hermitize(v @ v.conj().T), q, "duality_gap", v, lambda: slope(v, q, newton)
 
         def slope(v, q, newton):  # dg/dt at the face minimum: dV/dmu = -H^-1 U((q - f) W), dmu/dt = -mu
             e = q - f
@@ -639,16 +640,16 @@ def estimate_trace_min(
             z = uh @ newton(u @ (e[:, None] * w))
             return -2.0 * mu * float(e @ (w.real * z.real + w.imag * z.imag).sum(axis=1)) / float(e @ e)
 
-        def polish(x, r):
-            steps, point = 0, (x, None)
+        def polish(v):
+            steps, point = 0, (None, None, None, v)  # a point's V starts the next one
 
             def g_at(t):
                 nonlocal mu, steps, point
                 mu = math.exp(-t) / k
-                point, n = _polish(u, point[0], r, 1.0, loss, finish)
+                point, n = _polish(u, point[3], 1.0, loss, finish)
                 steps += n
                 g = None if point is None else measure(*point[:2])
-                return None if g is None else (g, point[3]() if g else None)
+                return None if g is None else (g, point[4]() if g else None)
 
             if _secant(g_at, math.log(shift)) is None:
                 return None, steps
@@ -666,7 +667,7 @@ def estimate_trace_min(
             if reason == "duality_gap" or not conv:
                 return (0.0, None) if conv else None
             mu = 1.0 / (k * shift)
-            g = measure(x, prob.apply(x))
+            g = measure(x, povm.projector_values(x))
             return None if g is None else (g, None)
 
         conv = _secant(g_at, math.log(shift)) is not None
@@ -677,44 +678,18 @@ def estimate_trace_min(
     return _result("trace_min", prob, x, iterations, conv, trace, reason)
 
 
-def _newton_cg(h, g):
-    """Truncated CG on h d = -g from d = 0, h a dense real symmetric
-    matrix, to a residual of min(0.5, sqrt(||g||)) ||g|| or for at most
-    len(g) products; at a direction of nonpositive curvature it returns
-    the step so far, or -g if there is none.  The step of a face system
-    whose exact step _dense_newton refuses."""
-    d = np.zeros_like(g)
-    res = -g
-    p = res.copy()
-    rr = res @ res
-    stop = rr * min(0.25, np.sqrt(rr))
-    for _ in range(g.size):
-        hp = h @ p
-        curv = p @ hp
-        if curv <= 0:
-            return d if d.any() else -g
-        a = rr / curv
-        d += a * p
-        res -= a * hp
-        rr, rr_old = res @ res, rr
-        if rr <= stop:
-            break
-        p = res + (rr / rr_old) * p
-    return d
-
-
 def _dense_newton(h, g):
     """The exact Newton step d = -h^-1 g on a dense real h, one LAPACK
     solve: the step of every face system of _polish.  Face Hessians are
     near-singular along the gauge V -> VQ and at times slightly
-    indefinite, so a singular h, or a step that is not a descent direction
-    (not <g, d> < 0, NaN included), gets _newton_cg's step on the same h
-    instead."""
+    indefinite, so where h is singular, or its step is not a descent
+    direction (not <g, d> < 0, NaN included), the step is -g, the plain
+    gradient step, which _polish's line search damps."""
     try:
         d = np.linalg.solve(h, -g)
     except np.linalg.LinAlgError:
-        return _newton_cg(h, g)
-    return d if g @ d < 0 else _newton_cg(h, g)
+        return -g
+    return d if g @ d < 0 else -g
 
 
 def _hess_matrix(ut, w, c, a, b):
@@ -743,8 +718,8 @@ def _hess_matrix(ut, w, c, a, b):
     return h
 
 
-def _polish(u, x, r, c, loss, finish):
-    """Damped Newton on the face of rank r, from the top-r eigenpairs of x.
+def _polish(u, v, c, loss, finish):
+    """Damped Newton on the face X = VV^dag of rank r, from V = v (d x r).
 
     Minimises a loss G(V) of q = A[VV^dag] = |U^dag V|^2 summed over
     columns (U: one basis vector per outcome) plus c tr VV^dag, over V in
@@ -757,12 +732,14 @@ def _polish(u, x, r, c, loss, finish):
     dq = 2 Re sum_j conj(W) Z, the change of q along Delta.  W is carried
     between steps: a step V + t dV takes W + t Z, Z = U^dag dV being formed
     for the Newton point anyway.  The step is the exact Newton step on the
-    dense real Hessian (_hess_matrix), one LAPACK solve, with truncated CG
-    on the same matrix where that step is refused (_dense_newton).  That
-    matrix has (2 V.size)^2 entries, so _fista polishes no face of more
-    than _FACE_SIZE entries.  The step length halves until G falls by an
-    Armijo fraction, its data part taken as change(dq) in difference form
-    (inf outside the domain).
+    dense real Hessian (_hess_matrix), one LAPACK solve, or minus half the
+    gradient where that step is refused (_dense_newton).  That matrix has
+    (2 V.size)^2 entries, so _fista polishes no face of more than
+    _FACE_SIZE entries.
+    The step length halves until G falls by an Armijo fraction, its data
+    part taken as change(dq) in difference form (inf outside the domain).
+    Whatever the step, each program's finish tests its own certificate at
+    the point it returns.
 
     At every point V, the first included, with dV its Newton step and
     dec = -<grad G, dV> the Newton decrement, the attempt ends on
@@ -771,12 +748,10 @@ def _polish(u, x, r, c, loss, finish):
     Newton point V + dV, and returns the solver's point (X, A[X],
     stop_reason, ...).  No Hessian is formed at the Newton point itself.
     newton(rhs) solves the system that gave dV for another right-hand side
-    by the same method, -H^-1 rhs.  Returns (point, steps), steps counting the step to
-    the Newton point, or (None, steps) when there is none within
-    _NEWTON_STEPS steps or the line search finds no descent.
+    by the same rule, -H^-1 rhs or -rhs.  Returns (point, steps), steps
+    counting the step to the Newton point, or (None, steps) when there is
+    none within _NEWTON_STEPS steps or the line search finds no descent.
     """
-    lam, vecs = np.linalg.eigh(x)
-    v = vecs[:, -r:] * np.sqrt(np.maximum(lam[-r:], 0.0))
     ut = np.ascontiguousarray(u.T)
     uh = ut.conj()
     w = uh @ v
@@ -791,7 +766,7 @@ def _polish(u, x, r, c, loss, finish):
         h = _hess_matrix(ut, w, c, a, b)
 
         def newton(rhs, h=h):  # h on Delta's columns in turn
-            return _dense_newton(h, rhs.T.copy().view(float).ravel()).view(complex).reshape(r, -1).T
+            return _dense_newton(h, rhs.T.copy().view(float).ravel()).view(complex).reshape(rhs.shape[::-1]).T
         dv = newton(g)
         dec = -2.0 * np.vdot(g, dv).real
         z = uh @ dv
@@ -857,10 +832,11 @@ def estimate_max_likelihood(
     The iteration starts from start / tr start (start checked by _start),
     for example the least-squares estimate of the same record, or from I/d
     when start is None, has trace <= 0, or maps to q_mu <= 0 on an observed
-    outcome.  A start is polished before any gradient step: one attempt on
-    its face, at the rank QuantumState.rank counts (eigenvalues above
-    DEFAULT.rank_cut), and if that attempt does not end the solve the
-    iteration runs from the same start.  Where the maximiser is not unique
+    outcome.  A start is polished before any gradient step: one attempt
+    from its factor, the eigenpairs of one eigh of the normalised start
+    whose eigenvalues exceed DEFAULT.rank_cut (the rank QuantumState.rank
+    counts), and if that attempt does not end the solve the iteration runs
+    from the same start.  Where the maximiser is not unique
     (below completeness) the estimate depends on the start.
     """
     spec = spec or EstimatorSpec()
@@ -883,8 +859,12 @@ def estimate_max_likelihood(
     u = povm._u[:, mask]  # observed |b_mu>
     x0 = _start(start, prob.d)
     tr = 0.0 if x0 is None else float(np.trace(x0).real)
-    x0 = x0 / tr if tr > 0 and prob.apply(x0)[mask].min() > 0 else None  # I/d outside ll's domain
-    r0 = 0 if x0 is None else int(np.sum(np.linalg.eigvalsh(x0) > DEFAULT.rank_cut))  # QuantumState.rank
+    x0 = x0 / tr if tr > 0 and povm.projector_values(x0)[mask].min() > 0 else None  # I/d outside ll's domain
+    v0 = None
+    if x0 is not None:  # x0's factor, cut where QuantumState.rank cuts
+        lam, vecs = np.linalg.eigh(x0)
+        keep = lam > DEFAULT.rank_cut
+        v0 = vecs[:, keep] * np.sqrt(lam[keep])
 
     def loss(q):
         if not q.min() > 0:
@@ -914,14 +894,14 @@ def estimate_max_likelihood(
             z = top.conj() @ u
             if (fm / ax[mask]) @ (z.real**2 + z.imag**2) - 1.0 > tol:
                 return None  # <top, R top> <= lambda_max(R): no certificate
-        lam, vecs = np.linalg.eigh(-prob.adjoint(dphi(ax)))
+        lam, vecs = np.linalg.eigh(-povm.adjoint_projectors(dphi(ax)))
         top = vecs[:, -1]
         if lam[-1] - 1.0 <= tol:
             return True, "duality_gap"
         return None
 
-    def polish(x, r):
-        return _polish(u, x, r, 1.0, loss, finish)
+    def polish(v):
+        return _polish(u, v, 1.0, loss, finish)
 
     def change(a, delta):  # phi(a + delta) - phi(a) from a in phi's domain; inf outside it
         a, delta = a[mask], delta[mask]
@@ -931,6 +911,6 @@ def estimate_max_likelihood(
 
     x, it, trace, conv, reason = _fista(
         povm, spec.max_iterations, lambda ax: -float(fm @ np.log(ax[mask])), dphi,
-        descend, 1.0, gap_stop, polish, change, x0, r0,
+        descend, 1.0, gap_stop, polish, change, x0, v0,
     )
     return _result("max_likelihood", prob, x, it, conv, -np.asarray(trace), reason)

@@ -36,37 +36,26 @@ import properties
 
 
 def track_polish(monkeypatch, rank=None):
-    """Wrap the face polish, optionally at a fixed rank, and record its
-    Newton systems; the returned list collects (certified, Newton steps,
-    systems) for each attempt.  systems has "solve" for each LAPACK solve
-    (_dense_newton), followed, where its exact step is refused, by the
-    products of the matrix that its CG fallback (_newton_cg) took."""
+    """Wrap the face polish, optionally at a fixed rank (the factor's top
+    rank columns), and record its Newton systems; the returned list
+    collects (certified, Newton steps, systems) for each attempt.  systems
+    has one entry per LAPACK solve (_dense_newton): "solve" where the
+    exact step is taken, "refused" where the step fell back to -g."""
     attempts, systems = [], []
-    polish, newton_cg, dense_newton = estimators._polish, estimators._newton_cg, estimators._dense_newton
-
-    def counted_cg(h, g):
-        systems.append(0)
-        at = len(systems) - 1
-
-        class Counted:  # h, counting its products
-            def __matmul__(self, p):
-                systems[at] += 1
-                return h @ p
-
-        return newton_cg(Counted(), g)
+    polish, dense_newton = estimators._polish, estimators._dense_newton
 
     def counted_dense(h, g):
-        systems.append("solve")
-        return dense_newton(h, g)
+        step = dense_newton(h, g)
+        systems.append("refused" if np.array_equal(step, -g) else "solve")
+        return step
 
-    def tracked(u, x, r, *args):
+    def tracked(u, v, *args):
         systems.clear()
-        point, steps = polish(u, x, rank or r, *args)
+        point, steps = polish(u, v[:, -rank:] if rank else v, *args)
         attempts.append((point is not None, steps, tuple(systems)))
         return point, steps
 
     monkeypatch.setattr(estimators, "_polish", tracked)
-    monkeypatch.setattr(estimators, "_newton_cg", counted_cg)
     monkeypatch.setattr(estimators, "_dense_newton", counted_dense)
     return attempts
 
@@ -348,7 +337,7 @@ class TestLeastSquaresPolish:
     def test_protocol_k3_solve_ends_on_its_first_attempt(self, monkeypatch):
         # the k=3 solve of the bundled d=11 protocol config (seed 11), drawn
         # as _run_protocol_target draws it: the first Newton step from the
-        # eigenpair start is still damped, and the attempt certifies later
+        # factor start is still damped, and the attempt certifies later
         rng = np.random.default_rng(np.random.SeedSequence(11).spawn(1)[0])
         target = random_pure_state(11, rng)
         tau = random_full_rank_state(11, rng)
@@ -449,8 +438,8 @@ class TestTraceMin:
         # oracle's trace
         attempts = []
 
-        def failing(u, x, r, *args):
-            attempts.append(r)
+        def failing(u, v, *args):
+            attempts.append(v.shape[1])
             return None, 0
 
         monkeypatch.setattr(estimators, "_polish", failing)
@@ -1042,20 +1031,21 @@ class TestFaceHessian:
             names.add(name)
         assert names == {"least_squares", "trace_min", "max_likelihood"}
 
-    def test_refused_dense_step_is_the_cg_step(self):
+    def test_refused_dense_step_is_the_gradient_step(self):
         # a singular h (a zero column: LU raises), a negative definite one
-        # and a face Hessian whose exact step ascends all get _newton_cg's
-        # step on the same h, bit for bit
+        # and a face Hessian whose exact step ascends all get -g, bit for bit
         refused = 0
         for name, h, g in self.dense_systems():
             singular = h.copy()
             singular[:, 0] = singular[0, :] = 0.0
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(singular, -g)
             cases = [singular, -(h + (1.0 - min(np.linalg.eigvalsh(h)[0], 0.0)) * np.eye(len(g)))]
             if not g @ np.linalg.solve(h, -g) < 0:
                 cases.append(h)
                 refused += 1
             for m in cases:
-                assert np.array_equal(estimators._dense_newton(m, g), estimators._newton_cg(m, g)), name
+                assert np.array_equal(estimators._dense_newton(m, g), -g), name
         assert refused
 
     @staticmethod
@@ -1074,8 +1064,7 @@ class TestFaceHessian:
         # Hessian at its Newton point: finishing at its first point it
         # solves one system, at its second two, on faces of 18 and 75
         # entries.  With the dense Hessian negated every exact step
-        # ascends, and each system shows its solve and then the CG
-        # fallback, which stops at the first (negative) curvature
+        # ascends, and each system is refused: its step is -g
         attempts = track_polish(monkeypatch)
 
         def run(d, r, n):
@@ -1086,7 +1075,7 @@ class TestFaceHessian:
                 return e, 1.0, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
 
             attempts.clear()
-            estimators._polish(u, v @ v.conj().T, r, 0.0, loss, self.finish_at(n))
+            estimators._polish(u, v, 0.0, loss, self.finish_at(n))
             return attempts[-1]
 
         for d in (6, 25):
@@ -1095,8 +1084,8 @@ class TestFaceHessian:
         hess_matrix = estimators._hess_matrix
         monkeypatch.setattr(estimators, "_hess_matrix", lambda *args: -hess_matrix(*args))
         for d in (6, 25):
-            assert run(d, 3, 1)[2] == ("solve", 1)
-            assert run(d, 3, 2)[2] == ("solve", 1, "solve", 1)
+            assert run(d, 3, 1)[2] == ("refused",)
+            assert run(d, 3, 2)[2] == ("refused", "refused")
 
     def test_every_face_forms_one_dense_hessian_per_point(self, monkeypatch):
         # an attempt that finishes at its first point forms one dense
@@ -1115,7 +1104,7 @@ class TestFaceHessian:
                 return e, 1.0, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
 
             used.clear()
-            point, steps = estimators._polish(u, v @ v.conj().T, r, 0.0, loss, self.finish_at(1))
+            point, steps = estimators._polish(u, v, 0.0, loss, self.finish_at(1))
             assert (point, steps) == ("point", 1)
             assert used == ["_hess_matrix", "_dense_newton"]
 
@@ -1134,7 +1123,7 @@ class TestNewtonPoint:
         ends, solves = [], []
         polish, dense_newton = estimators._polish, estimators._dense_newton
 
-        def spied(u, x, r, c, loss, finish):
+        def spied(u, v0, c, loss, finish):
             def watched(v, q, dv, dec, newton):
                 solve = solves[-1] if solves else None
                 point = finish(v, q, dv, dec, newton)
@@ -1142,7 +1131,7 @@ class TestNewtonPoint:
                     ends.append((u, c, loss, v, q, dv, solve))
                 return point
 
-            return polish(u, x, r, c, loss, watched)
+            return polish(u, v0, c, loss, watched)
 
         def recorded(h, g):
             step = dense_newton(h, g)
@@ -1172,7 +1161,7 @@ class TestNewtonPoint:
                 calls.append(dec)
                 return (estimators.hermitize(vn @ vn.conj().T), qn) if len(calls) == 8 else None
 
-            (x, qn), steps = estimators._polish(povm._u, v @ v.conj().T, r, 0.0, loss, finish)
+            (x, qn), steps = estimators._polish(povm._u, v, 0.0, loss, finish)
             assert steps == 8 and calls[-1] > 1e-6  # still far from the face minimum
             assert np.linalg.norm(povm.projector_values(x) - qn) <= 1e-12 * np.linalg.norm(qn)
 
@@ -1237,9 +1226,9 @@ class TestPolishAcceptance:
         # sampled records only
         attempts = []
 
-        def worse(u, x, r, *args):
-            attempts.append(r)
-            return (np.zeros_like(x), np.zeros(povm.n_bases * povm.dim), "refused"), 0
+        def worse(u, v, *args):
+            attempts.append(v.shape[1])
+            return (np.zeros((len(v), len(v)), complex), np.zeros(povm.n_bases * povm.dim), "refused"), 0
 
         for seed in range(3):
             gen = np.random.default_rng(seed)
@@ -1293,9 +1282,9 @@ class TestPolishTrigger:
 
             return fista(*args[:6], marked, *args[7:], **kwargs)
 
-        def spied_polish(u, x, r, *args):
-            events.append(("polish", r))
-            return polish(u, x, r, *args)
+        def spied_polish(u, v, *args):
+            events.append(("polish", v.shape[1]))
+            return polish(u, v, *args)
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(estimators, "psd_clip", spied_clip)
@@ -1350,6 +1339,83 @@ class TestPolishTrigger:
         assert sum(len(attempts) for _, attempts in runs) >= 4 and res.converged
 
 
+class TestPolishStart:
+    """An attempt starts from the factor F of the clip that made the
+    iterate, X = FF^dag, and decomposes nothing itself."""
+
+    def test_attempts_start_from_the_clips_factor(self, monkeypatch):
+        # sampled records at d = 4..16: the first _polish call after each
+        # stop check gets the factor of the last clip, at the clip's rank,
+        # and VV^dag is the iterate that stop saw to 1e-13.  Trace-min's
+        # later secant points start from the V of the last polished point.
+        # No eigh or eigvalsh runs inside _polish outside the program's
+        # finish, whose certificate may need one
+        clip, fista, polish = estimators.psd_clip, estimators._fista, estimators._polish
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+        state = {"x": None, "rank": None, "fresh": False, "last": None, "inside": False}
+        checked, decompositions = [0, 0], []
+
+        def spied_clip(*args, **kwargs):
+            out = clip(*args, **kwargs)
+            if isinstance(out, tuple):
+                state["rank"] = out[1].shape[1]
+            return out
+
+        def spied_fista(*args, **kwargs):
+            stop = args[6]
+
+            def watched(it, x, *rest):
+                state["x"], state["fresh"] = x, True
+                return stop(it, x, *rest)
+
+            return fista(*args[:6], watched, *args[7:], **kwargs)
+
+        def spied_polish(u, v, c, loss, finish):
+            if state["fresh"]:
+                x = state["x"]
+                assert v.shape[1] == state["rank"]
+                assert np.linalg.norm(v @ v.conj().T - x) <= 1e-13 * max(1.0, np.linalg.norm(x))
+                checked[0] += 1
+            else:  # a later point of trace-min's mu search
+                assert v is state["last"]
+                checked[1] += 1
+            state["fresh"] = False
+
+            def watched(vn, *rest):
+                state["inside"] = False
+                point = finish(vn, *rest)
+                state["inside"] = True
+                if point is not None:
+                    state["last"] = vn
+                return point
+
+            state["inside"] = True
+            try:
+                return polish(u, v, c, loss, watched)
+            finally:
+                state["inside"] = False
+
+        def counted(fn):
+            def wrapped(*args, **kwargs):
+                if state["inside"]:
+                    decompositions.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(estimators, "psd_clip", spied_clip)
+        monkeypatch.setattr(estimators, "_fista", spied_fista)
+        monkeypatch.setattr(estimators, "_polish", spied_polish)
+        monkeypatch.setattr(np.linalg, "eigh", counted(eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted(eigvalsh))
+        for d, k, seed in ((4, 3, 0), (6, 4, 1), (8, 3, 2), (11, 4, 3), (16, 5, 4)):
+            gen = np.random.default_rng(seed)
+            povm = povm_from_bases(global_random_bases(d, k, gen))
+            rec = sample_record(povm, random_pure_state(d, gen), 100 * d, gen)
+            for solve in (estimate_least_squares, estimate_trace_min, estimate_max_likelihood):
+                assert solve(povm, rec).converged
+        assert checked[0] >= 15 and checked[1] and not decompositions
+
+
 class TestFaceBound:
     """_fista polishes no face of more than _FACE_SIZE entries: above the
     bound a solve takes gradient steps alone, to its own certificate."""
@@ -1364,9 +1430,9 @@ class TestFaceBound:
         # within the gap that both certify
         polish, faces = estimators._polish, []
 
-        def spied(u, x, r, *args):
-            faces.append(len(x) * r)
-            return polish(u, x, r, *args)
+        def spied(u, v, *args):
+            faces.append(v.size)
+            return polish(u, v, *args)
 
         monkeypatch.setattr(estimators, "_polish", spied)
         above = {}
@@ -1516,20 +1582,20 @@ class TestStartPoint:
         # a full-rank optimum (as in TestMaxLikelihood's too-small-rank
         # case) with every polish held at rank 1: after the first
         # certificate check at the start, the start's attempt, given the
-        # start's own rank, comes before any step and fails; the gradient
-        # loop then runs from that same start, and the solve certifies on
-        # its own
+        # start's factor at the start's own rank, comes before any step and
+        # fails; the gradient loop then runs from that same start, and the
+        # solve certifies on its own
         gen = np.random.default_rng(1)
         povm = povm_from_bases(global_random_bases(3, 5, gen))
         rec = sample_record(povm, random_full_rank_state(3, gen), 2000, gen)
         start = estimate_least_squares(povm, rec).X_hat
         x0 = start / np.trace(start).real
-        seen = []  # ("polish", x, rank) and ("stop", it, x), in call order
+        seen = []  # ("polish", factor, rank) and ("stop", it, x), in call order
         polish, fista = estimators._polish, estimators._fista
 
-        def spied_polish(u, x, r, *args):
-            seen.append(("polish", x, r))
-            return polish(u, x, 1, *args)
+        def spied_polish(u, v, *args):
+            seen.append(("polish", v, v.shape[1]))
+            return polish(u, v[:, -1:], *args)
 
         def spied_fista(*args):
             stop = args[6]
@@ -1543,9 +1609,10 @@ class TestStartPoint:
         monkeypatch.setattr(estimators, "_polish", spied_polish)
         monkeypatch.setattr(estimators, "_fista", spied_fista)
         res = estimate_max_likelihood(povm, rec, start=start)
-        (first, it, x), (second, y, r), (third, step, z) = seen[:3]
+        (first, it, x), (second, v, r), (third, step, z) = seen[:3]
         assert (first, it) == ("stop", 0) and np.allclose(x, x0, rtol=0, atol=1e-15)
-        assert (second, r) == ("polish", QuantumState(x0).rank()) and y is x
+        assert (second, r) == ("polish", QuantumState(x0).rank())
+        assert np.linalg.norm(v @ v.conj().T - x) <= 1e-13
         assert (third, step) == ("stop", 1) and res.iterations > 1  # gradient steps ran
         assert res.converged and res.stop_reason == "duality_gap"
         assert TestMaxLikelihood.loglik_and_gap(povm, rec, res.X_hat)[1] <= EstimatorSpec().tol("max_likelihood")

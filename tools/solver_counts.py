@@ -7,11 +7,14 @@ certified or failed), trace-min's mu searches (the _secant calls whose
 points are polishes, and those that gave up), the Newton steps of the
 attempts, the Newton systems they formed (dense Hessians, also by real
 dimension n = 2dr of a rank-r face) and solved, and the stop reasons.
-Gradient steps are a solve's iterations less its Newton steps.  A system
-whose exact step is refused and solved again by CG counts once.  Nothing
-in the package changes: the counters wrap the estimator names that
-strictqst.experiments imports and the solver helpers of
-strictqst.estimators, as perfbench/spans.py wraps its boundaries.
+Gradient steps are a solve's iterations less its Newton steps.  A refused
+step is a system whose exact step is not taken (singular, or not a
+descent direction), so that the step is -g.  Trace-min's slope solves,
+made after an attempt on the system of its last step, are counted apart
+from the attempts' Newton solves.  Nothing in the package changes: the
+counters wrap the estimator names that strictqst.experiments imports and
+the solver helpers of strictqst.estimators, as perfbench/spans.py wraps
+its boundaries.
 
     python tools/solver_counts.py [dim [n_targets [seed]]]   (default 11 1 11)
 """
@@ -22,13 +25,16 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from strictqst import estimators, experiments  # noqa: E402
 
 PROGRAMS = ("least_squares", "trace_min", "max_likelihood")
 ROWS = ("solves", "gradient steps", "polish attempts", "  certified", "  failed", "mu searches",
-        "  gave up", "Newton steps", "dense Hessians", "Newton solves")
+        "  gave up", "Newton steps", "dense Hessians", "Newton solves", "  refused steps",
+        "slope solves", "  refused slopes")
 
 
 def count(dim: int, n_targets: int, seed: int) -> dict[str, Counter]:
@@ -37,6 +43,7 @@ def count(dim: int, n_targets: int, seed: int) -> dict[str, Counter]:
     counts = {name: Counter() for name in PROGRAMS}
     current = [None]  # the program whose solve is running
     searches = []  # per open _secant call, the _polish calls made directly in it
+    polishing = [False]  # whether a _polish call is running
 
     def solver(name, solve):
         def counted(*args, **kwargs):
@@ -65,14 +72,19 @@ def count(dim: int, n_targets: int, seed: int) -> dict[str, Counter]:
     def counted_polish(*args):
         if searches:
             searches[-1] += 1
+        polishing[0] = True
         point, steps = polish(*args)
+        polishing[0] = False
         current[0].update({"polish attempts": 1, "  certified" if point else "  failed": 1,
                            "Newton steps": steps})
         return point, steps
 
     def counted_dense(h, g):
-        current[0]["Newton solves"] += 1
-        return dense_newton(h, g)
+        step = dense_newton(h, g)
+        solve, refused = ("Newton solves", "  refused steps") if polishing[0] else (
+            "slope solves", "  refused slopes")
+        current[0].update({solve: 1, refused: np.array_equal(step, -g)})
+        return step
 
     wraps = [(experiments, f"estimate_{name}", solver(name, getattr(experiments, f"estimate_{name}")))
              for name in PROGRAMS]
