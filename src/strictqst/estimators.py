@@ -356,8 +356,8 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None, shift=0.0, po
     noiseless solves of the test suite (4,315 iterations), so those end on
     the gate as before; longer tails exist (README, "Numerical notes").
 
-    _fista also runs the face polish (_polish) on G(V) = 0.5 ||q - f||^2:
-    c = 0, a = q - f, b = 1.  The gate is FISTA's in Newton terms, half the
+    _fista also runs the face polish (_polish) on G(V) = 0.5 ||q - f||^2,
+    _square_loss(f).  The gate is FISTA's in Newton terms, half the
     decrement <= tol G or a Newton step that moves X by <= tol max(1, ||X||)
     (100x finer: it is the whole estimated distance to the face minimum);
     then the certificate must hold at the Newton point X = VV^dag, V the
@@ -387,10 +387,6 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None, shift=0.0, po
         pg = lip * _fro(x - psd_clip(x - prob.povm.adjoint_projectors(dphi(ax)) / lip))
         return pg <= 10 * tol * lip * max(1.0, _fro(x))
 
-    def loss(q):
-        e = q - f
-        return e, 1.0, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
-
     def finish(v, q, dv, dec, newton):
         x = hermitize(v @ v.conj().T)
         e = q - f
@@ -419,7 +415,7 @@ def _least_squares(prob: _Problem, spec: EstimatorSpec, stop=None, shift=0.0, po
         return None
 
     def face_polish(v):
-        return _polish(prob.povm._u, v, 0.0, loss, finish)
+        return _polish(prob.povm._u, v, _square_loss(f), finish)
 
     return _fista(prob.povm, spec.max_iterations, phi, dphi, descend, lip0, stop or pg_stop,
                   polish or (None if stop or prob.noiseless else face_polish), x0=x0)
@@ -565,15 +561,16 @@ def estimate_trace_min(
     optimum is not unique the estimate depends on the start.
 
     Within each run _fista's rank trigger runs the face polish (_polish) on
-    the penalised form at mu = 1/(ks): c = 1, a = mu (q - f), b = mu, with
-    the gate a Newton decrement <= 1e-3 tol max(1, tr X).  The same
-    _secant, each point a polish started from the iterate's factor or
-    from the last polished point's V, moves mu until |g| <= 1e-10, but by
-    Newton steps in t = -log(k mu): each polished point carries the exact
-    slope dg/dt = -mu <q - f, dq/dmu> / ||q - f||^2, with dq/dmu the image
-    of dV/dmu = -H^-1 U((q - f) W), one more solve with the face Hessian H
-    of the attempt's last step (_dense_newton's rule, so -U((q - f) W)
-    where that system is refused).
+    the penalised form at mu = 1/(ks), which is mu times least squares'
+    loss on f - s 1: _square_loss(f - s), with the gate mu times its
+    Newton decrement <= 1e-3 tol max(1, tr X).  The same _secant, each
+    point a polish started from the iterate's factor or from the last
+    polished point's V, moves mu until |g| <= 1e-10, but by Newton steps
+    in t = log s = -log(k mu): each polished point carries the exact slope
+    dg/dt = -mu <q - f, dq/dmu> / ||q - f||^2, with mu dq/dmu the image of
+    mu dV/dmu = -H^-1 U((q - f) W), one more solve with the least-squares
+    face Hessian H of the attempt's last step (_dense_newton's rule, so
+    -U((q - f) W) where that system is refused).
     There the scaled dual u' = u / (1 + max(0, -lambda_min(I + A^dag u))),
     u = mu (A[X] - f), is dual-feasible, and X ends the solve as
     "duality_gap" when tr X + <u', f> + eps ||u'|| <= tol max(1, tr X).
@@ -625,20 +622,16 @@ def estimate_trace_min(
             tr = float(np.trace(x).real)
             return 0.0 if tr + float(u @ f) + eps * float(np.linalg.norm(u)) <= tol * max(1.0, tr) else None
 
-        def loss(q):  # the data part of tr X + (mu/2) ||q - f||^2
-            e = q - f
-            return mu * e, mu, lambda dq: mu * float(e @ dq + 0.5 * (dq @ dq))
-
         def finish(v, q, dv, dec, newton):
-            if dec > 1e-3 * tol * max(1.0, np.vdot(v, v).real):
+            if mu * dec > 1e-3 * tol * max(1.0, np.vdot(v, v).real):
                 return None
             return hermitize(v @ v.conj().T), q, "duality_gap", v, lambda: slope(v, q, newton)
 
-        def slope(v, q, newton):  # dg/dt at the face minimum: dV/dmu = -H^-1 U((q - f) W), dmu/dt = -mu
+        def slope(v, q, newton):  # dg/dt at the face minimum: mu dV/dmu = -H^-1 U((q - f) W), dmu/dt = -mu
             e = q - f
             w = uh @ v
             z = uh @ newton(u @ (e[:, None] * w))
-            return -2.0 * mu * float(e @ (w.real * z.real + w.imag * z.imag).sum(axis=1)) / float(e @ e)
+            return -2.0 * float(e @ (w.real * z.real + w.imag * z.imag).sum(axis=1)) / float(e @ e)
 
         def polish(v):
             steps, point = 0, (None, None, None, v)  # a point's V starts the next one
@@ -646,7 +639,7 @@ def estimate_trace_min(
             def g_at(t):
                 nonlocal mu, steps, point
                 mu = math.exp(-t) / k
-                point, n = _polish(u, point[3], 1.0, loss, finish)
+                point, n = _polish(u, point[3], _square_loss(f - math.exp(t)), finish)
                 steps += n
                 g = None if point is None else measure(*point[:2])
                 return None if g is None else (g, point[4]() if g else None)
@@ -678,6 +671,17 @@ def estimate_trace_min(
     return _result("trace_min", prob, x, iterations, conv, trace, reason)
 
 
+def _square_loss(f):
+    """_polish's loss for 0.5 ||q - f||^2: (q - f, 1, change), change(dq)
+    being its change along dq in difference form."""
+
+    def loss(q):
+        e = q - f
+        return e, 1.0, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
+
+    return loss
+
+
 def _dense_newton(h, g):
     """The exact Newton step d = -h^-1 g on a dense real h, one LAPACK
     solve: the step of every face system of _polish.  Face Hessians are
@@ -692,15 +696,15 @@ def _dense_newton(h, g):
     return d if g @ d < 0 else -g
 
 
-def _hess_matrix(ut, w, c, a, b):
+def _hess_matrix(ut, w, a, b):
     """Half the Hessian of _polish's G at V, W = U^dag V, as a dense real
     symmetric matrix on the real view of Delta in C^{d x r} taken column
     by column, Delta.T.view(float).ravel(), from ut = U^T (C-contiguous,
     one row per outcome).  2 B^T diag(b) B, row mu of B that view of
     u_mu w_mu^T, is formed as S^T S, S = B scaled by sqrt(2 b): one
     symmetric Gram product, which needs b >= 0 (a scalar or one entry per
-    outcome).  The real form of M = c I + U diag(a) U^dag is then added in
-    place to each of the r diagonal blocks, one per column."""
+    outcome).  The real form of M = U diag(a) U^dag is then added in place
+    to each of the r diagonal blocks, one per column."""
     d, r = ut.shape[1], w.shape[1]
     ws = w * np.sqrt(2.0 * b)[..., None]
     s = (ws[:, :, None] * ut[:, None, :]).view(float).reshape(len(w), -1)
@@ -711,35 +715,33 @@ def _hess_matrix(ut, w, c, a, b):
     block[:, 0, :, 1] = -m.imag
     block[:, 1, :, 0] = m.imag
     block = block.reshape(2 * d, 2 * d)
-    block.flat[:: 2 * d + 1] += c
     blocks = h.reshape(r, 2 * d, r, 2 * d)
     for j in range(r):
         blocks[j, :, j] += block
     return h
 
 
-def _polish(u, v, c, loss, finish):
+def _polish(u, v, loss, finish):
     """Damped Newton on the face X = VV^dag of rank r, from V = v (d x r).
 
-    Minimises a loss G(V) of q = A[VV^dag] = |U^dag V|^2 summed over
-    columns (U: one basis vector per outcome) plus c tr VV^dag, over V in
-    C^{d x r}.  loss(q) returns (a, b, change), or None outside G's domain;
-    b >= 0, a scalar or one entry per outcome (least squares b = 1,
-    trace-min b = mu > 0, maximum likelihood b = f/q^2), as the dense
-    Hessian's Gram product takes its square root (_hess_matrix).
-    With W = U^dag V, half the gradient is c V + U(a W), and half the
-    Hessian on Delta is c Delta + U(a Z + b dq W), Z = U^dag Delta and
-    dq = 2 Re sum_j conj(W) Z, the change of q along Delta.  W is carried
-    between steps: a step V + t dV takes W + t Z, Z = U^dag dV being formed
-    for the Newton point anyway.  The step is the exact Newton step on the
+    Minimises a loss G(V) of the image alone, q = A[VV^dag] = |U^dag V|^2
+    summed over columns (U: one basis vector per outcome of k bases), over
+    V in C^{d x r}.  loss(q) returns (a, b, change), a = dG/dq, b =
+    d^2G/dq^2 >= 0 (a scalar or one entry per outcome: _hess_matrix takes
+    its square root) and change(dq) = G(q + dq) - G(q) in difference form
+    (inf outside G's domain), or None outside it.  The k bases sum to k I,
+    so a trace term, tr VV^dag = sum q / k, adds 1/k to a and sum dq / k
+    to change.  With W = U^dag V, half the gradient is U(a W), and half
+    the Hessian on Delta is U(a Z + b dq W), Z = U^dag Delta and dq = 2 Re
+    sum_j conj(W) Z, the change of q along Delta.  W is carried between
+    steps: a step V + t dV takes W + t Z, Z = U^dag dV being formed for
+    the Newton point anyway.  The step is the exact Newton step on the
     dense real Hessian (_hess_matrix), one LAPACK solve, or minus half the
     gradient where that step is refused (_dense_newton).  That matrix has
     (2 V.size)^2 entries, so _fista polishes no face of more than
-    _FACE_SIZE entries.
-    The step length halves until G falls by an Armijo fraction, its data
-    part taken as change(dq) in difference form (inf outside the domain).
-    Whatever the step, each program's finish tests its own certificate at
-    the point it returns.
+    _FACE_SIZE entries.  The step length halves until change(dq) shows an
+    Armijo fall of G.  Whatever the step, each program's finish tests its
+    own certificate at the point it returns.
 
     At every point V, the first included, with dV its Newton step and
     dec = -<grad G, dV> the Newton decrement, the attempt ends on
@@ -750,7 +752,8 @@ def _polish(u, v, c, loss, finish):
     newton(rhs) solves the system that gave dV for another right-hand side
     by the same rule, -H^-1 rhs or -rhs.  Returns (point, steps), steps
     counting the step to the Newton point, or (None, steps) when there is
-    none within _NEWTON_STEPS steps or the line search finds no descent.
+    none within _NEWTON_STEPS steps, the line search finds no descent or
+    loss finds a point outside its domain.
     """
     ut = np.ascontiguousarray(u.T)
     uh = ut.conj()
@@ -762,8 +765,8 @@ def _polish(u, v, c, loss, finish):
         if model is None:
             break
         a, b, change = model
-        g = c * v + u @ (a[:, None] * w)  # half the gradient
-        h = _hess_matrix(ut, w, c, a, b)
+        g = u @ (a[:, None] * w)  # half the gradient
+        h = _hess_matrix(ut, w, a, b)
 
         def newton(rhs, h=h):  # h on Delta's columns in turn
             return _dense_newton(h, rhs.T.copy().view(float).ravel()).view(complex).reshape(rhs.shape[::-1]).T
@@ -778,10 +781,9 @@ def _polish(u, v, c, loss, finish):
             break
         wz = 2.0 * (w.real * z.real + w.imag * z.imag).sum(axis=1)
         zz = (z.real**2 + z.imag**2).sum(axis=1)
-        vd, dd = 2.0 * np.vdot(v, dv).real, np.vdot(dv, dv).real
         t = 1.0
         while t > 1e-10:
-            if c * (t * (vd + t * dd)) + change(t * (wz + t * zz)) <= -1e-4 * t * dec:
+            if change(t * (wz + t * zz)) <= -1e-4 * t * dec:
                 break
             t *= 0.5
         else:
@@ -820,13 +822,14 @@ def estimate_max_likelihood(
 
     The iterates find the optimum's face long before the certificate, so
     _fista runs the face polish (_polish) on G(V) = -sum f log q(VV^dag) +
-    tr VV^dag over the observed outcomes: c = 1, a = -f/q, b = f/q^2.  For
-    unit-sum f the minimiser of G over the PSD cone has trace 1 and is the
-    MLE.  Its gate is the Newton decrement <= 1e-3 tol, so G is within
-    about 1e-3 tol of its face minimum, then the certificate must hold at
-    rho = VV^dag / tr, V the Newton-updated factor (_polish); rho ends the
-    solve, still as "duality_gap", when its
-    ll is no lower than the iterate's (one more entry in objective_trace).
+    tr VV^dag over every outcome, from the gradient core's pieces: a =
+    dphi(q) + 1/k, b = dphi(q)^2 / f (0 where f = 0) and change(q, dq) +
+    sum dq / k.  For unit-sum f the minimiser of G over the PSD cone has
+    trace 1 and is the MLE.  Its gate is the Newton decrement <= 1e-3 tol,
+    then the stop's certificate, gap (one eigh of R), must hold at rho =
+    VV^dag / tr, V the Newton-updated factor (_polish); rho and its image
+    q / tr end the solve, still as "duality_gap", when its ll is no lower
+    than the iterate's (one more entry in objective_trace).
     iterations counts gradient steps plus Newton steps.
 
     The iteration starts from start / tr start (start checked by _start),
@@ -856,7 +859,7 @@ def estimate_max_likelihood(
         w[mask] = -fm / a
         return w
 
-    u = povm._u[:, mask]  # observed |b_mu>
+    u, k = povm._u, povm.n_bases
     x0 = _start(start, prob.d)
     tr = 0.0 if x0 is None else float(np.trace(x0).real)
     x0 = x0 / tr if tr > 0 and povm.projector_values(x0)[mask].min() > 0 else None  # I/d outside ll's domain
@@ -866,25 +869,26 @@ def estimate_max_likelihood(
         keep = lam > DEFAULT.rank_cut
         v0 = vecs[:, keep] * np.sqrt(lam[keep])
 
-    def loss(q):
-        if not q.min() > 0:
+    def loss(q):  # -ll + tr VV^dag, the trace as 1/k on every outcome
+        s = dphi(q)
+        if s is None:
             return None
-        s = fm / q
-        return -s, s / q, lambda dq: (
-            -float(fm @ np.log1p(dq / q)) if np.all(dq > -q) else np.inf)
+        b = np.zeros_like(ft)
+        b[mask] = s[mask] ** 2 / fm
+        return s + 1.0 / k, b, lambda dq: change(q, dq) + dq.sum() / k
 
     def finish(v, q, dv, dec, newton):
-        if dec > 1e-3 * tol or not q.min() > 0:
-            return None
         t = np.vdot(v, v).real
-        if t * np.linalg.eigvalsh((u * (fm / q)) @ u.conj().T)[-1] - 1.0 <= tol:
-            aq = np.zeros_like(ft)  # the image on every outcome, 0 where unobserved
-            aq[mask] = q / t
-            return hermitize(v @ v.conj().T) / t, aq, "duality_gap"
-        return None
+        if dec > 1e-3 * tol or dphi(q) is None or gap(q / t)[0] > tol:
+            return None
+        return hermitize(v @ v.conj().T) / t, q / t, "duality_gap"
 
     def descend(p, g, lip):
         return psd_clip(p - g / lip, 1.0, np.inf, True)
+
+    def gap(ax):  # (lambda_max(R) - 1, R's top eigenvector), R = -A^dag(dphi(ax)), one eigh
+        lam, vecs = np.linalg.eigh(-povm.adjoint_projectors(dphi(ax)))
+        return lam[-1] - 1.0, vecs[:, -1]
 
     top = None  # top eigenvector of the last R formed
 
@@ -892,16 +896,13 @@ def estimate_max_likelihood(
         nonlocal top
         if top is not None:
             z = top.conj() @ u
-            if (fm / ax[mask]) @ (z.real**2 + z.imag**2) - 1.0 > tol:
+            if -dphi(ax) @ (z.real**2 + z.imag**2) - 1.0 > tol:
                 return None  # <top, R top> <= lambda_max(R): no certificate
-        lam, vecs = np.linalg.eigh(-povm.adjoint_projectors(dphi(ax)))
-        top = vecs[:, -1]
-        if lam[-1] - 1.0 <= tol:
-            return True, "duality_gap"
-        return None
+        lam, top = gap(ax)
+        return (True, "duality_gap") if lam <= tol else None
 
     def polish(v):
-        return _polish(u, v, 1.0, loss, finish)
+        return _polish(u, v, loss, finish)
 
     def change(a, delta):  # phi(a + delta) - phi(a) from a in phi's domain; inf outside it
         a, delta = a[mask], delta[mask]

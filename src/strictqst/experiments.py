@@ -458,10 +458,8 @@ def _synthetic_record(povm: PovmMap, exact: MeasurementRecord, eps: float, rng: 
 
     Centering each per-basis block keeps block sums at 1, like physical
     shot noise; entries may dip slightly negative, which the synthetic
-    record kind permits.
+    record kind permits.  eps > 0: the eps = 0 control runs on exact.
     """
-    if eps == 0.0:
-        return exact
     k, d = povm.n_bases, povm.dim
     e = rng.standard_normal((k, d))
     e -= e.mean(axis=1, keepdims=True)

@@ -148,6 +148,14 @@ class TestSimulate:
         assert run(["simulate", "--bases", tmp_path / "nope.json", "--random-rank", 1,
                     "--noiseless", "--out", tmp_path / "r.json"]) == 3
 
+    def test_state_of_another_dimension_than_its_matrix_exits_4(self, tmp_path):
+        bases, state, out = tmp_path / "b.json", tmp_path / "s.json", tmp_path / "r.json"
+        run(["gen-bases", "--dim", 3, "--n-bases", 1, "--seed", 1, "--out", bases])
+        doc = ser.state_to_json(QuantumState(np.eye(3, dtype=complex) / 3))
+        ser.dump_json({**doc, "dim": 4}, state)
+        assert run(["simulate", "--bases", bases, "--state", state, "--noiseless", "--out", out]) == 4
+        assert not out.exists()
+
     def test_same_seed_byte_identical(self, tmp_path):
         bases = tmp_path / "b.json"
         run(["gen-bases", "--dim", 3, "--n-bases", 2, "--seed", 5, "--out", bases])
@@ -345,6 +353,15 @@ class TestExperimentCommands:
         for name, digest in manifest["outputs"].items():
             assert ser.sha256_file(out / name) == digest
 
+    def test_config_neither_on_disk_nor_bundled_exits_3(self, tmp_path):
+        assert run(["sweep", "--config", tmp_path / "nope.json", "--out-dir", tmp_path / "o"]) == 3
+        assert run(["sweep", "--config", "onset_nope.json", "--out-dir", tmp_path / "o"]) == 3
+
+    def test_config_that_is_not_a_json_object_exits_2(self, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps([{"experiment": "sweep", "dims": [4], "seed": 0}]))
+        assert run(["sweep", "--config", cfg, "--out-dir", tmp_path / "o"]) == 2
+
     def test_empty_dims_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"experiment": "sweep", "dims": [], "seed": 0}))
@@ -509,6 +526,15 @@ class TestPlots:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             line_plot({}, "x", "y")
+
+    def test_degenerate_ranges_still_plot(self):
+        # one point spans no range on either axis, and its x tick, round(0.4)
+        # = 0, lies outside it; a linear x axis labels a tick at 0 as "0"
+        one = line_plot({"a": [(0.4, 0.5)]}, "x", "y")
+        zero = line_plot({"a": [(0, 1e-1), (2, 1e-3)]}, "x", "y")
+        for svg in (one, zero):
+            assert svg.startswith("<svg") and svg.endswith("</svg>") and "nan" not in svg
+        assert ">0</text>" not in one and ">0</text>" in zero
 
 
 class TestSerializationRoundTrips:

@@ -460,6 +460,61 @@ class TestTraceMin:
             assert abs(tr - np.trace(oracle).real) <= tol * max(1.0, tr)
         assert attempts
 
+    def test_shift_search_ends_on_the_step_budget(self, monkeypatch):
+        # every polish takes its Newton steps and then fails, so a run's
+        # iterations exceed its gradient steps.  With the budget one below
+        # the first run's iterations, that run still certifies its point,
+        # and the next shift point finds the budget spent: the solve ends on
+        # max_iterations after one run, inside the ball, with its gradient
+        # steps within the budget
+        newton, runs = [], []  # Newton steps per polish; (iterations, Newton steps) per run
+        polish, least_squares = estimators._polish, estimators._least_squares
+
+        def failing(u, v, *args):
+            _, steps = polish(u, v, *args)
+            newton.append(steps)
+            return None, steps
+
+        def counted(*args, **kwargs):
+            start = len(newton)
+            out = least_squares(*args, **kwargs)
+            runs.append((out[1], sum(newton[start:])))
+            return out
+
+        monkeypatch.setattr(estimators, "_polish", failing)
+        monkeypatch.setattr(estimators, "_least_squares", counted)
+        for seed in (0, 2):
+            gen = np.random.default_rng(seed)
+            d, k = int(gen.integers(2, 7)), int(gen.integers(1, 5))
+            state = random_pure_state(d, gen)
+            povm = povm_from_bases(global_random_bases(d, k, gen))
+            rec = sample_record(povm, state, 300, gen)
+            runs.clear()
+            assert estimate_trace_min(povm, rec).converged and len(runs) > 1
+            total, steps = runs[0]
+            assert steps >= 2
+            runs.clear()
+            res = estimate_trace_min(povm, rec, EstimatorSpec(max_iterations=total - 1))
+            assert (res.stop_reason, res.converged) == ("max_iterations", False)
+            assert runs == [(total, steps)] and res.iterations == total
+            assert res.iterations - steps <= total - 1  # its gradient steps
+            assert res.residual <= rec.noise_bound
+
+    def test_secant_gives_up_after_its_point_budget(self):
+        # Newton on g = c t^3 cuts |g| 3.4-fold a point, never stalling: from
+        # g = 1 it reaches 1e-10 in 20 points, from g = 1e10 not within
+        # _NEWTON_STEPS
+        for scale, found in ((1.0, True), (1e10, False)):
+            points = []
+
+            def g_at(t, scale=scale):
+                points.append(t)
+                return scale * t**3, 3.0 * scale * t**2
+
+            t = estimators._secant(g_at, 1.0)
+            assert (t is not None) == found
+            assert len(points) == (20 if found else estimators._NEWTON_STEPS)
+
     def test_mu_search_takes_newton_steps(self, monkeypatch):
         # the seed-11 d=11 protocol target: every trace-min solve ends on
         # the duality gap, and from k = 6 on each mu search (a _secant
@@ -568,6 +623,13 @@ class TestMaxLikelihood:
         res = estimate_max_likelihood(povm, rec)
         assert res.converged and res.iterations <= 2
         assert np.allclose(res.rho_hat.rho, np.eye(d) / d, atol=1e-9)
+
+    def test_rejects_a_negative_record_entry(self):
+        # a synthetic record may dip below 0; its likelihood is undefined
+        povm = povm_from_bases(BasisSet(dim=2, bases=(np.eye(2, dtype=complex),)))
+        rec = MeasurementRecord(dim=2, n_bases=1, values=np.array([1.1, -0.1]), kind="synthetic")
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimate_max_likelihood(povm, rec)
 
     def test_noiseless_strictly_complete(self):
         # the stop certifies a log-likelihood gap below 1e-7, not a distance
@@ -977,14 +1039,16 @@ class TestFaceHessian:
 
     @staticmethod
     def models(q, f):
-        # (c, a, b) of least squares, trace-min at mu = 5 and maximum
-        # likelihood: b is a scalar for the first two, and maximum
-        # likelihood's is 0 on unobserved outcomes
-        mu = 5.0
+        # (a, b) of least squares, trace-min at mu = 5 (least squares on
+        # f - s 1, s = 1/(k mu)) and maximum likelihood, for k = 3 bases: a
+        # trace term is 1/k in a, as sum_mu |u_mu><u_mu| = k I.  b is a
+        # scalar for the first two, and maximum likelihood's is 0 on
+        # unobserved outcomes
+        k, mu = 3, 5.0
         return {
-            "least_squares": (0.0, q - f, 1.0),
-            "trace_min": (1.0, mu * (q - f), mu),
-            "max_likelihood": (1.0, -f / q, f / q**2),
+            "least_squares": (q - f, 1.0),
+            "trace_min": (q - f + 1.0 / (k * mu), 1.0),
+            "max_likelihood": (-f / q + 1.0 / k, f / q**2),
         }
 
     def cases(self):
@@ -994,15 +1058,17 @@ class TestFaceHessian:
         faces += [(11, r, 20) for r in range(1, 12)]
         for d, r, shots in faces:
             u, v, w, q, f = self.face(d, r, seed=10 * d + r, shots=shots)
-            for name, (c, a, b) in self.models(q, f).items():
-                yield name, np.ascontiguousarray(u.T), v, w, c, a, b
+            for name, (a, b) in self.models(q, f).items():
+                yield name, np.ascontiguousarray(u.T), v, w, a, b
 
     def test_dense_matrix_equals_matrix_free_product(self):
         # column i of h is the oracle's product on the i-th real unit
-        # direction of the face
+        # direction of the face, with one more trace term tr VV^dag: the
+        # oracle's c I at c = 1, and 1/k more in a for _hess_matrix
         unobserved = 0
-        for name, ut, v, w, c, a, b in self.cases():
-            h = estimators._hess_matrix(ut, w, c, a, b)
+        for name, ut, v, w, a, b in self.cases():
+            c, k = 1.0, len(w) // len(v)
+            h = estimators._hess_matrix(ut, w, a + c / k, b)
             product = face_hessian_product(ut.T, w, c, a, b)
             n, r = 2 * v.size, v.shape[1]
             cols = np.eye(n)
@@ -1015,9 +1081,9 @@ class TestFaceHessian:
 
     def dense_systems(self):
         # (name, h, g) on the real views of every face
-        for name, ut, v, w, c, a, b in self.cases():
-            g = c * v + ut.T @ (a[:, None] * w)
-            yield name, estimators._hess_matrix(ut, w, c, a, b), columns(g)
+        for name, ut, v, w, a, b in self.cases():
+            g = ut.T @ (a[:, None] * w)
+            yield name, estimators._hess_matrix(ut, w, a, b), columns(g)
 
     def test_dense_step_solves_the_newton_system(self):
         # random faces are mostly indefinite, so each h is shifted to a
@@ -1075,7 +1141,7 @@ class TestFaceHessian:
                 return e, 1.0, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
 
             attempts.clear()
-            estimators._polish(u, v, 0.0, loss, self.finish_at(n))
+            estimators._polish(u, v, loss, self.finish_at(n))
             return attempts[-1]
 
         for d in (6, 25):
@@ -1104,9 +1170,24 @@ class TestFaceHessian:
                 return e, 1.0, lambda dq: float(e @ dq + 0.5 * (dq @ dq))
 
             used.clear()
-            point, steps = estimators._polish(u, v, 0.0, loss, self.finish_at(1))
+            point, steps = estimators._polish(u, v, loss, self.finish_at(1))
             assert (point, steps) == ("point", 1)
             assert used == ["_hess_matrix", "_dense_newton"]
+
+
+    def test_attempt_fails_where_the_loss_leaves_its_domain(self):
+        # a loss that marks its second point outside its domain ends the
+        # attempt there, without a point, after the one step that reached it
+        u, v, w, q, f = self.face(6, 2, seed=8)
+        square, models = estimators._square_loss(f), []
+
+        def loss(q):
+            models.append(q)
+            return square(q) if len(models) == 1 else None
+
+        finish = self.finish_at(2)
+        assert estimators._polish(u, v, loss, finish) == (None, 1)
+        assert len(models) == 2
 
 
 class TestNewtonPoint:
@@ -1116,22 +1197,22 @@ class TestNewtonPoint:
 
     @staticmethod
     def spy_finish(monkeypatch):
-        """Wrap _polish and _dense_newton; the returned list gets (u, c,
-        loss, V + dV, its image, dV, solve) for every point that a finish
+        """Wrap _polish and _dense_newton; the returned list gets (u, loss,
+        V + dV, its image, dV, solve) for every point that a finish
         takes, solve being (h, g, step) of the last dense solve before the
         finish, the one that gave dV on a dense face."""
         ends, solves = [], []
         polish, dense_newton = estimators._polish, estimators._dense_newton
 
-        def spied(u, v0, c, loss, finish):
+        def spied(u, v0, loss, finish):
             def watched(v, q, dv, dec, newton):
                 solve = solves[-1] if solves else None
                 point = finish(v, q, dv, dec, newton)
                 if point is not None:
-                    ends.append((u, c, loss, v, q, dv, solve))
+                    ends.append((u, loss, v, q, dv, solve))
                 return point
 
-            return polish(u, v0, c, loss, watched)
+            return polish(u, v0, loss, watched)
 
         def recorded(h, g):
             step = dense_newton(h, g)
@@ -1161,7 +1242,7 @@ class TestNewtonPoint:
                 calls.append(dec)
                 return (estimators.hermitize(vn @ vn.conj().T), qn) if len(calls) == 8 else None
 
-            (x, qn), steps = estimators._polish(povm._u, v, 0.0, loss, finish)
+            (x, qn), steps = estimators._polish(povm._u, v, loss, finish)
             assert steps == 8 and calls[-1] > 1e-6  # still far from the face minimum
             assert np.linalg.norm(povm.projector_values(x) - qn) <= 1e-12 * np.linalg.norm(qn)
 
@@ -1184,7 +1265,7 @@ class TestNewtonPoint:
             ends.clear()
             res = solve(povm, rec)
             assert res.converged and ends
-            u, c, loss, vn, qn, dv, (h, g, step) = ends[-1]
+            u, loss, vn, qn, dv, (h, g, step) = ends[-1]
             assert np.array_equal(step, columns(dv))
             assert np.linalg.norm(h @ step + g) <= 1e-8 * np.linalg.norm(g)
             v = vn - dv
@@ -1192,10 +1273,9 @@ class TestNewtonPoint:
             q = (w.real**2 + w.imag**2).sum(axis=1)
             a, b, _ = loss(q)
             # rounding in W moves q by eps |q| and a by b = da/dq times that
-            scale = np.linalg.norm(c * v) + np.linalg.norm(u) * np.linalg.norm(w) * (
-                np.linalg.norm(a) + np.linalg.norm(b * q))
-            assert np.linalg.norm(g - columns(c * v + u @ (a[:, None] * w))) <= 1e-13 * scale
-            h_at_v = estimators._hess_matrix(np.ascontiguousarray(u.T), w, c, a, b)
+            scale = np.linalg.norm(u) * np.linalg.norm(w) * (np.linalg.norm(a) + np.linalg.norm(b * q))
+            assert np.linalg.norm(g - columns(u @ (a[:, None] * w))) <= 1e-13 * scale
+            h_at_v = estimators._hess_matrix(np.ascontiguousarray(u.T), w, a, b)
             assert np.linalg.norm(h - h_at_v) <= 1e-12 * np.linalg.norm(h_at_v)
             x = estimators.hermitize(vn @ vn.conj().T)
             tol = EstimatorSpec().tol(res.method)
@@ -1208,10 +1288,12 @@ class TestNewtonPoint:
                 assert res.stop_reason == "projected_gradient"
                 assert TestLeastSquaresPolish.objective_and_certificate(povm, rec, x)[1]
                 continue
-            # trace-min's duality gap at the multiplier mu = b of the last attempt
+            # trace-min's duality gap at the multiplier mu = 1/(k s) of the
+            # last attempt, whose loss is least squares' on f - s 1
             assert res.stop_reason == "duality_gap"
             f, eps, tr = rec.values, rec.noise_bound, np.trace(x).real
-            y = b * (povm.projector_values(x) - f)
+            mu = 1.0 / (povm.n_bases * np.mean(a - q + f))
+            y = mu * (povm.projector_values(x) - f)
             y /= 1.0 + max(0.0, -np.linalg.eigvalsh(povm.adjoint_projectors(y) + np.eye(d))[0])
             assert tr + y @ f + eps * np.linalg.norm(y) <= tol * max(1.0, tr)
 
@@ -1370,7 +1452,7 @@ class TestPolishStart:
 
             return fista(*args[:6], watched, *args[7:], **kwargs)
 
-        def spied_polish(u, v, c, loss, finish):
+        def spied_polish(u, v, loss, finish):
             if state["fresh"]:
                 x = state["x"]
                 assert v.shape[1] == state["rank"]
@@ -1391,7 +1473,7 @@ class TestPolishStart:
 
             state["inside"] = True
             try:
-                return polish(u, v, c, loss, watched)
+                return polish(u, v, loss, watched)
             finally:
                 state["inside"] = False
 

@@ -50,6 +50,8 @@ class TestCompletenessSweep:
         assert cell.failure_counts[cell.onset - 1] == 0
         if cell.onset > 1:
             assert cell.failure_counts[cell.onset - 2] > 0
+        with pytest.raises(KeyError, match="no cell for dim=5 rank=2"):
+            result.cell(5, 2)
 
     def test_deterministic(self):
         config = SweepConfig(dims=(4,), ranks=(1,), states_per_cell=3, max_bases=6, seed=9)
@@ -137,6 +139,8 @@ class TestNoisyProtocol:
             NoisyProtocolConfig(dim=4, estimators=("ridge",))
         with pytest.raises(ValueError):
             NoisyProtocolConfig(dim=4, min_bases=5, max_bases=3)
+        with pytest.raises(ValueError, match="power-of-two"):
+            NoisyProtocolConfig(dim=6, basis_type="local")
         for field, value in [
             ("shots_per_basis", 2.5),
             ("shots_per_basis", True),
@@ -196,6 +200,17 @@ class TestNoisyProtocol:
         vals = result.infidelities["least_squares"]
         assert vals.shape == (3, 3)
         assert np.array_equal(result.stderr_curve("least_squares"), vals.std(axis=1, ddof=1) / np.sqrt(3))
+
+    def test_local_basis_protocol_certifies(self):
+        # two qubits measured in local random bases: every solve of each
+        # program ends on its certificate
+        config = NoisyProtocolConfig(dim=4, basis_type="local", n_targets=3, max_bases=4, seed=3)
+        result = run_noisy_protocol(config)
+        certified = {"projected_gradient", "projected_gradient_held", "duality_gap"}
+        for est in config.estimators:
+            reasons = result.stop_reasons[est]
+            assert [sum(r.values()) for r in reasons] == [3] * 4
+            assert all(set(r) <= certified for r in reasons), (est, reasons)
 
     def test_deterministic_and_pool_invariant(self):
         base = dict(dim=4, n_targets=3, shots_per_basis=300,
@@ -293,7 +308,7 @@ class TestRobustnessScan:
 
     def test_rejects_bad_arguments(self):
         # 10**400 is a valid JSON number that no float holds
-        for field, value in [("repeats", 0), ("n_bases", 0), ("epsilons", [10**400])]:
+        for field, value in [("repeats", 0), ("n_bases", 0), ("epsilons", [10**400]), ("rank", 5)]:
             with pytest.raises(ValueError, match=field):
                 run_robustness_scan(**{"dim": 4, "rank": 1, "n_bases": 4, "epsilons": [1e-3],
                                        field: value})

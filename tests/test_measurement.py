@@ -99,6 +99,12 @@ class TestPovmFromBases:
             with pytest.raises(ValueError):
                 povm_from_bases(BasisSet(dim=2, bases=(u,)))
 
+    def test_rejects_wrong_shape_and_non_unitary_bases(self):
+        with pytest.raises(DimensionMismatch, match="basis 0 has shape"):
+            BasisSet(dim=3, bases=(np.eye(2),))
+        with pytest.raises(ValueError, match="unitarity"):
+            BasisSet(dim=2, bases=(np.eye(2), 2.0 * np.eye(2))).validate()
+
     def test_rejects_empty_basis_set(self):
         with pytest.raises(ValueError, match="at least one basis"):
             povm_from_bases(BasisSet(dim=3, bases=()))
@@ -248,6 +254,17 @@ class TestRecords:
         for bound in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError):
                 MeasurementRecord(dim=2, n_bases=1, values=np.array([0.5, 0.5]), noise_bound=bound)
+        with pytest.raises(ValueError, match="kind must be one of"):
+            MeasurementRecord(dim=2, n_bases=1, values=np.array([0.5, 0.5]), kind="simulated")
+        # a negative entry is kept only in a synthetic record
+        for kind in ("noiseless", "sampled"):
+            with pytest.raises(ValueError, match="negative record entry"):
+                MeasurementRecord(dim=2, n_bases=1, values=np.array([1.5, -0.5]), kind=kind)
+        MeasurementRecord(dim=2, n_bases=1, values=np.array([1.5, -0.5]), kind="synthetic")
+
+    def test_noiseless_record_rejects_state_of_another_dimension(self):
+        with pytest.raises(DimensionMismatch, match="state dim 3 vs POVM dim 2"):
+            noiseless_record(computational_povm(), QuantumState(np.eye(3) / 3))
 
     def test_shots_per_basis_validation(self, rng):
         values = np.array([0.5, 0.5])

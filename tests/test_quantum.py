@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from strictqst.errors import BadRank, NotHermitian, NotPure
+from strictqst.errors import BadRank, DimensionMismatch, NotHermitian, NotPure
 from strictqst.quantum import (
     QuantumState,
     StateModel,
@@ -167,6 +167,10 @@ class TestFidelity:
         with pytest.raises(NotPure):
             fidelity(mixed, pure)
 
+    def test_rejects_states_of_different_dimensions(self, rng):
+        with pytest.raises(DimensionMismatch):
+            fidelity(random_pure_state(3, rng), random_pure_state(4, rng))
+
     def test_random_pure_pair_mean_overlap(self):
         # Haar invariance: E <psi|phi> overlap = 1/d
         rng = np.random.default_rng(55)
@@ -200,6 +204,10 @@ class TestStateModel:
         tau = random_full_rank_state(4, rng)
         with pytest.raises(NotPure):
             StateModel(tau, 0.5, tau)
+
+    def test_rejects_background_of_another_dimension(self, rng):
+        with pytest.raises(DimensionMismatch, match="dimensions differ"):
+            StateModel(random_pure_state(3, rng), 0.5, random_full_rank_state(4, rng))
 
     def test_rejects_bad_weight(self, rng):
         psi = random_pure_state(3, rng)
